@@ -1,163 +1,26 @@
-"""Hot inner loops of the layer sweeps: min/max filters over reach sets.
+"""Hot inner loop of the layer sweeps: the min/max filter over reach sets.
 
 A value layer for ``k`` cops is a dense array of shape ``(P,) * (k + 1)``
 (robber axis first).  One backward-induction step applies, per axis, a
 filter that replaces each slice index by the extreme over its reach list
-(CSR arrays ``indptr``/``indices``).  These filters dominate solve time,
-so they are compiled with numba when available; a pure-numpy path is kept
-as a fallback and for cross-checking.
-
-Backend selection: environment variable ``PURSUIT_BACKEND`` set to
-``"numpy"`` forces the fallback, ``"numba"`` requires the compiled path;
-unset picks numba when importable.  ``set_backend`` overrides at runtime
-(used by tests and the benchmark).
+(CSR arrays ``indptr``/``indices``).  The filter is plain numpy: one
+gather and one reduction per net point.
 """
 
 from __future__ import annotations
 
-import os
+import math
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-_ENV = os.environ.get("PURSUIT_BACKEND", "").strip().lower()
-if _ENV == "numpy":
-    _BACKEND = "numpy"
-elif _ENV == "numba":
-    if not HAS_NUMBA:
-        raise ImportError("PURSUIT_BACKEND=numba but numba is not installed")
-    _BACKEND = "numba"
-else:
-    _BACKEND = "numba" if HAS_NUMBA else "numpy"
+_REDUCERS = {
+    "min": (np.ndarray.min, np.ndarray.argmin),
+    "max": (np.ndarray.max, np.ndarray.argmax),
+}
 
 
 def active_backend() -> str:
-    return _BACKEND
-
-
-def set_backend(name: str) -> None:
-    global _BACKEND
-    if name not in ("numpy", "numba"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAS_NUMBA:
-        raise ValueError("numba backend requested but numba is not installed")
-    _BACKEND = name
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback
-
-
-def _min_axis_np(v3, indptr, indices, out):
-    for i in range(indptr.size - 1):
-        out[:, i, :] = v3[:, indices[indptr[i]:indptr[i + 1]], :].min(axis=1)
-
-
-def _max_axis_np(v3, indptr, indices, out):
-    for i in range(indptr.size - 1):
-        out[:, i, :] = v3[:, indices[indptr[i]:indptr[i + 1]], :].max(axis=1)
-
-
-def _min_axis_arg_np(v3, indptr, indices, out, arg):
-    for i in range(indptr.size - 1):
-        local = indices[indptr[i]:indptr[i + 1]]
-        sub = v3[:, local, :]
-        am = sub.argmin(axis=1)  # first occurrence = lowest reach index
-        out[:, i, :] = np.take_along_axis(sub, am[:, None, :], axis=1)[:, 0, :]
-        arg[:, i, :] = local[am]
-
-
-def _max_axis_arg_np(v3, indptr, indices, out, arg):
-    for i in range(indptr.size - 1):
-        local = indices[indptr[i]:indptr[i + 1]]
-        sub = v3[:, local, :]
-        am = sub.argmax(axis=1)
-        out[:, i, :] = np.take_along_axis(sub, am[:, None, :], axis=1)[:, 0, :]
-        arg[:, i, :] = local[am]
-
-
-# ---------------------------------------------------------------------------
-# numba kernels
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _min_axis_nb(v3, indptr, indices, out):
-        A, P, B = v3.shape
-        for a in range(A):
-            for i in range(P):
-                lo, hi = indptr[i], indptr[i + 1]
-                first = indices[lo]
-                for b in range(B):
-                    out[a, i, b] = v3[a, first, b]
-                for jj in range(lo + 1, hi):
-                    j = indices[jj]
-                    for b in range(B):
-                        val = v3[a, j, b]
-                        if val < out[a, i, b]:
-                            out[a, i, b] = val
-
-    @njit(cache=True)
-    def _max_axis_nb(v3, indptr, indices, out):
-        A, P, B = v3.shape
-        for a in range(A):
-            for i in range(P):
-                lo, hi = indptr[i], indptr[i + 1]
-                first = indices[lo]
-                for b in range(B):
-                    out[a, i, b] = v3[a, first, b]
-                for jj in range(lo + 1, hi):
-                    j = indices[jj]
-                    for b in range(B):
-                        val = v3[a, j, b]
-                        if val > out[a, i, b]:
-                            out[a, i, b] = val
-
-    @njit(cache=True)
-    def _min_axis_arg_nb(v3, indptr, indices, out, arg):
-        A, P, B = v3.shape
-        for a in range(A):
-            for i in range(P):
-                lo, hi = indptr[i], indptr[i + 1]
-                first = indices[lo]
-                for b in range(B):
-                    out[a, i, b] = v3[a, first, b]
-                    arg[a, i, b] = first
-                for jj in range(lo + 1, hi):
-                    j = indices[jj]
-                    for b in range(B):
-                        val = v3[a, j, b]
-                        if val < out[a, i, b]:  # strict: ties keep lowest index
-                            out[a, i, b] = val
-                            arg[a, i, b] = j
-
-    @njit(cache=True)
-    def _max_axis_arg_nb(v3, indptr, indices, out, arg):
-        A, P, B = v3.shape
-        for a in range(A):
-            for i in range(P):
-                lo, hi = indptr[i], indptr[i + 1]
-                first = indices[lo]
-                for b in range(B):
-                    out[a, i, b] = v3[a, first, b]
-                    arg[a, i, b] = first
-                for jj in range(lo + 1, hi):
-                    j = indices[jj]
-                    for b in range(B):
-                        val = v3[a, j, b]
-                        if val > out[a, i, b]:
-                            out[a, i, b] = val
-                            arg[a, i, b] = j
-
-
-# ---------------------------------------------------------------------------
-# dispatch
+    return "numpy"
 
 
 def reach_filter(values, indptr, indices, axis, mode, want_arg=False):
@@ -168,35 +31,28 @@ def reach_filter(values, indptr, indices, axis, mode, want_arg=False):
     Returns the filtered array, plus the argmin/argmax index array when
     ``want_arg`` is set.
     """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    P = indptr.size - 1
+    extreme, pick = _REDUCERS[mode]
+    values = np.asarray(values, dtype=np.float64)
     shape = values.shape
-    a_size = int(np.prod(shape[:axis], dtype=np.int64)) if axis > 0 else 1
-    b_size = int(np.prod(shape[axis + 1:], dtype=np.int64)) if axis + 1 < len(shape) else 1
-    v3 = values.reshape(a_size, P, b_size)
-    use_numba = _BACKEND == "numba"
-    transposed = use_numba and b_size == 1 and a_size > 1
-    if transposed:
-        # trailing axis of size 1 starves the inner loop; run the mirrored
-        # problem so the batch axis is contiguous and vectorizable
-        v3 = np.ascontiguousarray(v3[:, :, 0].T).reshape(1, P, a_size)
-    out = np.empty_like(v3)
-    if want_arg:
-        arg = np.empty(v3.shape, dtype=np.int64)
-        if use_numba:
-            fn = _min_axis_arg_nb if mode == "min" else _max_axis_arg_nb
-        else:
-            fn = _min_axis_arg_np if mode == "min" else _max_axis_arg_np
-        fn(v3, indptr, indices, out, arg)
-        if transposed:
-            out = np.ascontiguousarray(out[0].T)
-            arg = np.ascontiguousarray(arg[0].T)
-        return out.reshape(shape), arg.reshape(shape)
-    if use_numba:
-        fn = _min_axis_nb if mode == "min" else _max_axis_nb
-    else:
-        fn = _min_axis_np if mode == "min" else _max_axis_np
-    fn(v3, indptr, indices, out)
-    if transposed:
-        out = np.ascontiguousarray(out[0].T)
-    return out.reshape(shape)
+    P = indptr.size - 1
+    a, b = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
+    # A trailing axis would gather rows one element wide; view it as
+    # (1, P, a) instead.  Results are written through the same transposed
+    # view, so the only extra array is the contiguous copy of the input.
+    flip = b == 1 and a > 1
+
+    def as3(x):
+        return x.reshape(a, P).T[None] if flip else x.reshape(a, P, b)
+
+    src = np.ascontiguousarray(as3(values))
+    out = np.empty(shape)
+    arg = np.empty(shape, dtype=np.int64) if want_arg else None
+    out3 = as3(out)
+    arg3 = as3(arg) if want_arg else None
+    for i in range(P):
+        local = indices[indptr[i]:indptr[i + 1]]
+        sub = src[:, local, :]
+        out3[:, i, :] = extreme(sub, axis=1)
+        if want_arg:
+            arg3[:, i, :] = local[pick(sub, axis=1)]  # first hit = lowest index
+    return (out, arg) if want_arg else out

@@ -77,6 +77,9 @@ def _horizon(cfg: dict):
     """Returns (mode of horizon, N, T or None, agility or None)."""
     hz = _field(cfg, "horizon")
     n = int(_field(hz, "N", "config.horizon"))
+    least = 1 if "T" in hz else 0  # T is split into N uniform steps
+    if n < least:
+        raise ConfigError(f"horizon.N must be at least {least}")
     if "T" in hz:
         if "agility" in cfg:
             raise ConfigError("give either horizon.T or an agility, not both")

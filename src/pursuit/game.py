@@ -146,9 +146,6 @@ class Agility:
     def prefix(self, n_steps: int) -> list:
         return [self.tau(n) for n in range(1, n_steps + 1)]
 
-    def total(self, n_steps: int) -> float:
-        return sum(self.prefix(n_steps))
-
     @property
     def length(self):
         """Number of usable steps, or ``None`` when unbounded."""

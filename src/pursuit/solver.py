@@ -45,11 +45,6 @@ class ReachSet:
     def of(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
-    def contains(self, i: int, j: int) -> bool:
-        row = self.of(i)
-        pos = np.searchsorted(row, j)
-        return pos < row.size and row[pos] == j
-
 
 def reach_set(net, t: float) -> ReachSet:
     """Reach structure for radius ``t`` (cached on the net)."""

@@ -843,10 +843,11 @@ def build_net(space: Space, h: float, point_budget: int = DEFAULT_POINT_BUDGET) 
 
 
 def _num(value) -> float:
-    """Parse a number that may arrive as a decimal string."""
-    if isinstance(value, str):
-        return float(value)
-    return float(value)
+    """Parse a finite number that may arrive as a decimal string."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{value!r} is not a finite number")
+    return x
 
 
 def space_from_config(cfg: dict) -> Space:

@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from pursuit.cli import main
 
@@ -132,6 +133,34 @@ def test_solve_config_errors(tmp_path, capsys):
              "agility": {"kind": "explicit", "steps": [0.25]},
              "horizon": {"N": 3}}
     assert run(tmp_path, "solve", short) == 2  # agility shorter than horizon
+    capsys.readouterr()
+    no_steps = {"space": CYCLE, "net_h": 0.25, "k": 1, "mode": "limit",
+                "horizon": {"N": 0, "T": 1.0}}
+    assert run(tmp_path, "solve", no_steps) == 2  # T split into zero steps
+    negative = {"space": CYCLE, "net_h": 0.25, "k": 1, "mode": "finite",
+                "agility": {"kind": "uniform", "t": 0.25}, "horizon": {"N": -3}}
+    assert run(tmp_path, "solve", negative) == 2
+    err = capsys.readouterr().err
+    assert err.count("horizon.N") == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("where", ["ball_radius", "edge_length",
+                                   "fiber_length", "product_p"])
+def test_solve_rejects_non_finite_space_numbers(tmp_path, capsys, where, bad):
+    spaces = {
+        "ball_radius": {"type": "ball", "dimension": 2, "radius": bad},
+        "edge_length": {"type": "metric_graph", "vertices": ["u", "v"],
+                        "edges": [["u", "v", "1"], ["u", "v", bad]]},
+        "fiber_length": {"type": "product", "base": INTERVAL,
+                         "fiber_length": bad},
+        "product_p": {"type": "product", "base": INTERVAL, "p": bad},
+    }
+    cfg = {"space": spaces[where], "net_h": 0.5, "k": 1, "mode": "finite",
+           "agility": {"kind": "uniform", "t": 0.5}, "horizon": {"N": 1}}
+    assert run(tmp_path, "solve", cfg) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "finite" in err[0]
 
 
 # ---------------------------------------------------------------------------

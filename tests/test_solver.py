@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pursuit import _kernels
+from pursuit._kernels import reach_filter
 from pursuit.errors import CapacityError, ConfigError, PlayoutError
 from pursuit.game import Agility, trajectory_value
 from pursuit.solver import (
@@ -78,7 +78,7 @@ def test_reach_contains_self_and_slack():
     net = interval_net3()
     rs0 = reach_set(net, 0.0)
     for i in range(net.size):
-        assert rs0.contains(i, i)
+        assert i in rs0.of(i)
     rs = reach_set(net, 0.5)  # step equal to spacing must admit neighbors
     left = net.index_of((0, 0.0))
     mid = net.index_of((0, 0.5))
@@ -86,7 +86,7 @@ def test_reach_contains_self_and_slack():
     assert list(rs.of(mid)) == [0, 1, 2]
     for i in range(net.size):
         for j in range(net.size):
-            assert rs.contains(i, j) == (net.matrix[i, j] <= 0.5 + REACH_SLACK)
+            assert (j in rs.of(i)) == (net.matrix[i, j] <= 0.5 + REACH_SLACK)
 
 
 def test_reach_cache_reused():
@@ -217,9 +217,9 @@ def test_policy_moves_are_reachable():
         for r in range(net.size):
             for c in range(net.size):
                 rm = policy.robber_move(m, (r, c))
-                assert rs.contains(r, rm)
+                assert rm in rs.of(r)
                 (cm,) = policy.cop_moves(m, rm, (c,))
-                assert rs.contains(c, cm)
+                assert cm in rs.of(c)
 
 
 def test_playout_optimal_vs_optimal_attains_table_value():
@@ -489,23 +489,44 @@ def test_cop_number_sentinel():
 
 
 # ---------------------------------------------------------------------------
-# backends
+# reach filter against a brute-force loop over the reach lists
 
 
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba unavailable")
-def test_backends_agree_bitwise():
-    net = cycle_net(8)
-    taus = [0.25, 0.5, 0.25]
-    prev = _kernels.active_backend()
-    try:
-        _kernels.set_backend("numba")
-        a, pa = solve_finite(net, 2, taus, store_policy=True)
-        _kernels.set_backend("numpy")
-        b, pb = solve_finite(net, 2, taus, store_policy=True)
-    finally:
-        _kernels.set_backend(prev)
-    assert np.array_equal(a.top, b.top)
-    for m in pa.robber:
-        assert np.array_equal(pa.robber[m], pb.robber[m])
-        for axis in pa.cops[m]:
-            assert np.array_equal(pa.cops[m][axis], pb.cops[m][axis])
+def loop_filter(values, rs, axis, mode):
+    """Per entry: the extreme over the reach list and the first reach index
+    attaining it."""
+    moved = np.moveaxis(values, axis, 0)
+    out = np.empty(moved.shape)
+    arg = np.empty(moved.shape, dtype=np.int64)
+    extreme = min if mode == "min" else max
+    for i in range(moved.shape[0]):
+        reach = [int(j) for j in rs.of(i)]
+        for rest in np.ndindex(moved.shape[1:]):
+            vals = [moved[(j,) + rest] for j in reach]
+            best = extreme(vals)
+            out[(i,) + rest] = best
+            arg[(i,) + rest] = reach[vals.index(best)]
+    return np.moveaxis(out, 0, axis), np.moveaxis(arg, 0, axis)
+
+
+@pytest.mark.parametrize("net_maker, k, t", [
+    (lambda: build_net(make_star(3), 0.25), 1, 0.5),
+    (lambda: cycle_net(8), 2, 0.25),
+])
+@pytest.mark.parametrize("mode", ["min", "max"])
+@pytest.mark.parametrize("want_arg", [False, True])
+def test_reach_filter_matches_loop(net_maker, k, t, mode, want_arg):
+    net = net_maker()
+    rs = reach_set(net, t)
+    rng = np.random.default_rng(7)
+    # few distinct integer values, so most reach lists contain ties
+    V = rng.integers(0, 3, size=(net.size,) * (k + 1)).astype(float)
+    # the transposed input is non-contiguous; its last axis is trailing
+    for layer in (V, V.T):
+        for axis in range(k + 1):
+            want_out, want_idx = loop_filter(layer, rs, axis, mode)
+            got = reach_filter(layer, rs.indptr, rs.indices, axis, mode, want_arg)
+            out, idx = got if want_arg else (got, None)
+            assert out.tobytes() == want_out.tobytes()
+            if want_arg:
+                assert np.array_equal(idx, want_idx)

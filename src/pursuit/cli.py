@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -39,7 +40,7 @@ from .solver import (
     solve_finite,
     standard_value,
 )
-from .spaces import DEFAULT_POINT_BUDGET, build_net, space_from_config
+from .spaces import DEFAULT_POINT_BUDGET, _num, build_net, space_from_config
 from .verify import run_suite, suite_passed
 
 
@@ -59,16 +60,76 @@ def _field(cfg: dict, key: str, path: str = "config"):
     return cfg[key]
 
 
+_DUMP_CHUNK = 4096  # list items rendered per write by _dump
+
+
 def _dump(obj, path: Path) -> None:
+    """Write ``obj`` as the bytes of ``json.dump(obj, fh, sort_keys=True,
+    indent=1)`` plus a newline, streaming to the file as it goes."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
+        _write_json(fh.write, obj, "\n")
         fh.write("\n")
+
+
+def _write_json(write, obj, newline: str) -> None:
+    """Encode ``obj`` as the json module does with ``sort_keys=True`` and
+    ``indent=1``; ``newline`` is a line break plus the indent of ``obj``.
+
+    A chunk of list items that are all plain ints, or all finite plain
+    floats, is joined with ``repr``, which is what the json encoder writes
+    for them.  Every other scalar and every key goes through ``json.dumps``.
+    """
+    inner = newline + " "
+    if isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        sep = "{"
+        for key, value in sorted(obj.items()):
+            write(sep + inner + _json_key(key) + ": ")
+            _write_json(write, value, inner)
+            sep = ","
+        write(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        sep = "," + inner
+        write("[" + inner)
+        for start in range(0, len(obj), _DUMP_CHUNK):
+            chunk = obj[start:start + _DUMP_CHUNK]
+            if start:
+                write(sep)
+            kinds = set(map(type, chunk))
+            if kinds == {int} or (kinds == {float} and all(map(math.isfinite, chunk))):
+                write(sep.join(map(repr, chunk)))
+                continue
+            for i, value in enumerate(chunk):
+                if i:
+                    write(sep)
+                _write_json(write, value, inner)
+        write(newline + "]")
+    else:
+        write(json.dumps(obj))
+
+
+def _json_key(key) -> str:
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError("keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}")
+        key = json.dumps(key)
+    return json.dumps(key)
 
 
 def _net_from_config(cfg: dict):
     space = space_from_config(_field(cfg, "space"))
-    h = float(_field(cfg, "net_h"))
+    raw_h = _field(cfg, "net_h")
+    try:
+        h = _num(raw_h)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad net_h: {exc}") from exc
     budget = int(cfg.get("point_budget", DEFAULT_POINT_BUDGET))
     return build_net(space, h, budget)
 
@@ -115,7 +176,7 @@ def _starts(cfg: dict, k: int, net):
 def _values_block(values: np.ndarray, mode, tuples):
     out = {
         "shape": list(values.shape),
-        "flat": [float(v) for v in values.reshape(-1)],
+        "flat": values.reshape(-1).tolist(),
     }
     if mode == "explicit":
         out["per_start"] = [
@@ -147,11 +208,9 @@ def cmd_solve(args) -> int:
         if policy is not None:
             policy_dump = {
                 str(m): {
-                    "robber": [int(v) for v in policy.robber[m].reshape(-1)],
-                    "cops": [
-                        [int(v) for v in policy.cops[m][axis].reshape(-1)]
-                        for axis in sorted(policy.cops[m])
-                    ],
+                    "robber": policy.robber[m].reshape(-1).tolist(),
+                    "cops": [policy.cops[m][axis].reshape(-1).tolist()
+                             for axis in sorted(policy.cops[m])],
                 }
                 for m in sorted(policy.robber)
             }

@@ -11,9 +11,11 @@ divergent sum; divergence is decided by kind, not by numeric summation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import AgilityError, ArityError
+from .spaces import _num
 
 # ---------------------------------------------------------------------------
 # Positions
@@ -84,17 +86,18 @@ class Agility:
         if kind == "explicit":
             if not self._values:
                 raise AgilityError("explicit agility needs at least one step")
-            if any(v < 0 for v in self._values):
-                raise AgilityError("negative step duration")
+            if any(not 0 <= v < math.inf for v in self._values):
+                raise AgilityError("step durations must be finite and nonnegative")
         elif kind == "uniform":
-            if t is None or t <= 0:
-                raise AgilityError("uniform agility needs t > 0")
+            if t is None or not 0 < t < math.inf:
+                raise AgilityError("uniform agility needs a finite t > 0")
         elif kind == "geometric":
-            if a is None or a <= 0 or rho is None or not 0 < rho < 1:
-                raise AgilityError("geometric agility needs a > 0 and 0 < rho < 1")
+            if a is None or not 0 < a < math.inf or rho is None or not 0 < rho < 1:
+                raise AgilityError(
+                    "geometric agility needs a finite a > 0 and 0 < rho < 1")
         elif kind == "harmonic":
-            if a is None or a <= 0:
-                raise AgilityError("harmonic agility needs a > 0")
+            if a is None or not 0 < a < math.inf:
+                raise AgilityError("harmonic agility needs a finite a > 0")
         elif kind not in ("shifted", "subdivided"):
             raise AgilityError(f"unknown agility kind {kind!r}")
 
@@ -217,16 +220,26 @@ class Agility:
 
 
 def agility_from_config(cfg: dict) -> Agility:
-    """Parse the run-config agility description."""
+    """Parse the run-config agility description; a missing, non-numeric or
+    non-finite field raises :class:`AgilityError`."""
+    if not isinstance(cfg, dict):
+        raise AgilityError(f"agility must be an object, not {cfg!r}")
     kind = cfg.get("kind")
-    if kind == "uniform":
-        return Agility.uniform(float(cfg["t"]))
-    if kind == "explicit":
-        return Agility.explicit([float(v) for v in cfg["steps"]])
-    if kind == "harmonic":
-        return Agility.harmonic(float(cfg["a"]))
-    if kind == "geometric":
-        return Agility.geometric(float(cfg["a"]), float(cfg["rho"]))
+    try:
+        if kind == "uniform":
+            return Agility.uniform(_num(cfg["t"]))
+        if kind == "explicit":
+            return Agility.explicit([_num(v) for v in cfg["steps"]])
+        if kind == "harmonic":
+            return Agility.harmonic(_num(cfg["a"]))
+        if kind == "geometric":
+            return Agility.geometric(_num(cfg["a"]), _num(cfg["rho"]))
+    except KeyError as exc:
+        raise AgilityError(f"{kind} agility needs field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        if isinstance(exc, AgilityError):
+            raise
+        raise AgilityError(f"bad {kind} agility: {exc}") from exc
     raise AgilityError(f"unknown agility kind {kind!r}")
 
 

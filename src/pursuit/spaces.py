@@ -34,6 +34,7 @@ from .errors import CapacityError, ConfigError, MalformedPathError, MalformedPoi
 NORM_TOL = 1e-9
 ANTIPODAL_NUDGE = 1e-9
 DEFAULT_POINT_BUDGET = 20_000
+_BLOCK_ENTRIES = 8192  # matrix entries per row block of a graph net build
 
 
 class Space:
@@ -64,17 +65,6 @@ class Space:
 
     def point_from_json(self, obj):
         raise NotImplementedError
-
-    def pairwise(self, points) -> np.ndarray:
-        """Symmetric matrix of pairwise distances (generic double loop)."""
-        n = len(points)
-        out = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = self.distance(points[i], points[j])
-                out[i, j] = d
-                out[j, i] = d
-        return out
 
 
 def _check_budget(count: int, budget: int) -> None:
@@ -219,6 +209,54 @@ class MetricGraphSpace(Space):
                 if cand < best:
                     best = cand
         return best
+
+    def pairwise(self, points) -> np.ndarray:
+        """Matrix of ``distance`` over ``points``, equal to it bit for bit.
+
+        Each entry is the minimum of the same-edge gap and the four endpoint
+        routes ``(cx + vdist[x, y]) + cy``, with ``cx`` taken from the
+        lexicographically smaller point as in ``distance``, so every float
+        sum is the one ``distance`` forms.  Rows are built in blocks of
+        about ``_BLOCK_ENTRIES`` entries, so no temporary is matrix-sized.
+        """
+        for p in points:
+            self.validate_point(p)
+        n = len(points)
+        edge = np.fromiter((int(p[0]) for p in points), np.intp, n)
+        off = np.fromiter((float(p[1]) for p in points), float, n)
+        ends = np.array([(u, v) for u, v, _ in self.edges], dtype=np.intp)[edge]
+        rest = np.array([w for _, _, w in self.edges])[edge] - off
+        exits = ((ends[:, 0], off), (ends[:, 1], rest))
+        # edge ids compared as floats (exact): int64 comparisons would page
+        # in numpy loops that nothing else in a run uses
+        e = edge.astype(float)
+        out = np.empty((n, n))
+        step = max(1, _BLOCK_ENTRIES // max(n, 1))
+        blocks = [slice(lo, lo + step) for lo in range(0, n, step)]
+        for rows in blocks:
+            blk = out[rows]
+            blk.fill(np.inf)
+            cand = np.empty_like(blk)
+            for x, cx in exits:
+                vrows = self.vdist[x[rows]]
+                for y, cy in exits:
+                    np.take(vrows, y, axis=1, out=cand)
+                    cand += cx[rows, None]
+                    cand += cy
+                    np.minimum(blk, cand, out=blk)
+            np.subtract(off[rows, None], off, out=cand)
+            np.abs(cand, out=cand)
+            np.minimum(blk, cand, out=blk, where=e[rows, None] == e)
+        # row i was summed from point i's side: give each pair the row of
+        # its lexicographically smaller (edge, offset) point; the entries
+        # read are never the ones written
+        for rows in blocks:
+            er, offr = e[rows, None], off[rows, None]
+            swap = (er > e) | ((er == e) & (offr > off))
+            blk = out[rows]
+            blk[swap] = out[:, rows].T[swap]
+        np.fill_diagonal(out, 0.0)
+        return out
 
     # -- geodesic routes
 

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pursuit import cli
 from pursuit.cli import main
 
 CYCLE = {
@@ -142,6 +145,37 @@ def test_solve_config_errors(tmp_path, capsys):
     assert run(tmp_path, "solve", negative) == 2
     err = capsys.readouterr().err
     assert err.count("horizon.N") == 2
+    for net_h in ("nan", "inf", "abc", None):
+        bad_h = {"space": CYCLE, "net_h": net_h, "k": 1, "mode": "finite",
+                 "agility": {"kind": "uniform", "t": 0.25}, "horizon": {"N": 1}}
+        assert run(tmp_path, "solve", bad_h) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "net_h" in err[0]
+
+
+@pytest.mark.parametrize("agility", [
+    5,
+    {"kind": "uniform"},
+    {"kind": "uniform", "t": "nan"},
+    {"kind": "uniform", "t": "inf"},
+    {"kind": "uniform", "t": "abc"},
+    {"kind": "uniform", "t": None},
+    {"kind": "explicit"},
+    {"kind": "explicit", "steps": 5},
+    {"kind": "explicit", "steps": [0.25, "nan"]},
+    {"kind": "explicit", "steps": [0.25, "-inf"]},
+    {"kind": "harmonic"},
+    {"kind": "harmonic", "a": "inf"},
+    {"kind": "geometric", "a": 1.0},
+    {"kind": "geometric", "a": "nan", "rho": 0.5},
+    {"kind": "geometric", "a": 1.0, "rho": "nan"},
+])
+def test_solve_rejects_bad_agility(tmp_path, capsys, agility):
+    cfg = {"space": CYCLE, "net_h": 0.25, "k": 1, "mode": "finite",
+           "agility": agility, "horizon": {"N": 1}}
+    assert run(tmp_path, "solve", cfg) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "agility" in err[0]
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -161,6 +195,77 @@ def test_solve_rejects_non_finite_space_numbers(tmp_path, capsys, where, bad):
     assert run(tmp_path, "solve", cfg) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "finite" in err[0]
+
+
+# ---------------------------------------------------------------------------
+# result JSON writer
+
+
+def _assert_dump_matches_json(directory, obj):
+    path = directory / "dump.json"
+    cli._dump(obj, path)
+    assert path.read_bytes() == (
+        json.dumps(obj, sort_keys=True, indent=1) + "\n").encode()
+
+
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.text(),
+)
+_leaf_lists = st.one_of(
+    st.lists(st.integers()),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False)),
+    st.lists(st.floats()),
+    st.lists(st.one_of(st.integers(), st.floats(), st.booleans())),
+)
+_json_like = st.recursive(
+    st.one_of(_scalars, _leaf_lists),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=3),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_json_like)
+def test_dump_matches_json_dump(tmp_path_factory, obj):
+    _assert_dump_matches_json(tmp_path_factory.mktemp("dump"), obj)
+
+
+@pytest.mark.parametrize("odd", [None, float("nan"), np.float64(0.25), 1, True])
+def test_dump_matches_json_dump_across_chunks(tmp_path, odd):
+    n = 2 * cli._DUMP_CHUNK + 3
+    ints = list(range(-5, n - 5))
+    floats = [i / 7 for i in range(n)]
+    for items in (ints, floats):
+        mixed = list(items)
+        mixed[cli._DUMP_CHUNK + 1] = odd
+        _assert_dump_matches_json(tmp_path, {"plain": items, "mixed": mixed,
+                                             "nested": [items, [mixed], {}, []]})
+
+
+def test_dump_matches_json_dump_on_policy_result(tmp_path, monkeypatch):
+    dumped = []
+    real_dump = cli._dump
+
+    def recording_dump(obj, path):
+        dumped.append(obj)
+        real_dump(obj, path)
+
+    monkeypatch.setattr(cli, "_dump", recording_dump)
+    cfg = {"space": CYCLE, "net_h": 0.1, "k": 1, "mode": "finite",
+           "agility": {"kind": "uniform", "t": 0.1}, "horizon": {"N": 3},
+           "store_policy": True}
+    assert run(tmp_path, "solve", cfg) == 0
+    (result,) = dumped
+    assert result["policy"]["3"]["robber"]
+    written = (tmp_path / "out" / "solve_result.json").read_bytes()
+    assert written == (json.dumps(result, sort_keys=True, indent=1) + "\n").encode()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from pursuit.errors import (
 )
 from pursuit.spaces import (
     BallSpace,
+    MetricGraphSpace,
     Polyline,
     ProductSpace,
     SphereSpace,
@@ -210,6 +211,34 @@ def test_net_matrix_matches_space(rng):
             net.space.distance(net.points[i], net.points[j]), abs=1e-9
         )
     assert np.array_equal(net.matrix, net.matrix.T)
+
+
+def _distance_loop(space, points):
+    n = len(points)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                out[i, j] = space.distance(points[i], points[j])
+    return out
+
+
+@pytest.mark.parametrize("graph", [
+    make_cycle(2.0),
+    MetricGraphSpace(["u", "v"], [("u", "v", 0.7), ("u", "v", 2.9)]),
+    MetricGraphSpace(["u", "v", "w"], [("u", "v", 1.3), ("v", "v", 1.1),
+                                       ("u", "w", 0.45), ("v", "u", 0.3)]),
+    make_star(4, 0.37),
+])
+@pytest.mark.parametrize("h", [0.4, 0.02])  # 0.02: nets of several row blocks
+def test_graph_pairwise_equals_distance_loop_bitwise(graph, h, rng):
+    net = build_net(graph, h)
+    assert net.matrix.tobytes() == _distance_loop(graph, net.points).tobytes()
+    points = list(net.points) + [graph.random_point(rng) for _ in range(20)]
+    points += [(1, 0.0), (0, 0.0), points[3]]  # vertex aliases and a repeat
+    order = rng.permutation(len(points))
+    points = [points[i] for i in order]
+    assert graph.pairwise(points).tobytes() == _distance_loop(graph, points).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -60,6 +60,22 @@ def _field(cfg: dict, key: str, path: str = "config"):
     return cfg[key]
 
 
+def _float(value, name: str) -> float:
+    """A finite number, possibly given as a decimal string."""
+    try:
+        return _num(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad {name}: {exc}") from exc
+
+
+def _int(value, name: str) -> int:
+    """An integral number such as ``3``, ``3.0`` or ``"3"``."""
+    x = _float(value, name)
+    if not x.is_integer():
+        raise ConfigError(f"bad {name}: {value!r} is not an integer")
+    return value if type(value) is int else int(x)
+
+
 _DUMP_CHUNK = 4096  # list items rendered per write by _dump
 
 
@@ -125,26 +141,22 @@ def _json_key(key) -> str:
 
 def _net_from_config(cfg: dict):
     space = space_from_config(_field(cfg, "space"))
-    raw_h = _field(cfg, "net_h")
-    try:
-        h = _num(raw_h)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad net_h: {exc}") from exc
-    budget = int(cfg.get("point_budget", DEFAULT_POINT_BUDGET))
+    h = _float(_field(cfg, "net_h"), "net_h")
+    budget = _int(cfg.get("point_budget", DEFAULT_POINT_BUDGET), "point_budget")
     return build_net(space, h, budget)
 
 
 def _horizon(cfg: dict):
     """Returns (mode of horizon, N, T or None, agility or None)."""
     hz = _field(cfg, "horizon")
-    n = int(_field(hz, "N", "config.horizon"))
+    n = _int(_field(hz, "N", "config.horizon"), "horizon.N")
     least = 1 if "T" in hz else 0  # T is split into N uniform steps
     if n < least:
         raise ConfigError(f"horizon.N must be at least {least}")
     if "T" in hz:
         if "agility" in cfg:
             raise ConfigError("give either horizon.T or an agility, not both")
-        T = float(hz["T"])
+        T = _float(hz["T"], "horizon.T")
         if T <= 0:
             raise ConfigError("horizon.T must be positive")
         return n, T, Agility.uniform(T / n)
@@ -160,9 +172,13 @@ def _starts(cfg: dict, k: int, net):
     starts = cfg.get("starts", "all")
     if starts == "all":
         return "all", None
+    if not isinstance(starts, list):
+        raise ConfigError('starts must be "all" or a list of index lists')
     tuples = []
     for row in starts:
-        tup = tuple(int(i) for i in row)
+        if not isinstance(row, list):
+            raise ConfigError(f"start tuple {row!r} is not a list")
+        tup = tuple(_int(i, "start index") for i in row)
         if len(tup) != k + 1:
             raise ConfigError(f"start tuple {row} needs {k + 1} indices")
         if any(not 0 <= i < net.size for i in tup):
@@ -188,10 +204,10 @@ def _values_block(values: np.ndarray, mode, tuples):
 def cmd_solve(args) -> int:
     cfg = _load_config(args.config)
     net = _net_from_config(cfg)
-    k = int(_field(cfg, "k"))
+    k = _int(_field(cfg, "k"), "k")
     mode = cfg.get("mode", "finite")
-    tol = float(cfg.get("tol", 1e-9))
-    n_max = int(cfg.get("N_max", 64))
+    tol = _float(cfg.get("tol", 1e-9), "tol")
+    n_max = _int(cfg.get("N_max", 64), "N_max")
     n, T, agility = _horizon(cfg)
     start_mode, tuples = _starts(cfg, k, net)
 
@@ -292,12 +308,12 @@ def cmd_play(args) -> int:
         [space.point_from_json(p) for p in _field(start_cfg, "cops", "config.start")],
     )
     agility = agility_from_config(_field(cfg, "agility"))
-    n_steps = int(_field(cfg, "N"))
+    n_steps = _int(_field(cfg, "N"), "N")
     if agility.length is not None and agility.length < n_steps:
         raise ConfigError(
             f"agility provides {agility.length} steps but N is {n_steps}"
         )
-    kappa = float(cfg.get("kappa", 1e-9))
+    kappa = _float(cfg.get("kappa", 1e-9), "kappa")
     traj = run_game(space, robber, cops, start, agility, n_steps, kappa)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -314,16 +330,16 @@ def cmd_play(args) -> int:
 def cmd_copnumber(args) -> int:
     cfg = _load_config(args.config)
     net = _net_from_config(cfg)
-    k_max = int(_field(cfg, "k_max"))
+    k_max = _int(_field(cfg, "k_max"), "k_max")
     theta = cfg.get("theta")
     family_cfg = cfg.get("family")
     family = ([agility_from_config(f) for f in family_cfg] if family_cfg else None)
     res = cop_number_estimate(
         net, k_max,
-        theta=None if theta is None else float(theta),
+        theta=None if theta is None else _float(theta, "theta"),
         family=family,
-        tol=float(cfg.get("tol", 1e-9)),
-        N_max=int(cfg.get("N_max", 64)),
+        tol=_float(cfg.get("tol", 1e-9), "tol"),
+        N_max=_int(cfg.get("N_max", 64), "N_max"),
     )
     result = {
         "command": "copnumber",

@@ -90,19 +90,12 @@ class ValueTable:
     def top(self) -> np.ndarray:
         return self.layers[self.N]
 
-    @property
-    def base(self) -> np.ndarray:
-        return self.layers[0]
-
     def layer(self, m: int) -> np.ndarray:
         if m not in self.layers:
             raise KeyError(
                 f"layer {m} was not stored (have {sorted(self.layers)})"
             )
         return self.layers[m]
-
-    def value(self, m: int, tup) -> float:
-        return float(self.layer(m)[tuple(tup)])
 
 
 @dataclass
@@ -293,8 +286,25 @@ class LimitResult:
     converged: bool
     log: list = field(default_factory=list)
 
-    def worst_start(self) -> float:
-        return float(self.values.max())
+
+def _doubling(top, N: int, N_max: int, tol: float) -> LimitResult:
+    """Horizon doubling: compare ``top(N)``, the ``N``-step top layer, at
+    N, 2N, 4N, ... (capped at ``N_max``) and stop once consecutive layers
+    differ by less than ``tol`` in sup norm."""
+    log = []
+    prev = None
+    while True:
+        V = top(N)
+        if prev is not None:
+            dec = float(np.abs(prev - V).max())
+            log.append((N, dec))
+            if dec < tol:
+                return LimitResult(V, N, dec, True, log)
+        prev = V
+        if N >= N_max:
+            gap = log[-1][1] if log else math.inf
+            return LimitResult(V, N, gap, False, log)
+        N = min(2 * N, N_max)
 
 
 def limit_value(net, k: int, agility: Agility, tol: float = 1e-9,
@@ -309,6 +319,8 @@ def limit_value(net, k: int, agility: Agility, tol: float = 1e-9,
     """
     if tol <= 0:
         raise ConfigError("tolerance must be positive")
+    if k < 1:
+        raise ConfigError("need at least one cop")
     if agility.length is not None:
         N_max = min(N_max, agility.length)
     probe = min(N_max, 16)
@@ -316,48 +328,26 @@ def limit_value(net, k: int, agility: Agility, tol: float = 1e-9,
         raise ConfigError("limit_value needs a uniform or decreasing agility")
     _check_state_budget(net, k, state_budget)
 
-    log = []
-    uniform = agility.is_uniform(probe)
-    if uniform:
+    if agility.is_uniform(probe):
         # one operator iterated: extend the same layer instead of re-solving
-        t = agility.tau(1)
-        rs = reach_set(net, t)
+        rs = reach_set(net, agility.tau(1))
         base = _base_layer(net, k)
-        V = base
-        prev_top = None
-        N_done = 0
-        target = 1
-        while True:
-            while N_done < target:
+        V, done = base, 0
+
+        def top(N):
+            nonlocal V, done
+            while done < N:
                 V, _, _ = _sweep(V, rs, k, False)
                 if variant == "intermediate":
                     V = np.minimum(base, V)
-                N_done += 1
-            if prev_top is not None:
-                dec = float(np.abs(prev_top - V).max())
-                log.append((target, dec))
-                if dec < tol:
-                    return LimitResult(V.copy(), target, dec, True, log)
-            prev_top = V.copy()
-            if target >= N_max:
-                gap = log[-1][1] if log else math.inf
-                return LimitResult(V.copy(), target, gap, False, log)
-            target = min(2 * target, N_max)
-    prev = None
-    N = 1
-    while True:
-        table, _ = solve_finite(net, k, agility.prefix(N), state_budget=state_budget,
-                                variant=variant)
-        if prev is not None:
-            dec = float(np.abs(prev.top - table.top).max())
-            log.append((N, dec))
-            if dec < tol:
-                return LimitResult(table.top.copy(), N, dec, True, log)
-        prev = table
-        if N >= N_max:
-            gap = log[-1][1] if log else math.inf
-            return LimitResult(table.top.copy(), N, gap, False, log)
-        N = min(2 * N, N_max)
+                done += 1
+            return V
+    else:
+        def top(N):
+            table, _ = solve_finite(net, k, agility.prefix(N),
+                                    state_budget=state_budget, variant=variant)
+            return table.top
+    return _doubling(top, 1, N_max, tol)
 
 
 def duration_value(net, k: int, T: float, N_start: int = 1,
@@ -373,21 +363,11 @@ def duration_value(net, k: int, T: float, N_start: int = 1,
         raise ConfigError("duration T must be positive")
     if N_start < 1:
         raise ConfigError("N must be at least 1")
-    log = []
-    prev = None
-    N = N_start
-    while True:
+
+    def top(N):
         table, _ = solve_finite(net, k, [T / N] * N, state_budget=state_budget)
-        if prev is not None:
-            inc = float(np.abs(table.top - prev.top).max())
-            log.append((N, inc))
-            if inc < tol:
-                return LimitResult(table.top.copy(), N, inc, True, log)
-        prev = table
-        if N >= N_max:
-            gap = log[-1][1] if log else math.inf
-            return LimitResult(table.top.copy(), N, gap, False, log)
-        N = min(2 * N, N_max)
+        return table.top
+    return _doubling(top, N_start, N_max, tol)
 
 
 @dataclass
@@ -475,9 +455,11 @@ def cop_number_estimate(net, k_max: int, theta: float | None = None,
 
 
 def _index_mover(source, side: str, net, N: int):
-    """Normalize a move source (table Policy or point-level strategy) to a
-    net-index move function."""
-    if isinstance(source, Policy):
+    """Normalize a move source to a net-index move function.  A source with
+    ``robber_move`` and ``cop_moves`` (a ``Policy`` or anything answering
+    in net indices the same way) is asked directly; point-level strategies
+    have their moves snapped to the net."""
+    if hasattr(source, "robber_move") and hasattr(source, "cop_moves"):
         if source.N < N:
             raise PlayoutError((), N, f"policy horizon {source.N} < playout {N}")
         if side == "robber":

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,41 +193,42 @@ def _subnet(net: Net, indices) -> Net:
 
 @dataclass
 class _LiftedPolicy:
-    """Coarse-net policy replayed on the fine net: positions round to the
-    nearest coarse member, moves head for the coarse target within budget."""
+    """Coarse-net policy replayed on the fine net, in fine-net indices:
+    positions round to the nearest coarse member, moves head for the coarse
+    target within the step's budget."""
 
     net: Net
     fine_of: list  # coarse index -> fine index
     policy: Policy
-    side: str
 
     def __post_init__(self):
-        D = self.net.matrix
         cols = np.asarray(self.fine_of)
-        sub = D[:, cols]
+        sub = self.net.matrix[:, cols]
         self.round_to = cols[np.argmin(sub, axis=1)]  # fine -> fine (coarse member)
         self.coarse_idx = {f: c for c, f in enumerate(self.fine_of)}
 
-    def _advance(self, cur: int, target_fine: int, t: float) -> int:
+    @property
+    def N(self) -> int:
+        return self.policy.N
+
+    def _coarse(self, i: int) -> int:
+        return self.coarse_idx[int(self.round_to[i])]
+
+    def _advance(self, m: int, cur: int, target_fine: int) -> int:
         D = self.net.matrix
+        t = float(self.policy.taus[self.N - m])
         feasible = np.nonzero(D[cur] <= t + 1e-12)[0]
         return int(feasible[np.argmin(D[feasible, target_fine])])
 
-    def move(self, pos, t, n):
-        net = self.net
-        m = self.policy.N - n + 1
-        cops_f = tuple(net.index_of(c) for c in pos.cops)
-        cops_c = tuple(self.coarse_idx[int(self.round_to[c])] for c in cops_f)
-        r_f = net.index_of(pos.robber)
-        r_c = self.coarse_idx[int(self.round_to[r_f])]
-        if self.side == "robber":
-            target = self.fine_of[self.policy.robber_move(m, (r_c, *cops_c))]
-            return net.points[self._advance(r_f, target, t)]
-        moves = self.policy.cop_moves(m, r_c, cops_c)
-        return tuple(
-            net.points[self._advance(c_f, self.fine_of[j], t)]
-            for c_f, j in zip(cops_f, moves)
-        )
+    def robber_move(self, m: int, tup) -> int:
+        target = self.policy.robber_move(m, tuple(self._coarse(i) for i in tup))
+        return self._advance(m, tup[0], self.fine_of[target])
+
+    def cop_moves(self, m: int, robber_new: int, cops: tuple) -> tuple:
+        moves = self.policy.cop_moves(
+            m, self._coarse(robber_new), tuple(self._coarse(c) for c in cops))
+        return tuple(self._advance(m, c, self.fine_of[j])
+                     for c, j in zip(cops, moves))
 
 
 @dataclass
@@ -258,30 +257,27 @@ def minmax_gap_probe(net: Net, k: int, tau, eps_schedule, N: int,
         if len(eps_list) < N:
             eps_list = eps_list + [eps_list[-1]] * (N - len(eps_list))
     eps_max = max(eps_list)
+    if len(set(eps_list)) != 1:
+        raise ConfigError("per-step coarse schedules need a constant radius")
     if coarse is not None:
         fine_of = sorted(_coarse_to_fine(net, coarse))
-        per_step_sets = {e: fine_of for e in set(eps_list)}
     else:
-        per_step_sets = {e: _subnet_indices(net, e) for e in set(eps_list)}
-    if len(per_step_sets) != 1:
-        raise ConfigError("per-step coarse schedules need a constant radius")
+        fine_of = _subnet_indices(net, eps_list[0])
 
     _, fine_policy = solve_finite(net, k, taus, store_policy=True)
-    fine_of = per_step_sets[eps_list[0]]
-    sub = _subnet(net, fine_of)
-    _, coarse_policy = solve_finite(sub, k, taus, store_policy=True)
-    lifted_rob = _LiftedPolicy(net, fine_of, coarse_policy, "robber")
-    lifted_cop = _LiftedPolicy(net, fine_of, coarse_policy, "cops")
+    _, coarse_policy = solve_finite(_subnet(net, fine_of), k, taus,
+                                    store_policy=True)
+    lifted = _LiftedPolicy(net, fine_of, coarse_policy)
 
     shape = (net.size,) * (k + 1)
     upper = np.empty(shape)
     lower = np.empty(shape)
     for tup in itertools.product(range(net.size), repeat=k + 1):
         upper[tup] = trajectory_value(
-            policy_playout(net, fine_policy, lifted_cop.move, tup, taus, kappa)
+            policy_playout(net, fine_policy, lifted, tup, taus, kappa)
         )
         lower[tup] = trajectory_value(
-            policy_playout(net, lifted_rob.move, fine_policy, tup, taus, kappa)
+            policy_playout(net, lifted, fine_policy, tup, taus, kappa)
         )
     return ProbeResult(float((upper - lower).max()), eps_max, upper, lower)
 
@@ -481,9 +477,7 @@ def _guard_instance(inst, net) -> None:
         raise CapacityError("suite horizon", len(inst["taus"]), SUITE_N_LIMIT)
 
 
-def _run_instance(inst) -> list:
-    net = build_net(space_from_config(inst["space"]), inst["h"])
-    _guard_instance(inst, net)
+def _run_instance(inst, net) -> list:
     label = _instance_label(inst, net)
     reports = []
     for lemma, (runner, tol) in _LEMMA_RUNNERS.items():
@@ -495,13 +489,6 @@ def _run_instance(inst) -> list:
     return reports
 
 
-def _worker_count(n_instances: int) -> int:
-    env = os.environ.get("PURSUIT_THREADS", "").strip()
-    if env:
-        return max(1, min(int(env), n_instances))
-    return max(1, min(4, n_instances))
-
-
 def run_suite(instances=None) -> list:
     """Run every applicable check on every instance; reports are ordered by
     (instance, check) and identical across runs."""
@@ -510,14 +497,13 @@ def run_suite(instances=None) -> list:
     if not instances:
         raise ConfigError("no instances")
     # size guards fire before any solve
-    prepared = []
+    nets = []
     for inst in instances:
         net = build_net(space_from_config(inst["space"]), inst["h"])
         _guard_instance(inst, net)
-        prepared.append(inst)
-    with ThreadPoolExecutor(max_workers=_worker_count(len(prepared))) as pool:
-        batches = list(pool.map(_run_instance, prepared))
-    return [r for batch in batches for r in batch]
+        nets.append(net)
+    return [r for inst, net in zip(instances, nets)
+            for r in _run_instance(inst, net)]
 
 
 def suite_passed(reports) -> bool:

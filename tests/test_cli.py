@@ -197,6 +197,66 @@ def test_solve_rejects_non_finite_space_numbers(tmp_path, capsys, where, bad):
     assert len(err) == 1 and "finite" in err[0]
 
 
+_SOLVE = {"space": CYCLE, "net_h": 0.25, "k": 1, "mode": "limit",
+          "agility": {"kind": "uniform", "t": 0.25}, "horizon": {"N": 1}}
+_COPNUMBER = {"space": CYCLE, "net_h": 0.5, "k_max": 1,
+              "family": [{"kind": "uniform", "t": 0.5}]}
+_PLAY = {"space": INTERVAL, "robber": {"name": "stand_still_robber"},
+         "cops": {"name": "follower_cop"},
+         "start": {"robber": [0, 1.0], "cops": [[0, 0.0]]},
+         "agility": {"kind": "uniform", "t": 0.25}, "N": 2}
+
+
+_BAD_NUMBERS = [
+    ("solve", {"k": "x"}, "k"),
+    ("solve", {"k": 2.5}, "k"),
+    ("solve", {"k": 0}, "cop"),
+    ("solve", {"horizon": {"N": 1, "T": "abc"}}, "horizon.T"),
+    ("solve", {"horizon": {"N": 2.7}}, "horizon.N"),
+    ("solve", {"horizon": {"N": "x"}}, "horizon.N"),
+    ("solve", {"point_budget": "abc"}, "point_budget"),
+    ("solve", {"point_budget": 10 ** 400}, "point_budget"),
+    ("solve", {"tol": "abc"}, "tol"),
+    ("solve", {"tol": "nan"}, "tol"),
+    ("solve", {"N_max": "x"}, "N_max"),
+    ("solve", {"starts": 5}, "starts"),
+    ("solve", {"starts": ["01"]}, "start"),
+    ("solve", {"starts": [["a", 0]]}, "start"),
+    ("solve", {"starts": [[0, 1.5]]}, "start"),
+    ("copnumber", {"k_max": "x"}, "k_max"),
+    ("copnumber", {"theta": "abc"}, "theta"),
+    ("copnumber", {"theta": "inf"}, "theta"),
+    ("copnumber", {"tol": None}, "tol"),
+    ("copnumber", {"N_max": 1.5}, "N_max"),
+    ("play", {"N": "x"}, "N"),
+    ("play", {"N": 2.5}, "N"),
+    ("play", {"kappa": "nan"}, "kappa"),
+]
+
+
+@pytest.mark.parametrize("command,changes,field", _BAD_NUMBERS, ids=[
+    f"{command}-{json.dumps(changes, separators=(',', ':'))[:40]}"
+    for command, changes, _ in _BAD_NUMBERS
+])
+def test_rejects_bad_numeric_fields(tmp_path, capsys, command, changes, field):
+    base = {"solve": _SOLVE, "copnumber": _COPNUMBER, "play": _PLAY}[command]
+    cfg = base | changes
+    if "T" in cfg.get("horizon", {}):
+        del cfg["agility"]
+    assert run(tmp_path, command, cfg) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and field in err[0]
+
+
+def test_integral_numeric_fields_accept_whole_floats(tmp_path):
+    assert run(tmp_path, "solve", _SOLVE, out="a") == 0
+    whole = _SOLVE | {"k": 1.0, "horizon": {"N": "1"}, "N_max": 64.0}
+    assert run(tmp_path, "solve", whole, out="b") == 0
+    a = json.loads((tmp_path / "a" / "solve_result.json").read_text())
+    b = json.loads((tmp_path / "b" / "solve_result.json").read_text())
+    assert a["values"] == b["values"] and b["k"] == 1
+
+
 # ---------------------------------------------------------------------------
 # result JSON writer
 

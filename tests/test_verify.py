@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from pursuit import verify
 from pursuit.errors import CapacityError, ConfigError
 from pursuit.game import Agility
 from pursuit.solver import solve_finite
-from pursuit.spaces import build_net
+from pursuit.spaces import Net, build_net
 from pursuit.verify import (
     LEMMA_IDS,
     default_pack,
@@ -44,12 +45,19 @@ def test_suite_deterministic():
     assert a == b
 
 
-def test_suite_respects_thread_cap(monkeypatch):
-    monkeypatch.setenv("PURSUIT_THREADS", "1")
-    serial = [json.dumps(r.to_json(), sort_keys=True) for r in run_suite()]
-    monkeypatch.setenv("PURSUIT_THREADS", "3")
-    pooled = [json.dumps(r.to_json(), sort_keys=True) for r in run_suite()]
-    assert serial == pooled
+def test_suite_builds_each_net_once(monkeypatch):
+    built = []
+
+    def counting_build_net(space, h, *args, **kwargs):
+        built.append(h)
+        return build_net(space, h, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "build_net", counting_build_net)
+    pack = default_pack()
+    run_suite(pack)
+    coarse = [inst["minmax"]["coarse_h"] for inst in pack if "minmax" in inst]
+    assert coarse  # the pack lifts at least one coarse net
+    assert sorted(built) == sorted([inst["h"] for inst in pack] + coarse)
 
 
 def test_oversize_instance_guard():
@@ -91,6 +99,61 @@ def test_probe_cycle_gap_within_bound():
     assert (res.upper >= res.lower - 1e-12).all()
 
 
+def test_probe_playouts_stay_on_net_indices(monkeypatch):
+    space = make_cycle(4.0)
+    fine = build_net(space, 0.25)
+    coarse = build_net(space, 0.5)
+    want = minmax_gap_probe(fine, 1, Agility.uniform(0.5), 0.25, 8, coarse=coarse)
+    indices = [fine.index_of(p) for p in coarse.points]
+
+    def no_snapping(self, point):
+        raise AssertionError("playout snapped a point to the net")
+
+    monkeypatch.setattr(Net, "nearest_index", no_snapping)
+    got = minmax_gap_probe(fine, 1, Agility.uniform(0.5), 0.25, 8, coarse=indices)
+    assert np.array_equal(got.upper, want.upper)
+    assert np.array_equal(got.lower, want.lower)
+
+
+def _half_units(values):
+    """Rows of a (5, 5, 5) table of multiples of 0.5 as digit strings, one
+    string per robber index."""
+    assert np.array_equal(values * 2, np.round(values * 2))
+    return ["".join(str(int(v * 2)) for v in row.flat) for row in values]
+
+
+@pytest.mark.parametrize("taus,upper,lower,gap", [
+    ([0.5] * 3, [
+        "0000004023000000202203023",
+        "4032000000303202022000000",
+        "1000003012000000101102012",
+        "2010002001101000000001001",
+        "3021001000202101011000000",
+    ], [
+        "0000001000000000000000000",
+        "1000000000000000000000000",
+        "0000001000000000000000000",
+        "0000000000000000000000000",
+        "1000000000000000000000000",
+    ], 1.5),
+    # a long first step: the lifted moves must use each step's own budget
+    ([1.0, 0.5, 0.5], [
+        "0000002002000000000002002",
+        "2020000000202000000000000",
+        "0000002002000000000002002",
+        "0000002001000000000001001",
+        "2020000000202000000000000",
+    ], ["0" * 25] * 5, 1.0),
+], ids=["uniform", "long-first-step"])
+def test_probe_lifts_two_cops(taus, upper, lower, gap):
+    # interval of length 2 at spacing 0.5; the greedy 0.5-subnet has 3 points
+    fine = build_net(make_interval(2.0), 0.5)
+    res = minmax_gap_probe(fine, 2, Agility.explicit(taus), 0.5, 3)
+    assert _half_units(res.upper) == upper
+    assert _half_units(res.lower) == lower
+    assert res.gap == gap and res.eps == 0.5
+
+
 def test_probe_rejects_foreign_coarse():
     fine = build_net(make_cycle(2.0), 0.25)
     alien = build_net(make_cycle(2.0), 0.35)  # 1/3 offsets, not on the fine grid
@@ -98,6 +161,12 @@ def test_probe_rejects_foreign_coarse():
         minmax_gap_probe(fine, 1, Agility.uniform(0.5), 0.25, 2, coarse=alien)
     with pytest.raises(ConfigError):
         minmax_gap_probe(fine, 1, Agility.uniform(0.5), 0.25, 2, coarse=[0, 0, 1])
+
+
+def test_probe_rejects_varying_radius():
+    fine = build_net(make_cycle(2.0), 0.25)
+    with pytest.raises(ConfigError, match="constant radius"):
+        minmax_gap_probe(fine, 1, Agility.uniform(0.5), [0.25, 0.5], 2)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,6 @@ from .game import (
     Position,
     Trajectory,
     agility_from_config,
-    pos_metrics,
-    shift,
     subdivide,
     trajectory_value,
 )
@@ -37,12 +35,10 @@ from .spaces import (
     BallSpace,
     MetricGraphSpace,
     Net,
-    Polyline,
     ProductSpace,
     Space,
     SphereSpace,
     build_net,
-    polyline_length,
     space_from_config,
 )
 from .verify import LemmaReport, minmax_gap_probe, run_suite
@@ -55,7 +51,6 @@ __all__ = [
     "Net",
     "Perturbation",
     "Policy",
-    "Polyline",
     "Position",
     "ProductSpace",
     "Space",
@@ -72,11 +67,8 @@ __all__ = [
     "limit_value",
     "minmax_gap_probe",
     "policy_playout",
-    "polyline_length",
-    "pos_metrics",
     "run_game",
     "run_suite",
-    "shift",
     "solve_finite",
     "solve_volatile",
     "space_from_config",

@@ -40,7 +40,7 @@ from .solver import (
     solve_finite,
     standard_value,
 )
-from .spaces import DEFAULT_POINT_BUDGET, _num, build_net, space_from_config
+from .spaces import DEFAULT_POINT_BUDGET, _num, _whole, build_net, space_from_config
 from .verify import run_suite, suite_passed
 
 
@@ -55,6 +55,8 @@ def _load_config(path: str) -> dict:
 
 
 def _field(cfg: dict, key: str, path: str = "config"):
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path} must be an object, not {cfg!r}")
     if key not in cfg:
         raise ConfigError(f"missing field {path}.{key}")
     return cfg[key]
@@ -70,10 +72,10 @@ def _float(value, name: str) -> float:
 
 def _int(value, name: str) -> int:
     """An integral number such as ``3``, ``3.0`` or ``"3"``."""
-    x = _float(value, name)
-    if not x.is_integer():
-        raise ConfigError(f"bad {name}: {value!r} is not an integer")
-    return value if type(value) is int else int(x)
+    try:
+        return _whole(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad {name}: {exc}") from exc
 
 
 _DUMP_CHUNK = 4096  # list items rendered per write by _dump
@@ -168,6 +170,15 @@ def _horizon(cfg: dict):
     return n, None, agility
 
 
+def _family(cfg: dict):
+    """The agility family of a standard solve or copnumber; None for the
+    default family."""
+    family = cfg.get("family")
+    if family is not None and not isinstance(family, list):
+        raise ConfigError("family must be a list of agility objects")
+    return [agility_from_config(f) for f in family] if family else None
+
+
 def _starts(cfg: dict, k: int, net):
     starts = cfg.get("starts", "all")
     if starts == "all":
@@ -239,10 +250,7 @@ def cmd_solve(args) -> int:
         convergence = [[int(N), float(d)] for N, d in res.log]
         taus = agility.prefix(res.achieved_N) if T is None else [T / res.achieved_N] * res.achieved_N
     elif mode == "standard":
-        family_cfg = cfg.get("family")
-        family = ([agility_from_config(f) for f in family_cfg]
-                  if family_cfg else None)
-        res = standard_value(net, k, family, tol, n_max)
+        res = standard_value(net, k, _family(cfg), tol, n_max)
         values = res.values
         members = [
             {
@@ -285,14 +293,25 @@ def cmd_solve(args) -> int:
 
 
 def _strategy_from_config(space, scfg, seed: int, path: str):
+    """A catalog strategy.  Each param must be one its constructor takes,
+    and is parsed as an int or a float, like the param's default."""
     name = _field(scfg, "name", path)
-    params = dict(scfg.get("params", {}))
-    catalog = builtin_strategies()
-    if name in catalog:
-        make = catalog[name]["make"]
-        if "seed" in inspect.signature(make).parameters:
-            params.setdefault("seed", seed)
-    return get_strategy(space, name, **params)
+    params = scfg.get("params", {})
+    if not isinstance(name, str) or not isinstance(params, dict):
+        raise ConfigError(f"{path} needs a name string and a params object")
+    entry = builtin_strategies().get(name)
+    if entry is None:
+        return get_strategy(space, name)  # raises UnknownStrategyError
+    accepted = inspect.signature(entry["make"]).parameters
+    parsed = {}
+    for key, value in params.items():
+        if key == "space" or key not in accepted:
+            raise ConfigError(f"{path}.params: {name} takes no parameter {key!r}")
+        parse = _int if type(accepted[key].default) is int else _float
+        parsed[key] = parse(value, f"{path}.params.{key}")
+    if "seed" in accepted:
+        parsed.setdefault("seed", seed)
+    return get_strategy(space, name, **parsed)
 
 
 def cmd_play(args) -> int:
@@ -303,12 +322,17 @@ def cmd_play(args) -> int:
     cops = _strategy_from_config(space, _field(cfg, "cops"), args.seed,
                                  "config.cops")
     start_cfg = _field(cfg, "start")
-    start = Position(
-        space.point_from_json(_field(start_cfg, "robber", "config.start")),
-        [space.point_from_json(p) for p in _field(start_cfg, "cops", "config.start")],
-    )
+    robber_start = _field(start_cfg, "robber", "config.start")
+    cops_start = _field(start_cfg, "cops", "config.start")
+    try:
+        start = Position(space.point_from_json(robber_start),
+                         [space.point_from_json(p) for p in cops_start])
+    except (TypeError, ValueError, IndexError, KeyError) as exc:
+        raise ConfigError(f"bad config.start: {exc}") from exc
     agility = agility_from_config(_field(cfg, "agility"))
     n_steps = _int(_field(cfg, "N"), "N")
+    if n_steps < 1:
+        raise ConfigError("N must be at least 1")
     if agility.length is not None and agility.length < n_steps:
         raise ConfigError(
             f"agility provides {agility.length} steps but N is {n_steps}"
@@ -332,12 +356,10 @@ def cmd_copnumber(args) -> int:
     net = _net_from_config(cfg)
     k_max = _int(_field(cfg, "k_max"), "k_max")
     theta = cfg.get("theta")
-    family_cfg = cfg.get("family")
-    family = ([agility_from_config(f) for f in family_cfg] if family_cfg else None)
     res = cop_number_estimate(
         net, k_max,
         theta=None if theta is None else _float(theta, "theta"),
-        family=family,
+        family=_family(cfg),
         tol=_float(cfg.get("tol", 1e-9), "tol"),
         N_max=_int(cfg.get("N_max", 64), "N_max"),
     )
@@ -358,15 +380,9 @@ def cmd_copnumber(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.config == "default":
-        instances = None
-    else:
-        cfg = _load_config(args.config)
-        if cfg.get("pack") == "default":
-            instances = None
-        else:
-            instances = _field(cfg, "instances")
-    reports = run_suite(instances)
+    cfg = {"pack": "default"} if args.config == "default" else _load_config(args.config)
+    default = isinstance(cfg, dict) and cfg.get("pack") == "default"
+    reports = run_suite(None if default else _field(cfg, "instances"))
     for r in reports:
         flag = "PASS" if r.passed else "FAIL"
         print(f"{flag}  {r.lemma:22s} {r.instance}  "

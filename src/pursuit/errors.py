@@ -9,12 +9,8 @@ class MalformedPointError(PursuitError, ValueError):
     """A point does not belong to the space it was used with."""
 
 
-class MalformedPathError(PursuitError, ValueError):
-    """A polyline has no points."""
-
-
 class ArityError(PursuitError, ValueError):
-    """Positions with different cop counts were mixed."""
+    """A position has no cops."""
 
 
 class AgilityError(PursuitError, ValueError):

@@ -1,5 +1,5 @@
-"""Game-level objects: positions, composite metrics, agility schedules,
-trajectories and the realized game value.
+"""Game-level objects: positions, agility schedules, trajectories and the
+realized game value.
 
 An *agility* is the robber-chosen schedule of step durations: step ``n``
 permits every player a move of length at most ``tau(n)``.  Schedules are
@@ -44,21 +44,6 @@ def robber_cop_distance(space, pos: Position) -> float:
     return min(space.distance(pos.robber, c) for c in pos.cops)
 
 
-def pos_metrics(space, p: Position, q: Position):
-    """Composite metrics between two positions with matched cop indices.
-
-    Returns ``(d_rc, d_cc, d_pos)`` where ``d_rc`` is the robber-to-own-cops
-    distance inside ``p``, ``d_cc = max_i d(p.cop_i, q.cop_i)`` and
-    ``d_pos = max(d(p.robber, q.robber), d_cc)``.
-    """
-    if p.k != q.k:
-        raise ArityError(f"cop counts differ: {p.k} vs {q.k}")
-    d_rc = robber_cop_distance(space, p)
-    d_cc = max(space.distance(a, b) for a, b in zip(p.cops, q.cops))
-    d_pos = max(space.distance(p.robber, q.robber), d_cc)
-    return d_rc, d_cc, d_pos
-
-
 # ---------------------------------------------------------------------------
 # Agility schedules
 
@@ -66,23 +51,18 @@ def pos_metrics(space, p: Position, q: Position):
 class Agility:
     """Step-duration schedule with a 1-based accessor ``tau(n)``.
 
-    Kinds: ``explicit`` (finite positive list), ``uniform(t)``,
-    ``geometric(a, rho)`` with ``rho < 1`` (convergent sum, flagged as
-    outside the standard set), ``harmonic(a)`` (``a/n``), plus internal
-    wrappers produced by :func:`shift` and :func:`subdivide`.
+    Four kinds, each closed-form: ``explicit`` (finite list of nonnegative
+    steps), ``uniform(t)``, ``geometric(a, rho)`` with ``rho < 1``
+    (convergent sum, flagged as outside the standard set) and
+    ``harmonic(a)`` (``a/n``).
     """
 
-    def __init__(self, kind, *, values=None, t=None, a=None, rho=None,
-                 base=None, offset=0, index=0, alpha=0.0):
+    def __init__(self, kind, *, values=None, t=None, a=None, rho=None):
         self.kind = kind
         self._values = list(values) if values is not None else None
         self._t = t
         self._a = a
         self._rho = rho
-        self._base = base
-        self._offset = offset
-        self._index = index
-        self._alpha = alpha
         if kind == "explicit":
             if not self._values:
                 raise AgilityError("explicit agility needs at least one step")
@@ -98,7 +78,7 @@ class Agility:
         elif kind == "harmonic":
             if a is None or not 0 < a < math.inf:
                 raise AgilityError("harmonic agility needs a finite a > 0")
-        elif kind not in ("shifted", "subdivided"):
+        else:
             raise AgilityError(f"unknown agility kind {kind!r}")
 
     # -- constructors
@@ -132,19 +112,7 @@ class Agility:
             return self._t
         if self.kind == "geometric":
             return self._a * self._rho ** (n - 1)
-        if self.kind == "harmonic":
-            return self._a / n
-        if self.kind == "shifted":
-            return self._base.tau(n + self._offset)
-        # subdivided: step index self._index split into alpha / (1 - alpha)
-        i = self._index
-        if n < i:
-            return self._base.tau(n)
-        if n == i:
-            return self._alpha * self._base.tau(i)
-        if n == i + 1:
-            return (1.0 - self._alpha) * self._base.tau(i)
-        return self._base.tau(n - 1)
+        return self._a / n
 
     def prefix(self, n_steps: int) -> list:
         return [self.tau(n) for n in range(1, n_steps + 1)]
@@ -152,15 +120,7 @@ class Agility:
     @property
     def length(self):
         """Number of usable steps, or ``None`` when unbounded."""
-        if self.kind == "explicit":
-            return len(self._values)
-        if self.kind == "shifted":
-            n = self._base.length
-            return None if n is None else max(0, n - self._offset)
-        if self.kind == "subdivided":
-            n = self._base.length
-            return None if n is None else n + 1
-        return None
+        return len(self._values) if self.kind == "explicit" else None
 
     def is_decreasing(self, n_steps: int) -> bool:
         """True iff tau(n+1) < tau(n) over the tested prefix."""
@@ -174,31 +134,13 @@ class Agility:
         return all(v == vals[0] for v in vals)
 
     @property
-    def all_positive(self) -> bool:
-        if self.kind == "explicit":
-            return all(v > 0 for v in self._values)
-        if self.kind in ("shifted", "subdivided"):
-            base_ok = self._base.all_positive
-            if self.kind == "subdivided":
-                return base_ok and 0.0 < self._alpha < 1.0
-            return base_ok
-        return True
-
-    @property
     def in_sigma0(self) -> bool:
         """Membership in the standard set: positive with divergent sum.
 
         Decided by kind: uniform and harmonic diverge, geometric does not,
-        finite explicit prefixes make no divergence claim.  Subdividing or
-        shifting preserves divergence; zero-length pieces (alpha in {0,1})
-        lose positivity and are flagged out.
+        finite explicit prefixes make no divergence claim.
         """
-        if not self.all_positive:
-            return False
-        root = self
-        while root.kind in ("shifted", "subdivided"):
-            root = root._base
-        return root.kind in ("uniform", "harmonic")
+        return self.kind in ("uniform", "harmonic")
 
     def describe(self) -> dict:
         if self.kind == "explicit":
@@ -207,11 +149,7 @@ class Agility:
             return {"kind": "uniform", "t": self._t}
         if self.kind == "geometric":
             return {"kind": "geometric", "a": self._a, "rho": self._rho}
-        if self.kind == "harmonic":
-            return {"kind": "harmonic", "a": self._a}
-        # wrappers reduce to an explicit window for reporting
-        n = self.length
-        return {"kind": "explicit", "steps": self.prefix(n if n is not None else 16)}
+        return {"kind": "harmonic", "a": self._a}
 
     def __repr__(self):
         d = self.describe()
@@ -243,61 +181,24 @@ def agility_from_config(cfg: dict) -> Agility:
     raise AgilityError(f"unknown agility kind {kind!r}")
 
 
-def shift(tau: Agility) -> Agility:
-    """Drop the first step: ``shift(tau)(n) = tau(n+1)``."""
-    if tau.kind == "explicit":
-        if len(tau._values) <= 1:
-            if len(tau._values) == 0:
-                raise AgilityError("cannot shift an empty agility")
-            raise AgilityError("shifting a one-step agility leaves no steps")
-        return Agility.explicit(tau._values[1:])
-    if tau.kind == "uniform":
-        return tau
-    if tau.kind == "geometric":
-        return Agility.geometric(tau._a * tau._rho, tau._rho)
-    if tau.kind == "shifted":
-        return Agility("shifted", base=tau._base, offset=tau._offset + 1)
-    return Agility("shifted", base=tau, offset=1)
-
-
 def subdivide(tau: Agility, i: int, alpha: float) -> Agility:
-    """Split step ``i`` into consecutive pieces of ``alpha`` and ``1-alpha``
-    of its duration; later steps shift up by one.
+    """Split step ``i`` of an explicit schedule into consecutive pieces of
+    ``alpha`` and ``1-alpha`` of its duration; later steps shift up by one.
+    The result is explicit and one step longer.
 
-    ``alpha`` in {0, 1} is allowed: the zero-length piece is retained as a
-    value but the result is flagged outside the standard set.
+    ``alpha`` in {0, 1} is allowed: the zero-length piece is kept as a step
+    of duration 0.
     """
+    if tau.kind != "explicit":
+        raise AgilityError(f"subdivide needs an explicit schedule, not {tau!r}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    n = tau.length
-    if i < 1 or (n is not None and i > n):
+    if not 1 <= i <= tau.length:
         raise IndexError(f"step index {i} outside the usable range")
-    if tau.kind == "explicit" and 0.0 < alpha < 1.0:
-        vals = list(tau._values)
-        piece = vals[i - 1]
-        out = vals[: i - 1] + [alpha * piece, (1 - alpha) * piece] + vals[i:]
-        return Agility.explicit(out)
-    # wrapper form also carries the zero-length pieces of alpha in {0, 1}
-    return Agility("subdivided", base=tau, index=i, alpha=alpha)
-
-
-def common_subdivision(a, b) -> list:
-    """Merge-of-breakpoints refinement of two explicit prefixes with equal
-    total duration; the result is a subdivision of both."""
-    ta, tb = sum(a), sum(b)
-    if abs(ta - tb) > 1e-12 * max(1.0, ta, tb):
-        raise AgilityError(f"total durations differ: {ta} vs {tb}")
-
-    def breaks(vals):
-        acc, out = 0.0, []
-        for v in vals[:-1]:
-            acc += v
-            out.append(acc)
-        return out
-
-    merged = sorted(set(breaks(list(a)) + breaks(list(b))))
-    cuts = [0.0] + merged + [ta]
-    return [hi - lo for lo, hi in zip(cuts[:-1], cuts[1:]) if hi - lo > 0]
+    vals = list(tau._values)
+    piece = vals[i - 1]
+    out = vals[: i - 1] + [alpha * piece, (1 - alpha) * piece] + vals[i:]
+    return Agility.explicit(out)
 
 
 # ---------------------------------------------------------------------------

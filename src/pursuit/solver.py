@@ -26,7 +26,6 @@ from .errors import CapacityError, ConfigError, PlayoutError
 from .game import Agility, Position, Trajectory
 
 REACH_SLACK = 1e-12
-SNAP_TOL = 1e-9
 DEFAULT_STATE_BUDGET = 16_777_216
 
 
@@ -231,7 +230,7 @@ def solve_finite(net, k: int, taus, variant: str = "endpoint", *,
 
 
 def solve_volatile(net, k: int, taus, perturbation: Perturbation,
-                   side: str, *, store_layers: bool = False,
+                   side: str, *,
                    state_budget: int = DEFAULT_STATE_BUDGET) -> ValueTable:
     """Value of the net game when an adversary displaces every coordinate by
     at most ``eps_n`` after step ``n``.
@@ -268,8 +267,6 @@ def solve_volatile(net, k: int, taus, perturbation: Perturbation,
             adv = reach_set(net, e)
             for axis in range(k + 1):
                 V = reach_filter(V, adv.indptr, adv.indices, axis, adv_mode)
-        if store_layers:
-            layers[m] = V
     layers[N] = V
     return ValueTable(net, k, taus, f"volatile_{side}", layers)
 
@@ -308,8 +305,8 @@ def _doubling(top, N: int, N_max: int, tol: float) -> LimitResult:
 
 
 def limit_value(net, k: int, agility: Agility, tol: float = 1e-9,
-                N_max: int = 64, *, state_budget: int = DEFAULT_STATE_BUDGET,
-                variant: str = "endpoint") -> LimitResult:
+                N_max: int = 64, *,
+                state_budget: int = DEFAULT_STATE_BUDGET) -> LimitResult:
     """Long-horizon value for a fixed agility, by horizon doubling.
 
     Solves at N = 1, 2, 4, ... and stops when consecutive tables differ by
@@ -331,21 +328,18 @@ def limit_value(net, k: int, agility: Agility, tol: float = 1e-9,
     if agility.is_uniform(probe):
         # one operator iterated: extend the same layer instead of re-solving
         rs = reach_set(net, agility.tau(1))
-        base = _base_layer(net, k)
-        V, done = base, 0
+        V, done = _base_layer(net, k), 0
 
         def top(N):
             nonlocal V, done
             while done < N:
                 V, _, _ = _sweep(V, rs, k, False)
-                if variant == "intermediate":
-                    V = np.minimum(base, V)
                 done += 1
             return V
     else:
         def top(N):
             table, _ = solve_finite(net, k, agility.prefix(N),
-                                    state_budget=state_budget, variant=variant)
+                                    state_budget=state_budget)
             return table.top
     return _doubling(top, 1, N_max, tol)
 
@@ -454,87 +448,40 @@ def cop_number_estimate(net, k_max: int, theta: float | None = None,
 # playouts
 
 
-def _index_mover(source, side: str, net, N: int):
-    """Normalize a move source to a net-index move function.  A source with
-    ``robber_move`` and ``cop_moves`` (a ``Policy`` or anything answering
-    in net indices the same way) is asked directly; point-level strategies
-    have their moves snapped to the net."""
-    if hasattr(source, "robber_move") and hasattr(source, "cop_moves"):
-        if source.N < N:
-            raise PlayoutError((), N, f"policy horizon {source.N} < playout {N}")
-        if side == "robber":
-            def move(n, r, cops, r_new=None, t=None):
-                return source.robber_move(source.N - n + 1, (r, *cops))
-        else:
-            def move(n, r, cops, r_new=None, t=None):
-                return source.cop_moves(source.N - n + 1, r_new, cops)
-        return move
-    strategy = getattr(source, "move", source)  # arena.Strategy or callable
-
-    def snap(point, cur: int, t: float, n: int):
-        j = net.nearest_index(point)
-        if net.matrix[cur, j] > t + SNAP_TOL:
-            raise PlayoutError((cur, j), n, "strategy move exceeds the step budget")
-        return j
-
-    if side == "robber":
-        def move(n, r, cops, r_new=None, t=None):
-            pos = Position(net.points[r], [net.points[c] for c in cops])
-            return snap(strategy(pos, t, n), r, t, n)
-    else:
-        def move(n, r, cops, r_new=None, t=None):
-            pos = Position(net.points[r_new], [net.points[c] for c in cops])
-            dests = strategy(pos, t, n)
-            return tuple(snap(p, c, t, n) for p, c in zip(dests, cops))
-    return move
-
-
 def policy_playout(net, robber_source, cop_source, start, taus,
                    kappa: float = 0.0) -> Trajectory:
     """Execute one game on the net: the robber moves first, the destination
     is revealed, then the cops move; stops early on capture (distance at
-    most ``kappa``).  Sources may be solved policies, point-level
-    strategies, or a mix."""
+    most ``kappa``).
+
+    Each source answers in net indices, as :class:`Policy` does: it has a
+    horizon ``N`` and answers ``robber_move(m, tup)`` or
+    ``cop_moves(m, r_new, cops)`` with ``m = N - n + 1`` at step ``n``.  A
+    move longer than the step's duration (plus the reach slack) raises
+    :class:`PlayoutError`.
+    """
     taus = [float(t) for t in taus]
     N = len(taus)
-    start = tuple(int(i) for i in start)
-    r, cops = start[0], start[1:]
-    k = len(cops)
-    rob = _index_mover(robber_source, "robber", net, N)
-    cop = _index_mover(cop_source, "cops", net, N)
+    for source in (robber_source, cop_source):
+        if source.N < N:
+            raise PlayoutError((), N, f"policy horizon {source.N} < playout {N}")
+    D = net.matrix
+    r, *cops = (int(i) for i in start)
+    cops = tuple(cops)
     traj = Trajectory(net.space, kappa=kappa)
-    traj.append(Position(net.points[r], [net.points[c] for c in cops]), 0.0)
-    if min(net.matrix[r, c] for c in cops) <= kappa:
-        traj.captured = True
-        traj.capture_step = 0
-        return traj
-    for n in range(1, N + 1):
-        t = taus[n - 1]
-        r_new = rob(n, r, cops, t=t)
-        cops_new = cop(n, r, cops, r_new=r_new, t=t)
-        if len(cops_new) != k:
-            raise PlayoutError((r, *cops), n, "cop move arity mismatch")
-        r, cops = int(r_new), tuple(int(c) for c in cops_new)
+    for n, t in enumerate([0.0] + taus):  # n = 0 records the start
+        if n:
+            r_new = int(robber_source.robber_move(robber_source.N - n + 1, (r, *cops)))
+            cops_new = tuple(int(c) for c in
+                             cop_source.cop_moves(cop_source.N - n + 1, r_new, cops))
+            if len(cops_new) != len(cops):
+                raise PlayoutError((r, *cops), n, "cop move arity mismatch")
+            if any(D[a, b] > t + REACH_SLACK
+                   for a, b in zip((r, *cops), (r_new, *cops_new))):
+                raise PlayoutError((r, *cops), n, "move exceeds the step budget")
+            r, cops = r_new, cops_new
         traj.append(Position(net.points[r], [net.points[c] for c in cops]), t)
-        if min(net.matrix[r, c] for c in cops) <= kappa:
-            traj.captured = True
-            traj.capture_step = n
-            return traj
+        if min(D[r, c] for c in cops) <= kappa:
+            traj.captured, traj.capture_step = True, n
+            break
     return traj
-
-
-def policy_strategy(policy: Policy, side: str):
-    """Wrap a solved net policy as a point-level strategy usable in the
-    arena; positions must coincide with net points."""
-    net = policy.net
-
-    def move(pos: Position, t: float, n: int):
-        m = policy.N - n + 1
-        cops = tuple(net.index_of(c) for c in pos.cops)
-        if side == "robber":
-            r = net.index_of(pos.robber)
-            return net.points[policy.robber_move(m, (r, *cops))]
-        r_new = net.index_of(pos.robber)
-        return tuple(net.points[j] for j in policy.cop_moves(m, r_new, cops))
-
-    return move

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, MalformedPathError, MalformedPointError
+from .errors import CapacityError, ConfigError, MalformedPointError
 
 NORM_TOL = 1e-9
 ANTIPODAL_NUDGE = 1e-9
@@ -628,31 +628,6 @@ class ProductSpace(Space):
 
 
 # ---------------------------------------------------------------------------
-# Polylines
-
-
-@dataclass(frozen=True)
-class Polyline:
-    """Ordered list of points interpreted as concatenated geodesic segments."""
-
-    points: tuple
-
-    def __init__(self, points):
-        object.__setattr__(self, "points", tuple(points))
-
-
-def polyline_length(space: Space, path) -> float:
-    """Total length of a polyline: sum of consecutive geodesic distances."""
-    pts = path.points if isinstance(path, Polyline) else tuple(path)
-    if len(pts) == 0:
-        raise MalformedPathError("polyline has no points")
-    total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        total += space.distance(a, b)
-    return total
-
-
-# ---------------------------------------------------------------------------
 # Nets
 
 
@@ -888,6 +863,14 @@ def _num(value) -> float:
     return x
 
 
+def _whole(value) -> int:
+    """Parse a whole number such as ``3``, ``3.0`` or ``"3"``."""
+    x = _num(value)
+    if not x.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return value if type(value) is int else int(x)
+
+
 def space_from_config(cfg: dict) -> Space:
     """Build a space from its JSON description (see each class's ``describe``)."""
     if not isinstance(cfg, dict) or "type" not in cfg:
@@ -898,9 +881,9 @@ def space_from_config(cfg: dict) -> Space:
             edges = [(u, v, _num(w)) for u, v, w in cfg["edges"]]
             return MetricGraphSpace(cfg["vertices"], edges)
         if kind == "ball":
-            return BallSpace(int(cfg["dimension"]), _num(cfg.get("radius", 1.0)))
+            return BallSpace(_whole(cfg["dimension"]), _num(cfg.get("radius", 1.0)))
         if kind == "sphere":
-            return SphereSpace(int(cfg["dimension"]))
+            return SphereSpace(_whole(cfg["dimension"]))
         if kind == "product":
             return ProductSpace(
                 space_from_config(cfg["base"]),

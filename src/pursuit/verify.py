@@ -239,30 +239,24 @@ class ProbeResult:
     lower: np.ndarray
 
 
-def minmax_gap_probe(net: Net, k: int, tau, eps_schedule, N: int,
-                     coarse=None, kappa: float = 0.0) -> ProbeResult:
+def minmax_gap_probe(net: Net, k: int, tau: Agility, eps: float, N: int,
+                     coarse=None) -> ProbeResult:
     """Cross-evaluate optimal fine-net policies against policies solved on a
     coarse sub-net and lifted back onto the fine net.
 
     ``upper`` plays the fine-optimal robber against the lifted cops,
     ``lower`` the lifted robber against the fine-optimal cops; the reported
     gap is the worst ``upper - lower`` over all start tuples.  Contract:
-    the gap stays within 4x the coarse rounding radius plus fine-net slack.
+    the gap stays within 4x the coarse rounding radius ``eps`` plus
+    fine-net slack.  Without ``coarse``, the coarse net is a greedy subnet
+    of covering radius ``eps``.
     """
-    taus = tau.prefix(N) if isinstance(tau, Agility) else [float(t) for t in tau][:N]
-    if np.isscalar(eps_schedule):
-        eps_list = [float(eps_schedule)] * N
-    else:
-        eps_list = [float(e) for e in eps_schedule]
-        if len(eps_list) < N:
-            eps_list = eps_list + [eps_list[-1]] * (N - len(eps_list))
-    eps_max = max(eps_list)
-    if len(set(eps_list)) != 1:
-        raise ConfigError("per-step coarse schedules need a constant radius")
+    taus = tau.prefix(N)
+    eps = float(eps)
     if coarse is not None:
         fine_of = sorted(_coarse_to_fine(net, coarse))
     else:
-        fine_of = _subnet_indices(net, eps_list[0])
+        fine_of = _subnet_indices(net, eps)
 
     _, fine_policy = solve_finite(net, k, taus, store_policy=True)
     _, coarse_policy = solve_finite(_subnet(net, fine_of), k, taus,
@@ -274,12 +268,12 @@ def minmax_gap_probe(net: Net, k: int, tau, eps_schedule, N: int,
     lower = np.empty(shape)
     for tup in itertools.product(range(net.size), repeat=k + 1):
         upper[tup] = trajectory_value(
-            policy_playout(net, fine_policy, lifted, tup, taus, kappa)
+            policy_playout(net, fine_policy, lifted, tup, taus)
         )
         lower[tup] = trajectory_value(
-            policy_playout(net, lifted, fine_policy, tup, taus, kappa)
+            policy_playout(net, lifted, fine_policy, tup, taus)
         )
-    return ProbeResult(float((upper - lower).max()), eps_max, upper, lower)
+    return ProbeResult(float((upper - lower).max()), eps, upper, lower)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +462,51 @@ def _instance_label(inst, net) -> str:
     )
 
 
+def _is_number(x) -> bool:
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
+def _is_int(x, lo: int, hi=math.inf) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and lo <= x <= hi
+
+
+def _is_steps(x, least: int, most=math.inf) -> bool:
+    return (isinstance(x, (list, tuple)) and least <= len(x) <= most
+            and all(_is_number(v) and v >= 0 for v in x))
+
+
+def _check_instance(inst) -> None:
+    """Shape checks on one pack instance, run before any net is built."""
+    if not (isinstance(inst, dict) and isinstance(inst.get("name"), str)
+            and "space" in inst):
+        raise ConfigError(f"pack instance {inst!r} needs a name string and a space")
+    h, taus, sub = inst.get("h"), inst.get("taus"), inst.get("subdivide")
+    N = len(taus) if _is_steps(taus, 1) else 0
+    mm = inst.get("minmax", {"coarse_h": 1.0, "eps": 0.0, "taus": [1.0]})
+    checks = [
+        ("h", _is_number(h) and h > 0, "a finite number > 0"),
+        ("k", _is_int(inst.get("k"), 1), "an integer >= 1"),
+        ("taus", N > 0, "a non-empty list of finite numbers >= 0"),
+        ("taus_perturbed", _is_steps(inst.get("taus_perturbed"), N, N),
+         f"a list of {N} finite numbers >= 0"),
+        ("subdivide", isinstance(sub, (list, tuple)) and len(sub) == 2
+         and _is_int(sub[0], 1, N) and _is_number(sub[1]) and 0 <= sub[1] <= 1,
+         f"[i, alpha] with 1 <= i <= {N} and 0 <= alpha <= 1"),
+        ("volatile_eps", _is_steps(inst.get("volatile_eps"), N + 1),
+         f"a list of at least {N + 1} finite numbers >= 0"),
+        ("oracle_N", _is_int(inst.get("oracle_N", 1), 1, N),
+         f"an integer in [1, {N}]"),
+        ("minmax", isinstance(mm, dict) and _is_number(mm.get("coarse_h"))
+         and mm["coarse_h"] > 0 and _is_number(mm.get("eps")) and mm["eps"] >= 0
+         and _is_steps(mm.get("taus"), 1),
+         "an object with coarse_h > 0, one finite eps >= 0 and a taus list"),
+    ]
+    for key, ok, want in checks:
+        if not ok:
+            raise ConfigError(f"instance {inst['name']!r}: {key} must be {want}")
+
+
 def _guard_instance(inst, net) -> None:
     if net.size > SUITE_NET_LIMIT:
         raise CapacityError("suite net points", net.size, SUITE_NET_LIMIT)
@@ -494,8 +533,10 @@ def run_suite(instances=None) -> list:
     (instance, check) and identical across runs."""
     if instances is None:
         instances = default_pack()
-    if not instances:
-        raise ConfigError("no instances")
+    if not isinstance(instances, (list, tuple)) or not instances:
+        raise ConfigError("no instances: a pack needs a non-empty list of instances")
+    for inst in instances:
+        _check_instance(inst)
     # size guards fire before any solve
     nets = []
     for inst in instances:

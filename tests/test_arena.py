@@ -14,7 +14,7 @@ from pursuit.arena import (
 )
 from pursuit.errors import StrategyFaultError, UnknownStrategyError
 from pursuit.game import Agility, Position, trajectory_value
-from pursuit.solver import policy_playout, policy_strategy, solve_finite
+from pursuit.solver import policy_playout, solve_finite
 from pursuit.spaces import BallSpace, ProductSpace, SphereSpace, build_net
 
 from conftest import make_cycle, make_interval
@@ -224,8 +224,20 @@ def test_run_game_reproduces_policy_playout():
     _, policy = solve_finite(net, 1, taus, store_policy=True)
     start_idx = (0, 1)
     net_traj = policy_playout(net, policy, policy, start_idx, taus)
-    rob = Strategy("policy_robber", "robber", policy_strategy(policy, "robber"))
-    cop = Strategy("policy_cops", "cops", policy_strategy(policy, "cops"))
+
+    def point_moves(side):
+        # the net policy as a point strategy; positions stay on net points
+        def move(pos, t, n):
+            m = policy.N - n + 1
+            r = net.index_of(pos.robber)
+            cops = tuple(net.index_of(c) for c in pos.cops)
+            if side == "robber":
+                return net.points[policy.robber_move(m, (r, *cops))]
+            return tuple(net.points[j] for j in policy.cop_moves(m, r, cops))
+        return move
+
+    rob = Strategy("policy_robber", "robber", point_moves("robber"))
+    cop = Strategy("policy_cops", "cops", point_moves("cops"))
     start = Position(net.points[0], [net.points[1]])
     arena_traj = run_game(space, rob, cop, start, Agility.uniform(0.25), 4, kappa=0.0)
     assert arena_traj.captured == net_traj.captured

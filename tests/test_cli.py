@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pursuit import cli
+from pursuit import cli, verify
 from pursuit.cli import main
 
 CYCLE = {
@@ -231,6 +231,13 @@ _BAD_NUMBERS = [
     ("play", {"N": "x"}, "N"),
     ("play", {"N": 2.5}, "N"),
     ("play", {"kappa": "nan"}, "kappa"),
+    ("play", {"N": 0}, "N"),
+    ("play", {"robber": {"name": "greedy_robber", "params": {"samples": "x"}}},
+     "samples"),
+    ("play", {"robber": {"name": "greedy_robber", "params": {"samples": 2.5}}},
+     "samples"),
+    ("solve", {"space": {"type": "ball", "dimension": 2.5}}, "integer"),
+    ("solve", {"space": {"type": "sphere", "dimension": "1.5"}}, "integer"),
 ]
 
 
@@ -255,6 +262,44 @@ def test_integral_numeric_fields_accept_whole_floats(tmp_path):
     a = json.loads((tmp_path / "a" / "solve_result.json").read_text())
     b = json.loads((tmp_path / "b" / "solve_result.json").read_text())
     assert a["values"] == b["values"] and b["k"] == 1
+
+
+_BALL_PLAY = _PLAY | {"space": {"type": "ball", "dimension": 2},
+                      "start": {"robber": [0.5, 0.0], "cops": [[0.0, 0.0]]}}
+_BAD_INPUTS = [
+    ("solve", 5, "config"),
+    ("copnumber", 5, "config"),
+    ("play", 5, "config"),
+    ("verify", [1], "config"),
+    ("solve", _SOLVE | {"horizon": 5}, "horizon"),
+    ("solve", _SOLVE | {"mode": "standard", "family": 5}, "family"),
+    ("copnumber", _COPNUMBER | {"family": 5}, "family"),
+    ("play", _PLAY | {"start": 5}, "start"),
+    ("play", _PLAY | {"robber": 5}, "robber"),
+    ("play", _PLAY | {"robber": {"name": "stand_still_robber",
+                                 "params": {"foo": 1}}}, "foo"),
+    ("play", _PLAY | {"robber": {"name": "greedy_robber", "params": 5}}, "params"),
+    ("play", _PLAY | {"start": {"robber": [0], "cops": [[0, 0.0]]}}, "start"),
+    ("play", _PLAY | {"start": {"robber": [0, 1.0], "cops": 5}}, "start"),
+    ("play", _BALL_PLAY | {"start": {"robber": "abc", "cops": [[0.0, 0.0]]}},
+     "start"),
+]
+
+
+@pytest.mark.parametrize("command,cfg,needle", _BAD_INPUTS, ids=[
+    f"{command}-{i}-{needle}" for i, (command, _, needle) in enumerate(_BAD_INPUTS)
+])
+def test_rejects_malformed_inputs(tmp_path, capsys, command, cfg, needle):
+    assert run(tmp_path, command, cfg) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and needle in err[0]
+
+
+def test_whole_dimensions_and_typed_params_still_run(tmp_path):
+    ball = {"type": "ball", "dimension": 2.0, "radius": "1"}
+    assert run(tmp_path, "solve", _SOLVE | {"space": ball, "net_h": 0.5}) == 0
+    greedy = {"name": "greedy_robber", "params": {"samples": "4", "seed": 3.0}}
+    assert run(tmp_path, "play", _BALL_PLAY | {"robber": greedy}) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -464,3 +509,55 @@ def test_verify_oversize_pack(tmp_path, capsys):
 def test_verify_empty_pack(tmp_path, capsys):
     assert run(tmp_path, "verify", {"instances": []}) == 2
     assert "no instances" in capsys.readouterr().err
+
+
+_PACK_INSTANCE = {
+    "name": "cycle-4", "space": CYCLE, "h": 0.5, "k": 1,
+    "taus": [0.5, 0.5], "taus_perturbed": [1.0, 0.5],
+    "subdivide": [1, 0.5], "volatile_eps": [0.5, 0.0, 0.0],
+    "oracle_N": 2,
+    "minmax": {"coarse_h": 1.0, "eps": 0.5, "taus": [0.5, 0.5]},
+}
+_BAD_PACKS = [
+    5,
+    [5],
+    [_PACK_INSTANCE | {"name": 5}],
+    [{k: v for k, v in _PACK_INSTANCE.items() if k != "space"}],
+    [_PACK_INSTANCE | {"h": 0}],
+    [_PACK_INSTANCE | {"h": "0.5"}],
+    [_PACK_INSTANCE | {"k": "x"}],
+    [_PACK_INSTANCE | {"k": 0}],
+    [_PACK_INSTANCE | {"k": 1.5}],
+    [{k: v for k, v in _PACK_INSTANCE.items() if k != "taus"}],
+    [_PACK_INSTANCE | {"taus": [0.5, -0.5]}],
+    [_PACK_INSTANCE | {"taus": [0.5, float("nan")]}],
+    [_PACK_INSTANCE | {"taus_perturbed": [1.0]}],
+    [_PACK_INSTANCE | {"subdivide": [3, 0.5]}],
+    [_PACK_INSTANCE | {"subdivide": [1, 2.0]}],
+    [_PACK_INSTANCE | {"subdivide": 1}],
+    [_PACK_INSTANCE | {"volatile_eps": [0.5, 0.0]}],
+    [_PACK_INSTANCE | {"oracle_N": 3}],
+    [_PACK_INSTANCE | {"minmax": {"coarse_h": 1.0, "eps": [0.5, 0.5],
+                                  "taus": [0.5]}}],
+    [_PACK_INSTANCE | {"minmax": {"eps": 0.5, "taus": [0.5]}}],
+    [_PACK_INSTANCE | {"minmax": 5}],
+]
+
+
+@pytest.mark.parametrize("instances", _BAD_PACKS,
+                         ids=[f"pack-{i}" for i in range(len(_BAD_PACKS))])
+def test_verify_rejects_malformed_instances(tmp_path, capsys, monkeypatch,
+                                            instances):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a net was built before the pack was checked")
+
+    monkeypatch.setattr(verify, "build_net", no_build)
+    # a valid instance first: nothing runs until every instance is checked
+    pack = [_PACK_INSTANCE] + instances if isinstance(instances, list) else instances
+    assert run(tmp_path, "verify", {"instances": pack}) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_verify_accepts_the_sample_instance(tmp_path):
+    assert run(tmp_path, "verify", {"instances": [_PACK_INSTANCE]}) == 0

@@ -8,10 +8,7 @@ from pursuit.game import (
     Position,
     Trajectory,
     agility_from_config,
-    common_subdivision,
-    pos_metrics,
     robber_cop_distance,
-    shift,
     subdivide,
     trajectory_value,
 )
@@ -19,36 +16,15 @@ from pursuit.game import (
 from conftest import cycle_point
 
 # ---------------------------------------------------------------------------
-# positions and composite metrics
+# positions
 
 
-def test_pos_metrics_identity(interval):
-    p = Position((0, 0.5), [(0, 0.0), (0, 1.0)])
-    d_rc, d_cc, d_pos = pos_metrics(interval, p, p)
-    assert d_cc == 0.0 and d_pos == 0.0
-    assert d_rc == 0.5
-
-
-def test_pos_metrics_min_over_cops(interval):
+def test_robber_cop_distance_min_over_cops(interval):
     p = Position((0, 1.0), [(0, 0.0), (0, 0.5)])
     assert robber_cop_distance(interval, p) == 0.5
-    d_rc, _, _ = pos_metrics(interval, p, p)
-    assert d_rc == 0.5
 
 
-def test_pos_metrics_single_cop_cycle(cycle2):
-    p = Position(cycle_point(cycle2, 1.0), [cycle_point(cycle2, 0.0)])
-    q = Position(cycle_point(cycle2, 1.0), [cycle_point(cycle2, 0.5)])
-    d_rc, d_cc, d_pos = pos_metrics(cycle2, p, q)
-    assert d_cc == pytest.approx(0.5, abs=1e-12)
-    assert d_pos == pytest.approx(0.5, abs=1e-12)
-
-
-def test_pos_metrics_arity_error(interval):
-    p = Position((0, 0.0), [(0, 1.0)])
-    q = Position((0, 0.0), [(0, 1.0), (0, 0.5)])
-    with pytest.raises(ArityError):
-        pos_metrics(interval, p, q)
+def test_position_needs_a_cop():
     with pytest.raises(ArityError):
         Position((0, 0.0), [])
 
@@ -101,33 +77,6 @@ def test_agility_config_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# shift
-
-
-def test_shift_explicit():
-    assert shift(Agility.explicit([3.0, 2.0, 1.0])).prefix(2) == [2.0, 1.0]
-
-
-def test_shift_uniform_invariant():
-    tau = Agility.uniform(0.5)
-    assert shift(tau).prefix(3) == tau.prefix(3)
-
-
-def test_shift_harmonic_wrapper():
-    # oracle: evaluate the accessor of the shifted schedule
-    tau = Agility.harmonic(1.0)
-    shifted = shift(tau)
-    assert shifted.tau(1) == 1.0 / 2.0
-    assert shifted.tau(3) == tau.tau(4)
-    assert shifted.in_sigma0
-
-
-def test_shift_empty_error():
-    with pytest.raises(AgilityError):
-        shift(Agility.explicit([1.0]))
-
-
-# ---------------------------------------------------------------------------
 # subdivide
 
 
@@ -140,10 +89,13 @@ def test_subdivide_basic_rule():
 def test_subdivide_boundary_alpha():
     tau = Agility.explicit([1.0, 2.0])
     out = subdivide(tau, 1, 1.0)
+    assert out.kind == "explicit" and out.length == 3
     assert out.prefix(3) == [1.0, 0.0, 2.0]
-    assert not out.in_sigma0  # zero piece loses positivity
-    out0 = subdivide(Agility.uniform(1.0), 2, 0.0)
+    assert not out.in_sigma0
+    out0 = subdivide(Agility.explicit([1.0, 1.0, 1.0]), 2, 0.0)
     assert out0.prefix(4) == [1.0, 0.0, 1.0, 1.0]
+    with pytest.raises(AgilityError):
+        subdivide(Agility.uniform(1.0), 2, 0.0)
 
 
 def test_subdivide_four_case_rule():
@@ -161,22 +113,6 @@ def test_subdivide_index_error():
 
 
 @given(
-    vals=st.lists(st.floats(min_value=0.125, max_value=4.0), min_size=2, max_size=6),
-    i=st.integers(min_value=2, max_value=6),
-    alpha=st.floats(min_value=0.0, max_value=1.0),
-)
-@settings(max_examples=200, deadline=None)
-def test_shift_subdivide_commute(vals, i, alpha):
-    if i > len(vals):
-        i = 2 + (i % (len(vals) - 1))
-    tau = Agility.explicit(vals)
-    lhs = shift(subdivide(tau, i, alpha))
-    rhs = subdivide(shift(tau), i - 1, alpha)
-    n = len(vals)  # subdivided-then-shifted usable length
-    assert lhs.prefix(n) == rhs.prefix(n)
-
-
-@given(
     vals=st.lists(st.floats(min_value=0.125, max_value=4.0), min_size=1, max_size=6),
     i=st.integers(min_value=1, max_value=6),
     alpha=st.floats(min_value=0.0, max_value=1.0),
@@ -187,62 +123,6 @@ def test_subdivide_preserves_total(vals, i, alpha):
     tau = Agility.explicit(vals)
     out = subdivide(tau, i, alpha)
     assert sum(out.prefix(len(vals) + 1)) == pytest.approx(sum(tau.prefix(len(vals))), abs=1e-12)
-
-
-def test_common_subdivision_refines_both():
-    a = [1.0, 1.0, 2.0]
-    b = [0.5, 2.5, 1.0]
-    merged = common_subdivision(a, b)
-    assert sum(merged) == pytest.approx(4.0, abs=1e-12)
-
-    def replay(parent, refined):
-        """Reproduce ``refined`` from ``parent`` by elementary subdivisions."""
-        tau = Agility.explicit(parent)
-        idx = 1
-        for step in refined[:-1]:
-            cur = tau.tau(idx)
-            if abs(cur - step) <= 1e-12:
-                idx += 1
-                continue
-            assert step < cur
-            tau = subdivide(tau, idx, step / cur)
-            idx += 1
-        vals = tau.prefix(len(refined))
-        assert all(abs(x - y) <= 1e-12 for x, y in zip(vals, refined))
-
-    replay(a, merged)
-    replay(b, merged)
-
-
-@given(
-    cuts_a=st.sets(st.integers(min_value=1, max_value=255), max_size=5),
-    cuts_b=st.sets(st.integers(min_value=1, max_value=255), max_size=5),
-)
-@settings(max_examples=150, deadline=None)
-def test_common_subdivision_property(cuts_a, cuts_b):
-    # dyadic breakpoints of [0, 4] keep all arithmetic exact
-    def to_steps(cuts):
-        marks = [0.0] + sorted(c / 64.0 for c in cuts) + [4.0]
-        return [b - a for a, b in zip(marks[:-1], marks[1:]) if b > a]
-
-    a, b = to_steps(cuts_a), to_steps(cuts_b)
-    merged = common_subdivision(a, b)
-    assert sum(merged) == 4.0
-    # the merge refines both parents: parent steps are consecutive sums
-    for parent in (a, b):
-        idx = 0
-        for step in parent:
-            acc = 0.0
-            while acc < step:
-                acc += merged[idx]
-                idx += 1
-            assert acc == step
-        assert idx == len(merged)
-
-
-def test_common_subdivision_duration_mismatch():
-    with pytest.raises(AgilityError):
-        common_subdivision([1.0], [2.0])
 
 
 # ---------------------------------------------------------------------------

@@ -231,18 +231,36 @@ def test_playout_optimal_vs_optimal_attains_table_value():
         assert trajectory_value(traj) == table.top[start]
 
 
+class IndexSource:
+    """A hand-written playout source in net indices: the robber stays put
+    unless ``robber_to`` names its destination, and each cop steps to the
+    reachable net point nearest the revealed robber."""
+
+    def __init__(self, net, taus, robber_to=None):
+        self.net, self.taus, self.robber_to = net, list(taus), robber_to
+
+    @property
+    def N(self):
+        return len(self.taus)
+
+    def robber_move(self, m, tup):
+        return tup[0] if self.robber_to is None else self.robber_to(tup[0])
+
+    def cop_moves(self, m, r_new, cops):
+        D = self.net.matrix
+        t = self.taus[self.N - m]
+        moves = []
+        for c in cops:
+            feasible = np.nonzero(D[c] <= t + REACH_SLACK)[0]
+            moves.append(int(feasible[np.argmin(D[feasible, r_new])]))
+        return tuple(moves)
+
+
 def test_playout_cross_evaluations():
     net = cycle_net(8)
     taus = [0.25] * 4
     table, policy = solve_finite(net, 1, taus, store_policy=True)
-
-    def follower(pos, t, n):
-        # straight pursuit toward the revealed robber position
-        return (net.space.step_toward(pos.cops[0], pos.robber, t),)
-
-    def stand_still(pos, t, n):
-        return pos.robber
-
+    follower = IndexSource(net, taus)
     start = antipodal_pair(net)
     vs_follower = policy_playout(net, policy, follower, start, taus)
     assert trajectory_value(vs_follower) >= table.top[start]
@@ -250,6 +268,7 @@ def test_playout_cross_evaluations():
     net_i = interval_net3()
     taus_i = [0.5] * 4
     table_i, policy_i = solve_finite(net_i, 1, taus_i, store_policy=True)
+    stand_still = IndexSource(net_i, taus_i)
     r, c = net_i.index_of((0, 1.0)), net_i.index_of((0, 0.0))
     traj = policy_playout(net_i, stand_still, policy_i, (r, c), taus_i)
     assert traj.captured
@@ -265,13 +284,12 @@ def test_playout_horizon_mismatch_error():
 
 def test_playout_budget_violation_error():
     net = interval_net3()
-
-    def teleporter(pos, t, n):
-        return (0, 1.0) if pos.robber != (0, 1.0) else (0, 0.0)
-
-    _, policy = solve_finite(net, 1, [0.1, 0.1], store_policy=True)
-    with pytest.raises(PlayoutError):
-        policy_playout(net, teleporter, policy, (2, 0), [0.1, 0.1])
+    a, b = net.index_of((0, 0.0)), net.index_of((0, 1.0))
+    taus = [0.1, 0.1]
+    teleporter = IndexSource(net, taus, robber_to=lambda r: a if r == b else b)
+    _, policy = solve_finite(net, 1, taus, store_policy=True)
+    with pytest.raises(PlayoutError, match="budget"):
+        policy_playout(net, teleporter, policy, (2, 0), taus)
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,14 @@ import pytest
 from pursuit.errors import (
     CapacityError,
     ConfigError,
-    MalformedPathError,
     MalformedPointError,
 )
 from pursuit.spaces import (
     BallSpace,
     MetricGraphSpace,
-    Polyline,
     ProductSpace,
     SphereSpace,
     build_net,
-    polyline_length,
     space_from_config,
 )
 
@@ -313,31 +310,6 @@ def test_product_net_is_cartesian():
     base_net = build_net(space.base, 1.0 / math.sqrt(2.0))
     fiber_vals = sorted({s for _, s in net.points})
     assert net.size == base_net.size * len(fiber_vals)
-
-
-# ---------------------------------------------------------------------------
-# polylines
-
-
-def test_polyline_single_point():
-    assert polyline_length(make_interval(1.0), [(0, 0.3)]) == 0.0
-
-
-def test_polyline_repeated_point():
-    ball = BallSpace(2)
-    path = Polyline([np.zeros(2), np.array([1.0, 0.0]), np.array([1.0, 0.0])])
-    assert polyline_length(ball, path) == pytest.approx(1.0, abs=0)
-
-
-def test_polyline_full_loop():
-    space = make_cycle(2.0)
-    pts = [cycle_point(space, s) for s in (0.0, 0.5, 1.0, 1.5, 0.0)]
-    assert polyline_length(space, pts) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_polyline_empty_error():
-    with pytest.raises(MalformedPathError):
-        polyline_length(make_interval(1.0), [])
 
 
 # ---------------------------------------------------------------------------

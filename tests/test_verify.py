@@ -163,12 +163,6 @@ def test_probe_rejects_foreign_coarse():
         minmax_gap_probe(fine, 1, Agility.uniform(0.5), 0.25, 2, coarse=[0, 0, 1])
 
 
-def test_probe_rejects_varying_radius():
-    fine = build_net(make_cycle(2.0), 0.25)
-    with pytest.raises(ConfigError, match="constant radius"):
-        minmax_gap_probe(fine, 1, Agility.uniform(0.5), [0.25, 0.5], 2)
-
-
 # ---------------------------------------------------------------------------
 # oracle helpers
 

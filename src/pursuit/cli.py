@@ -219,6 +219,9 @@ def cmd_solve(args) -> int:
     mode = cfg.get("mode", "finite")
     tol = _float(cfg.get("tol", 1e-9), "tol")
     n_max = _int(cfg.get("N_max", 64), "N_max")
+    store_policy = cfg.get("store_policy", False)
+    if not isinstance(store_policy, bool):
+        raise ConfigError(f"store_policy must be true or false, not {store_policy!r}")
     n, T, agility = _horizon(cfg)
     start_mode, tuples = _starts(cfg, k, net)
 
@@ -229,7 +232,7 @@ def cmd_solve(args) -> int:
         taus = agility.prefix(n)
         table, policy = solve_finite(
             net, k, taus, variant=cfg.get("variant", "endpoint"),
-            store_policy=bool(cfg.get("store_policy", False)),
+            store_policy=store_policy,
         )
         values = table.top
         if policy is not None:

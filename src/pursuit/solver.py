@@ -288,6 +288,10 @@ def _doubling(top, N: int, N_max: int, tol: float) -> LimitResult:
     """Horizon doubling: compare ``top(N)``, the ``N``-step top layer, at
     N, 2N, 4N, ... (capped at ``N_max``) and stop once consecutive layers
     differ by less than ``tol`` in sup norm."""
+    if tol <= 0:
+        raise ConfigError("tolerance must be positive")
+    if N_max < N:
+        raise ConfigError(f"N_max must be at least {N}, got {N_max}")
     log = []
     prev = None
     while True:
@@ -313,9 +317,12 @@ def limit_value(net, k: int, agility: Agility, tol: float = 1e-9,
     less than ``tol`` in sup norm or ``N_max`` is reached.  The returned
     table upper-bounds the infinite-horizon net-game value; ``converged``
     is False when the last decrement still exceeded ``tol``.
+
+    With a uniform agility one operator is iterated, extending a single
+    layer; once a sweep returns its input unchanged, every later layer is
+    that same array, so sweeping stops at this exact fixed point while the
+    doubling checks and their log go on as before.
     """
-    if tol <= 0:
-        raise ConfigError("tolerance must be positive")
     if k < 1:
         raise ConfigError("need at least one cop")
     if agility.length is not None:
@@ -328,13 +335,14 @@ def limit_value(net, k: int, agility: Agility, tol: float = 1e-9,
     if agility.is_uniform(probe):
         # one operator iterated: extend the same layer instead of re-solving
         rs = reach_set(net, agility.tau(1))
-        V, done = _base_layer(net, k), 0
+        V, done, fixed = _base_layer(net, k), 0, False
 
         def top(N):
-            nonlocal V, done
-            while done < N:
-                V, _, _ = _sweep(V, rs, k, False)
-                done += 1
+            nonlocal V, done, fixed
+            while done < N and not fixed:
+                U, _, _ = _sweep(V, rs, k, False)
+                fixed = np.array_equal(U, V)  # NaN never compares equal
+                V, done = U, done + 1
             return V
     else:
         def top(N):

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import CapacityError, ConfigError
 from .game import Agility, subdivide, trajectory_value
 from .solver import (
+    REACH_SLACK,
     Perturbation,
     Policy,
     policy_playout,
@@ -42,6 +43,7 @@ from .spaces import MetricGraphSpace, Net, build_net, space_from_config
 SUITE_NET_LIMIT = 12
 SUITE_K_LIMIT = 2
 SUITE_N_LIMIT = 6
+SUITE_ORACLE_NODE_LIMIT = 1_000_000
 CONTINUITY_TOL = 1e-9
 
 LEMMA_IDS = (
@@ -514,6 +516,26 @@ def _guard_instance(inst, net) -> None:
         raise CapacityError("suite cop count", inst["k"], SUITE_K_LIMIT)
     if len(inst["taus"]) > SUITE_N_LIMIT:
         raise CapacityError("suite horizon", len(inst["taus"]), SUITE_N_LIMIT)
+    if "oracle_N" in inst:
+        nodes = _oracle_nodes(net, inst["k"], inst["taus"][:inst["oracle_N"]])
+        if nodes > SUITE_ORACLE_NODE_LIMIT:
+            raise CapacityError("suite oracle tree nodes", nodes,
+                                SUITE_ORACLE_NODE_LIMIT)
+
+
+def _oracle_nodes(net, k: int, taus) -> int:
+    """Nodes that ``exhaustive_value`` visits over all start tuples.
+
+    At depth d each player independently follows one of ``paths_d(i)``
+    move sequences from its start ``i``, so summed over the ``k + 1``
+    start coordinates depth d has ``(sum_i paths_d(i)) ** (k + 1)`` nodes.
+    """
+    walks = np.eye(net.size, dtype=np.int64)  # walks[i, j]: d-step paths i -> j
+    nodes = net.size ** (k + 1)
+    for t in taus:
+        walks = walks @ (net.matrix <= t + REACH_SLACK)
+        nodes += int(walks.sum()) ** (k + 1)
+    return nodes
 
 
 def _run_instance(inst, net) -> list:

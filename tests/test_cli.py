@@ -219,6 +219,12 @@ _BAD_NUMBERS = [
     ("solve", {"tol": "abc"}, "tol"),
     ("solve", {"tol": "nan"}, "tol"),
     ("solve", {"N_max": "x"}, "N_max"),
+    ("solve", {"horizon": {"N": 4, "T": 1}, "tol": -1}, "tolerance"),
+    ("solve", {"horizon": {"N": 4, "T": 1}, "tol": 0}, "tolerance"),
+    ("solve", {"horizon": {"N": 4, "T": 1}, "N_max": 2}, "N_max"),
+    ("solve", {"N_max": 0}, "N_max"),
+    ("solve", {"N_max": -3}, "N_max"),
+    ("solve", {"mode": "standard", "N_max": 0}, "N_max"),
     ("solve", {"starts": 5}, "starts"),
     ("solve", {"starts": ["01"]}, "start"),
     ("solve", {"starts": [["a", 0]]}, "start"),
@@ -228,6 +234,8 @@ _BAD_NUMBERS = [
     ("copnumber", {"theta": "inf"}, "theta"),
     ("copnumber", {"tol": None}, "tol"),
     ("copnumber", {"N_max": 1.5}, "N_max"),
+    ("copnumber", {"N_max": 0}, "N_max"),
+    ("copnumber", {"N_max": -3}, "N_max"),
     ("play", {"N": "x"}, "N"),
     ("play", {"N": 2.5}, "N"),
     ("play", {"kappa": "nan"}, "kappa"),
@@ -283,6 +291,8 @@ _BAD_INPUTS = [
     ("play", _PLAY | {"start": {"robber": [0, 1.0], "cops": 5}}, "start"),
     ("play", _BALL_PLAY | {"start": {"robber": "abc", "cops": [[0.0, 0.0]]}},
      "start"),
+    ("solve", _SOLVE | {"mode": "finite", "store_policy": "false"}, "store_policy"),
+    ("solve", _SOLVE | {"mode": "finite", "store_policy": 1}, "store_policy"),
 ]
 
 
@@ -293,6 +303,13 @@ def test_rejects_malformed_inputs(tmp_path, capsys, command, cfg, needle):
     assert run(tmp_path, command, cfg) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and needle in err[0]
+
+
+def test_solve_store_policy_false_dumps_no_policy(tmp_path):
+    assert run(tmp_path, "solve", _SOLVE | {"mode": "finite",
+                                            "store_policy": False}) == 0
+    result = json.loads((tmp_path / "out" / "solve_result.json").read_text())
+    assert "policy" not in result
 
 
 def test_whole_dimensions_and_typed_params_still_run(tmp_path):
@@ -504,6 +521,25 @@ def test_verify_oversize_pack(tmp_path, capsys):
     }
     assert run(tmp_path, "verify", pack) == 2
     assert "12" in capsys.readouterr().err
+
+
+def test_verify_rejects_oversize_oracle_tree(tmp_path, capsys, monkeypatch):
+    # 8 points, each reaching all 8 in one step: 6.9e10 oracle nodes
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the oracle tree was capped")
+
+    monkeypatch.setattr(verify, "solve_finite", no_solve)
+    monkeypatch.setattr(verify, "exhaustive_value", no_solve)
+    pack = {"instances": [{
+        "name": "wide-oracle", "space": CYCLE, "h": 0.25, "k": 2,
+        "taus": [2, 2, 2], "taus_perturbed": [2, 2, 2],
+        "subdivide": [1, 0.5], "volatile_eps": [0, 0, 0, 0],
+        "oracle_N": 3,
+    }]}
+    assert run(tmp_path, "verify", pack) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "oracle tree nodes" in err[0]
+    assert "68853957120" in err[0] and "1000000" in err[0]
 
 
 def test_verify_empty_pack(tmp_path, capsys):

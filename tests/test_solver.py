@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from pursuit import solver
 from pursuit._kernels import reach_filter
 from pursuit.errors import CapacityError, ConfigError, PlayoutError
 from pursuit.game import Agility, trajectory_value
@@ -17,7 +18,7 @@ from pursuit.solver import (
     solve_volatile,
     standard_value,
 )
-from pursuit.spaces import build_net
+from pursuit.spaces import MetricGraphSpace, build_net
 
 from conftest import make_cycle, make_interval, make_star
 
@@ -446,6 +447,81 @@ def test_limit_value_nonconverged_flag():
     net = cycle_net(8)
     res = limit_value(net, 1, Agility.uniform(0.25), 1e-15, 1)
     assert not res.converged
+
+
+def theta_net():
+    """17 points on a theta graph with branches of length 1, 1.5 and 2."""
+    space = MetricGraphSpace(["a", "b"], [("a", "b", 1.0), ("a", "b", 1.5),
+                                          ("a", "b", 2.0)])
+    return build_net(space, 0.25)
+
+
+def reference_limit(net, k, t, tol, N_max):
+    """Horizon doubling over independent fixed-N solves, no fixed-point skip."""
+    def top(N):
+        return solve_finite(net, k, [t] * N)[0].top
+    return solver._doubling(top, 1, N_max, tol)
+
+
+def assert_same_limit(res, ref):
+    assert np.array_equal(res.values, ref.values)
+    assert (res.achieved_N, res.gap, res.converged, res.log) == \
+        (ref.achieved_N, ref.gap, ref.converged, ref.log)
+
+
+def test_limit_value_stops_sweeping_at_fixed_point(monkeypatch):
+    # on the theta net with k=1 and t=0.25, layer 6 is the first fixed
+    # point: sweep 7 returns it unchanged, between checkpoints 4 and 8
+    net = theta_net()
+    V = [solve_finite(net, 1, [0.25] * n)[0].top for n in range(9)]
+    assert not np.array_equal(V[5], V[6]) and np.array_equal(V[6], V[7])
+    calls = []
+    sweep = solver._sweep
+
+    def counted(*args):
+        calls.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(solver, "_sweep", counted)
+    res = limit_value(net, 1, Agility.uniform(0.25), 1e-9, 64)
+    assert len(calls) == 7  # not 16: the layer was checked at 8 and 16
+    assert res.converged and res.achieved_N == 16
+    assert np.array_equal(res.values, V[6])
+
+
+@pytest.mark.parametrize("make_net,k,N_max,converged", [
+    (theta_net, 1, 64, True),  # first unchanged sweep 7
+    (theta_net, 1, 6, False),  # stops on the fixed layer, before checking it
+    (theta_net, 1, 4, False),  # stops before the fixed point
+    (lambda: cycle_net(8), 2, 64, True),  # first unchanged sweep 5
+    (lambda: cycle_net(8), 2, 3, False),
+    (theta_net, 2, 64, True),  # first unchanged sweep 9
+])
+def test_limit_value_matches_resolving_doubling(make_net, k, N_max, converged):
+    net = make_net()
+    res = limit_value(net, k, Agility.uniform(0.25), 1e-9, N_max)
+    ref = reference_limit(net, k, 0.25, 1e-9, N_max)
+    assert_same_limit(res, ref)
+    assert res.converged is converged
+
+
+def test_standard_and_cop_number_match_resolving_doubling():
+    net = theta_net()
+    family = [Agility.uniform(0.25), Agility.uniform(0.5)]
+    for k in (1, 2):
+        res = standard_value(net, k, family, 1e-9, 32)
+        refs = [reference_limit(net, k, ag.tau(1), 1e-9, 32) for ag in family]
+        for (desc, lim), ag, ref in zip(res.members, family, refs):
+            assert desc == ag.describe()
+            assert_same_limit(lim, ref)
+        assert np.array_equal(res.values, np.maximum(*[r.values for r in refs]))
+    cop = cop_number_estimate(net, 2, theta=0.0, family=family, N_max=32)
+    expected = [
+        (k, max(float(reference_limit(net, k, ag.tau(1), 1e-9, 32).values.max())
+                for ag in family))
+        for k in (1, 2)
+    ]
+    assert cop.per_k == expected
 
 
 def test_standard_value_family_max_and_diagnostics():

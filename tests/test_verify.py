@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ from pursuit import verify
 from pursuit.errors import CapacityError, ConfigError
 from pursuit.game import Agility
 from pursuit.solver import solve_finite
-from pursuit.spaces import Net, build_net
+from pursuit.spaces import Net, build_net, space_from_config
 from pursuit.verify import (
     LEMMA_IDS,
     default_pack,
@@ -65,6 +66,31 @@ def test_oversize_instance_guard():
     with pytest.raises(CapacityError) as err:
         run_suite([inst])
     assert err.value.available == 12
+
+
+def count_oracle_nodes(net, k, taus):
+    """Walk the exhaustive tree from every start tuple and count nodes."""
+    reach = [[j for j in range(net.size) if net.matrix[i, j] <= t + 1e-12]
+             for t in taus for i in range(net.size)]
+
+    def count(tup, d):
+        if d == len(taus):
+            return 1
+        row = d * net.size
+        return 1 + sum(count(nxt, d + 1) for nxt in
+                       itertools.product(*[reach[row + i] for i in tup]))
+
+    return sum(count(tup, 0)
+               for tup in itertools.product(range(net.size), repeat=k + 1))
+
+
+@pytest.mark.parametrize("name", ["interval-3", "cycle-4-k2", "trivial-2"])
+def test_oracle_node_count_matches_tree_walk(name):
+    inst = next(i for i in default_pack() if i["name"] == name)
+    net = build_net(space_from_config(inst["space"]), inst["h"])
+    taus = inst["taus"][:inst["oracle_N"]]
+    assert verify._oracle_nodes(net, inst["k"], taus) == \
+        count_oracle_nodes(net, inst["k"], taus)
 
 
 def test_empty_pack_error():

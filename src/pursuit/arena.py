@@ -245,21 +245,15 @@ def get_strategy(space: Space, name: str, **params) -> Strategy:
 # game loop
 
 
-def _as_move(strategy):
-    return strategy.move if isinstance(strategy, Strategy) else strategy
-
-
-def run_game(space: Space, robber, cops, start: Position, tau: Agility,
-             N: int, kappa: float = 1e-9) -> Trajectory:
+def run_game(space: Space, robber: Strategy, cops: Strategy, start: Position,
+             tau: Agility, N: int, kappa: float = 1e-9) -> Trajectory:
     """Play ``N`` steps on the true space: the robber moves, his destination
     is revealed, then each cop moves; stops early when some cop comes within
     ``kappa`` of the robber.  Raises :class:`StrategyFaultError` when a move
     exceeds its budget beyond the 1e-9 compliance tolerance."""
     if N < 1:
         raise ValueError("need at least one step")
-    rob_move = _as_move(robber)
-    cop_move = _as_move(cops)
-    traj = Trajectory(space, kappa=kappa)
+    traj = Trajectory(space)
     pos = start
     traj.append(pos, 0.0)
     if min(space.distance(pos.robber, c) for c in pos.cops) <= kappa:
@@ -268,12 +262,12 @@ def run_game(space: Space, robber, cops, start: Position, tau: Agility,
         return traj
     for n in range(1, N + 1):
         t = tau.tau(n)
-        r_new = rob_move(pos, t, n)
+        r_new = robber.move(pos, t, n)
         moved = space.distance(pos.robber, r_new)
         if moved > t + BUDGET_TOL:
             raise StrategyFaultError("robber", n, f"moved {moved} > budget {t}")
         revealed = Position(r_new, pos.cops)
-        c_new = tuple(cop_move(revealed, t, n))
+        c_new = tuple(cops.move(revealed, t, n))
         if len(c_new) != pos.k:
             raise StrategyFaultError("cops", n, "wrong number of cop moves")
         for c_old, c in zip(pos.cops, c_new):

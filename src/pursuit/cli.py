@@ -171,12 +171,14 @@ def _horizon(cfg: dict):
 
 
 def _family(cfg: dict):
-    """The agility family of a standard solve or copnumber; None for the
-    default family."""
+    """The agility family of a standard solve or copnumber; None (an absent
+    or null ``family``) for the default family."""
     family = cfg.get("family")
-    if family is not None and not isinstance(family, list):
+    if family is None:
+        return None
+    if not isinstance(family, list):
         raise ConfigError("family must be a list of agility objects")
-    return [agility_from_config(f) for f in family] if family else None
+    return [agility_from_config(f) for f in family]
 
 
 def _starts(cfg: dict, k: int, net):
@@ -295,9 +297,12 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _strategy_from_config(space, scfg, seed: int, path: str):
-    """A catalog strategy.  Each param must be one its constructor takes,
-    and is parsed as an int or a float, like the param's default."""
+def _strategy_from_config(space, cfg: dict, side: str, seed: int):
+    """The catalog strategy in slot ``side`` ("robber" or "cops"), which
+    must be a strategy of that side.  Each param must be one its constructor
+    takes, and is parsed as an int or a float, like the param's default."""
+    path = f"config.{side}"
+    scfg = _field(cfg, side)
     name = _field(scfg, "name", path)
     params = scfg.get("params", {})
     if not isinstance(name, str) or not isinstance(params, dict):
@@ -305,6 +310,8 @@ def _strategy_from_config(space, scfg, seed: int, path: str):
     entry = builtin_strategies().get(name)
     if entry is None:
         return get_strategy(space, name)  # raises UnknownStrategyError
+    if entry["side"] != side:
+        raise ConfigError(f"{path}: {name} is a {entry['side']} strategy")
     accepted = inspect.signature(entry["make"]).parameters
     parsed = {}
     for key, value in params.items():
@@ -320,10 +327,8 @@ def _strategy_from_config(space, scfg, seed: int, path: str):
 def cmd_play(args) -> int:
     cfg = _load_config(args.config)
     space = space_from_config(_field(cfg, "space"))
-    robber = _strategy_from_config(space, _field(cfg, "robber"), args.seed,
-                                   "config.robber")
-    cops = _strategy_from_config(space, _field(cfg, "cops"), args.seed,
-                                 "config.cops")
+    robber = _strategy_from_config(space, cfg, "robber", args.seed)
+    cops = _strategy_from_config(space, cfg, "cops", args.seed)
     start_cfg = _field(cfg, "start")
     robber_start = _field(start_cfg, "robber", "config.start")
     cops_start = _field(start_cfg, "cops", "config.start")
@@ -341,6 +346,8 @@ def cmd_play(args) -> int:
             f"agility provides {agility.length} steps but N is {n_steps}"
         )
     kappa = _float(cfg.get("kappa", 1e-9), "kappa")
+    if kappa < 0:
+        raise ConfigError("kappa must be at least 0")
     traj = run_game(space, robber, cops, start, agility, n_steps, kappa)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -215,7 +215,6 @@ class Trajectory:
     taus: list = field(default_factory=list)
     captured: bool = False
     capture_step: int | None = None
-    kappa: float = 0.0
 
     def append(self, position: Position, t: float) -> None:
         self.positions.append(position)

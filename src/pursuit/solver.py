@@ -37,7 +37,6 @@ DEFAULT_STATE_BUDGET = 16_777_216
 class ReachSet:
     """CSR lists of net indices within a closed ball of radius ``t``."""
 
-    radius: float
     indptr: np.ndarray
     indices: np.ndarray
 
@@ -56,7 +55,7 @@ def reach_set(net, t: float) -> ReachSet:
     indptr = np.zeros(net.size + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     indices = np.nonzero(mask)[1].astype(np.int64)
-    rs = ReachSet(key, indptr, indices)
+    rs = ReachSet(indptr, indices)
     net._reach_cache[key] = rs
     return rs
 
@@ -75,10 +74,7 @@ class ValueTable:
     layers 0 and ``N`` are retained unless the solve stored all of them.
     """
 
-    net: object
-    k: int
     taus: np.ndarray
-    variant: str
     layers: dict
 
     @property
@@ -107,7 +103,6 @@ class Policy:
     for the robber and the lexicographically smallest cop tuple.
     """
 
-    net: object
     k: int
     taus: np.ndarray
     robber: dict
@@ -154,10 +149,10 @@ class Perturbation:
 # core solves
 
 
-def _check_state_budget(net, k: int, budget: int) -> None:
+def _check_state_budget(net, k: int) -> None:
     states = net.size ** (k + 1)
-    if states > budget:
-        raise CapacityError("solver states", states, budget)
+    if states > DEFAULT_STATE_BUDGET:
+        raise CapacityError("solver states", states, DEFAULT_STATE_BUDGET)
 
 
 def _base_layer(net, k: int) -> np.ndarray:
@@ -174,27 +169,21 @@ def _base_layer(net, k: int) -> np.ndarray:
     return np.broadcast_to(out, (P,) * (k + 1)).copy()
 
 
-def _sweep(V, rs: ReachSet, k: int, want_policy: bool):
-    """One backward-induction step: cop min-filters then the robber
-    max-filter.  Returns (next_layer, robber_arg, cop_args)."""
-    cop_args = {}
-    X = V
-    for axis in range(k, 0, -1):
+def _sweep(V, rs: ReachSet, k: int, want_policy: bool = False):
+    """One backward-induction step: cop min-filters on axes k..1, then the
+    robber max-filter on axis 0.  Returns the next layer and a dict of the
+    arg table of every axis, empty unless ``want_policy``."""
+    args = {}
+    for axis in range(k, -1, -1):
+        V = reach_filter(V, rs.indptr, rs.indices, axis,
+                         "min" if axis else "max", want_policy)
         if want_policy:
-            X, arg = reach_filter(X, rs.indptr, rs.indices, axis, "min", True)
-            cop_args[axis] = arg
-        else:
-            X = reach_filter(X, rs.indptr, rs.indices, axis, "min")
-    if want_policy:
-        U, rarg = reach_filter(X, rs.indptr, rs.indices, 0, "max", True)
-        return U, rarg, cop_args
-    U = reach_filter(X, rs.indptr, rs.indices, 0, "max")
-    return U, None, None
+            V, args[axis] = V
+    return V, args
 
 
 def solve_finite(net, k: int, taus, variant: str = "endpoint", *,
-                 store_policy: bool = False, store_layers: bool = False,
-                 state_budget: int = DEFAULT_STATE_BUDGET):
+                 store_policy: bool = False, store_layers: bool = False):
     """Backward-induction value of the ``N``-step net game.
 
     ``variant="endpoint"`` scores the final distance only; ``"intermediate"``
@@ -205,7 +194,7 @@ def solve_finite(net, k: int, taus, variant: str = "endpoint", *,
         raise ConfigError(f"unknown variant {variant!r}")
     if k < 1:
         raise ConfigError("need at least one cop")
-    _check_state_budget(net, k, state_budget)
+    _check_state_budget(net, k)
     taus = np.asarray(list(taus), dtype=float)
     N = taus.size
     base = _base_layer(net, k)
@@ -215,23 +204,22 @@ def solve_finite(net, k: int, taus, variant: str = "endpoint", *,
     for m in range(1, N + 1):
         t = float(taus[N - m])
         rs = reach_set(net, t)
-        V, rarg, cargs = _sweep(V, rs, k, store_policy)
+        V, args = _sweep(V, rs, k, store_policy)
         if variant == "intermediate":
             V = np.minimum(base, V)
         if store_policy:
-            pol_r[m] = rarg
-            pol_c[m] = cargs
+            pol_r[m] = args.pop(0)
+            pol_c[m] = args
         if store_layers:
             layers[m] = V
     layers[N] = V
-    table = ValueTable(net, k, taus, variant, layers)
-    policy = Policy(net, k, taus, pol_r, pol_c) if store_policy else None
+    table = ValueTable(taus, layers)
+    policy = Policy(k, taus, pol_r, pol_c) if store_policy else None
     return table, policy
 
 
 def solve_volatile(net, k: int, taus, perturbation: Perturbation,
-                   side: str, *,
-                   state_budget: int = DEFAULT_STATE_BUDGET) -> ValueTable:
+                   side: str) -> ValueTable:
     """Value of the net game when an adversary displaces every coordinate by
     at most ``eps_n`` after step ``n``.
 
@@ -242,7 +230,7 @@ def solve_volatile(net, k: int, taus, perturbation: Perturbation,
     """
     if side not in ("cop_guarantee", "robber_guarantee"):
         raise ConfigError(f"unknown side {side!r}")
-    _check_state_budget(net, k, state_budget)
+    _check_state_budget(net, k)
     taus = np.asarray(list(taus), dtype=float)
     N = taus.size
     if len(perturbation) < N + 1:
@@ -261,14 +249,14 @@ def solve_volatile(net, k: int, taus, perturbation: Perturbation,
     for m in range(1, N + 1):
         t = float(taus[N - m])
         rs = reach_set(net, t)
-        V, _, _ = _sweep(V, rs, k, False)
+        V, _ = _sweep(V, rs, k)
         e = float(eps[N - m])
         if e > 0:
             adv = reach_set(net, e)
             for axis in range(k + 1):
                 V = reach_filter(V, adv.indptr, adv.indices, axis, adv_mode)
     layers[N] = V
-    return ValueTable(net, k, taus, f"volatile_{side}", layers)
+    return ValueTable(taus, layers)
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +297,15 @@ def _doubling(top, N: int, N_max: int, tol: float) -> LimitResult:
 
 
 def limit_value(net, k: int, agility: Agility, tol: float = 1e-9,
-                N_max: int = 64, *,
-                state_budget: int = DEFAULT_STATE_BUDGET) -> LimitResult:
+                N_max: int = 64) -> LimitResult:
     """Long-horizon value for a fixed agility, by horizon doubling.
 
     Solves at N = 1, 2, 4, ... and stops when consecutive tables differ by
     less than ``tol`` in sup norm or ``N_max`` is reached.  The returned
     table upper-bounds the infinite-horizon net-game value; ``converged``
-    is False when the last decrement still exceeded ``tol``.
+    is False when the last decrement still exceeded ``tol``.  The agility
+    must be uniform or strictly decreasing; an explicit schedule is checked
+    over all its steps and caps ``N_max`` at its length.
 
     With a uniform agility one operator is iterated, extending a single
     layer; once a sweep returns its input unchanged, every later layer is
@@ -325,12 +314,14 @@ def limit_value(net, k: int, agility: Agility, tol: float = 1e-9,
     """
     if k < 1:
         raise ConfigError("need at least one cop")
-    if agility.length is not None:
+    if agility.length is not None:  # an explicit schedule is probed whole
         N_max = min(N_max, agility.length)
-    probe = min(N_max, 16)
+        probe = N_max
+    else:  # a closed-form kind keeps its shape at every step
+        probe = min(N_max, 16)
     if not (agility.is_uniform(probe) or agility.is_decreasing(probe)):
         raise ConfigError("limit_value needs a uniform or decreasing agility")
-    _check_state_budget(net, k, state_budget)
+    _check_state_budget(net, k)
 
     if agility.is_uniform(probe):
         # one operator iterated: extend the same layer instead of re-solving
@@ -340,21 +331,19 @@ def limit_value(net, k: int, agility: Agility, tol: float = 1e-9,
         def top(N):
             nonlocal V, done, fixed
             while done < N and not fixed:
-                U, _, _ = _sweep(V, rs, k, False)
+                U, _ = _sweep(V, rs, k)
                 fixed = np.array_equal(U, V)  # NaN never compares equal
                 V, done = U, done + 1
             return V
     else:
         def top(N):
-            table, _ = solve_finite(net, k, agility.prefix(N),
-                                    state_budget=state_budget)
+            table, _ = solve_finite(net, k, agility.prefix(N))
             return table.top
     return _doubling(top, 1, N_max, tol)
 
 
 def duration_value(net, k: int, T: float, N_start: int = 1,
-                   tol: float = 1e-9, N_max: int = 64, *,
-                   state_budget: int = DEFAULT_STATE_BUDGET) -> LimitResult:
+                   tol: float = 1e-9, N_max: int = 64) -> LimitResult:
     """Fixed total duration ``T`` split into ever more uniform steps.
 
     Doubling ``N`` with ``tau = T/N`` walks a subdivision chain, so values
@@ -367,7 +356,7 @@ def duration_value(net, k: int, T: float, N_start: int = 1,
         raise ConfigError("N must be at least 1")
 
     def top(N):
-        table, _ = solve_finite(net, k, [T / N] * N, state_budget=state_budget)
+        table, _ = solve_finite(net, k, [T / N] * N)
         return table.top
     return _doubling(top, N_start, N_max, tol)
 
@@ -386,9 +375,18 @@ def default_family(net) -> list:
     return [Agility.uniform(net.h * s) for s in (1.0, 2.0, 4.0)]
 
 
+def _family_or_default(net, family) -> list:
+    """``family``, or the default family when it is None; an empty family
+    is an error."""
+    if family is None:
+        return default_family(net)
+    if not family:
+        raise ConfigError("no instances: agility family is empty")
+    return family
+
+
 def standard_value(net, k: int, family=None, tol: float = 1e-9,
-                   N_max: int = 64, *,
-                   state_budget: int = DEFAULT_STATE_BUDGET) -> StandardResult:
+                   N_max: int = 64) -> StandardResult:
     """Lower bound for the standard-game value: the pointwise maximum of
     ``limit_value`` over an agility family.
 
@@ -396,10 +394,7 @@ def standard_value(net, k: int, family=None, tol: float = 1e-9,
     uniform or decreasing; the true supremum over all admissible schedules
     is not computable, so only this one-sided bound is reported.
     """
-    if family is None:
-        family = default_family(net)
-    if not family:
-        raise ConfigError("no instances: agility family is empty")
+    family = _family_or_default(net, family)
     for ag in family:
         if not ag.in_sigma0:
             raise ConfigError(
@@ -408,7 +403,7 @@ def standard_value(net, k: int, family=None, tol: float = 1e-9,
     best = None
     members = []
     for ag in family:
-        res = limit_value(net, k, ag, tol, N_max, state_budget=state_budget)
+        res = limit_value(net, k, ag, tol, N_max)
         members.append((ag.describe(), res))
         best = res.values if best is None else np.maximum(best, res.values)
     return StandardResult(best, members)
@@ -426,8 +421,8 @@ class CopNumberResult:
 
 
 def cop_number_estimate(net, k_max: int, theta: float | None = None,
-                        family=None, tol: float = 1e-9, N_max: int = 64, *,
-                        state_budget: int = DEFAULT_STATE_BUDGET) -> CopNumberResult:
+                        family=None, tol: float = 1e-9,
+                        N_max: int = 64) -> CopNumberResult:
     """Smallest ``k <= k_max`` whose worst-start standard value is at most
     ``theta``; with ``theta = 0`` this estimates the capture (strong) cop
     number on the net.  Defaults ``theta`` to twice the covering radius plus
@@ -435,7 +430,7 @@ def cop_number_estimate(net, k_max: int, theta: float | None = None,
     """
     if k_max < 1:
         raise ConfigError("k_max must be at least 1")
-    fam = family if family is not None else default_family(net)
+    fam = _family_or_default(net, family)
     if theta is None:
         theta = 2.0 * net.h + max(ag.tau(1) for ag in fam)
     if theta < 0:
@@ -443,7 +438,7 @@ def cop_number_estimate(net, k_max: int, theta: float | None = None,
     per_k = []
     estimate = None
     for k in range(1, k_max + 1):
-        res = standard_value(net, k, fam, tol, N_max, state_budget=state_budget)
+        res = standard_value(net, k, fam, tol, N_max)
         worst = res.worst_start()
         per_k.append((k, worst))
         if worst <= theta:
@@ -456,11 +451,10 @@ def cop_number_estimate(net, k_max: int, theta: float | None = None,
 # playouts
 
 
-def policy_playout(net, robber_source, cop_source, start, taus,
-                   kappa: float = 0.0) -> Trajectory:
+def policy_playout(net, robber_source, cop_source, start, taus) -> Trajectory:
     """Execute one game on the net: the robber moves first, the destination
-    is revealed, then the cops move; stops early on capture (distance at
-    most ``kappa``).
+    is revealed, then the cops move; stops early on capture, when a cop
+    stands on the robber's net point (distance 0).
 
     Each source answers in net indices, as :class:`Policy` does: it has a
     horizon ``N`` and answers ``robber_move(m, tup)`` or
@@ -476,7 +470,7 @@ def policy_playout(net, robber_source, cop_source, start, taus,
     D = net.matrix
     r, *cops = (int(i) for i in start)
     cops = tuple(cops)
-    traj = Trajectory(net.space, kappa=kappa)
+    traj = Trajectory(net.space)
     for n, t in enumerate([0.0] + taus):  # n = 0 records the start
         if n:
             r_new = int(robber_source.robber_move(robber_source.N - n + 1, (r, *cops)))
@@ -489,7 +483,7 @@ def policy_playout(net, robber_source, cop_source, start, taus,
                 raise PlayoutError((r, *cops), n, "move exceeds the step budget")
             r, cops = r_new, cops_new
         traj.append(Position(net.points[r], [net.points[c] for c in cops]), t)
-        if min(D[r, c] for c in cops) <= kappa:
+        if min(D[r, c] for c in cops) <= 0.0:
             traj.captured, traj.capture_step = True, n
             break
     return traj

@@ -651,10 +651,10 @@ class Net:
         dists = [self.space.distance(point, p) for p in self.points]
         return int(np.argmin(dists))
 
-    def index_of(self, point, tol: float = 1e-9) -> int:
-        """Index of a net point coinciding with ``point`` (within ``tol``)."""
+    def index_of(self, point) -> int:
+        """Index of a net point coinciding with ``point`` (within 1e-9)."""
         i = self.nearest_index(point)
-        if self.space.distance(point, self.points[i]) > tol:
+        if self.space.distance(point, self.points[i]) > 1e-9:
             raise MalformedPointError(f"point {point!r} is not aligned with the net")
         return i
 

@@ -35,6 +35,7 @@ from .solver import (
     Perturbation,
     Policy,
     policy_playout,
+    reach_set,
     solve_finite,
     solve_volatile,
 )
@@ -45,17 +46,6 @@ SUITE_K_LIMIT = 2
 SUITE_N_LIMIT = 6
 SUITE_ORACLE_NODE_LIMIT = 1_000_000
 CONTINUITY_TOL = 1e-9
-
-LEMMA_IDS = (
-    "L1-equality",
-    "step-monotone",
-    "pos-continuity",
-    "agility-continuity",
-    "subdivision-monotone",
-    "volatile-sandwich",
-    "minmax-gap",
-    "oracle-equivalence",
-)
 
 
 @dataclass
@@ -83,9 +73,9 @@ class LemmaReport:
 # independent oracle
 
 
-def exhaustive_value(net: Net, k: int, taus, r: int, cops,
-                     variant: str = "endpoint") -> float:
-    """Memoization-free exhaustive minimax over the net game tree.
+def exhaustive_value(net: Net, k: int, taus, r: int, cops) -> float:
+    """Memoization-free exhaustive minimax over the net game tree, scoring
+    the final distance.
 
     Kept deliberately independent of the layered solver: plain recursion
     over reach lists recomputed from the distance matrix.
@@ -99,9 +89,8 @@ def exhaustive_value(net: Net, k: int, taus, r: int, cops,
         return [j for j in range(P) if D[i, j] <= t + slack]
 
     def rec(r, cops, m):
-        d0 = min(D[r, c] for c in cops)
         if m == 0:
-            return d0
+            return min(D[r, c] for c in cops)
         t = taus[len(taus) - m]
         best = -math.inf
         for rn in reach(r, t):
@@ -112,17 +101,14 @@ def exhaustive_value(net: Net, k: int, taus, r: int, cops,
                     worst = v
             if worst > best:
                 best = worst
-        if variant == "intermediate":
-            best = min(d0, best)
         return best
 
     return rec(int(r), tuple(int(c) for c in cops), len(taus))
 
 
-def random_oracle_instances(count: int = 20, seed: int = 0,
-                            node_cap: int = 120_000) -> list:
+def random_oracle_instances(count: int = 20, seed: int = 0) -> list:
     """Randomized small instances (net <= 6, k <= 2, N <= 3) whose exhaustive
-    tree stays below ``node_cap`` nodes."""
+    tree stays at or below 120 000 nodes."""
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
@@ -154,7 +140,7 @@ def random_oracle_instances(count: int = 20, seed: int = 0,
             for i in range(net.size)
             for t in taus
         )
-        if (worst_reach ** (k + 1)) ** N > node_cap:
+        if (worst_reach ** (k + 1)) ** N > 120_000:
             continue
         out.append((net, k, taus))
     return out
@@ -164,27 +150,13 @@ def random_oracle_instances(count: int = 20, seed: int = 0,
 # coarse-policy cross evaluation
 
 
-def _subnet_indices(net: Net, eps: float) -> list:
-    """Greedy subset whose covering radius over the net is at most ``eps``."""
-    chosen = []
-    for i in range(net.size):
-        if not chosen or min(net.matrix[i, j] for j in chosen) > eps:
-            chosen.append(i)
-    return chosen
-
-
-def _coarse_to_fine(net: Net, coarse) -> list:
-    if isinstance(coarse, Net):
-        try:
-            return [net.index_of(p) for p in coarse.points]
-        except Exception as exc:
-            raise ConfigError(
-                f"coarse net is not a subset of the fine net: {exc}"
-            ) from exc
-    idx = [int(i) for i in coarse]
-    if len(set(idx)) != len(idx) or any(not 0 <= i < net.size for i in idx):
-        raise ConfigError("coarse indices must be distinct fine-net indices")
-    return idx
+def _coarse_to_fine(net: Net, coarse: Net) -> list:
+    try:
+        return [net.index_of(p) for p in coarse.points]
+    except Exception as exc:
+        raise ConfigError(
+            f"coarse net is not a subset of the fine net: {exc}"
+        ) from exc
 
 
 def _subnet(net: Net, indices) -> Net:
@@ -217,10 +189,9 @@ class _LiftedPolicy:
         return self.coarse_idx[int(self.round_to[i])]
 
     def _advance(self, m: int, cur: int, target_fine: int) -> int:
-        D = self.net.matrix
         t = float(self.policy.taus[self.N - m])
-        feasible = np.nonzero(D[cur] <= t + 1e-12)[0]
-        return int(feasible[np.argmin(D[feasible, target_fine])])
+        feasible = reach_set(self.net, t).of(cur)
+        return int(feasible[np.argmin(self.net.matrix[feasible, target_fine])])
 
     def robber_move(self, m: int, tup) -> int:
         target = self.policy.robber_move(m, tuple(self._coarse(i) for i in tup))
@@ -242,23 +213,22 @@ class ProbeResult:
 
 
 def minmax_gap_probe(net: Net, k: int, tau: Agility, eps: float, N: int,
-                     coarse=None) -> ProbeResult:
+                     coarse: Net) -> ProbeResult:
     """Cross-evaluate optimal fine-net policies against policies solved on a
-    coarse sub-net and lifted back onto the fine net.
+    coarse net and lifted back onto the fine net.
 
-    ``upper`` plays the fine-optimal robber against the lifted cops,
-    ``lower`` the lifted robber against the fine-optimal cops; the reported
-    gap is the worst ``upper - lower`` over all start tuples.  Contract:
-    the gap stays within 4x the coarse rounding radius ``eps`` plus
-    fine-net slack.  Without ``coarse``, the coarse net is a greedy subnet
-    of covering radius ``eps``.
+    Every point of ``coarse`` must be a point of ``net`` (within 1e-9),
+    otherwise :class:`ConfigError` is raised.  ``eps`` is the caller's bound
+    on the distance from a fine point to its nearest coarse point; it is
+    reported, not checked.  ``upper`` plays the
+    fine-optimal robber against the lifted cops, ``lower`` the lifted robber
+    against the fine-optimal cops, over the first ``N`` steps of ``tau``;
+    the reported gap is the worst ``upper - lower`` over all start tuples.
+    Contract: the gap stays within 4x ``eps`` plus fine-net slack.
     """
     taus = tau.prefix(N)
     eps = float(eps)
-    if coarse is not None:
-        fine_of = sorted(_coarse_to_fine(net, coarse))
-    else:
-        fine_of = _subnet_indices(net, eps)
+    fine_of = sorted(_coarse_to_fine(net, coarse))
 
     _, fine_policy = solve_finite(net, k, taus, store_policy=True)
     _, coarse_policy = solve_finite(_subnet(net, fine_of), k, taus,
@@ -307,10 +277,10 @@ def _violation_l1_equality(net, inst) -> float:
 
 def _violation_step_monotone(net, inst) -> float:
     taus = inst["taus"]
+    full, _ = solve_finite(net, inst["k"], taus)
     worst = 0.0
     for M in range(1, len(taus)):
         short, _ = solve_finite(net, inst["k"], taus[:M])
-        full, _ = solve_finite(net, inst["k"], taus)
         worst = max(worst, float((full.top - short.top).max()))
     return max(0.0, worst)
 
@@ -393,6 +363,7 @@ _LEMMA_RUNNERS = {
     "minmax-gap": (_violation_minmax_gap, 0.0),
     "oracle-equivalence": (_violation_oracle, 0.0),
 }
+LEMMA_IDS = tuple(_LEMMA_RUNNERS)
 
 
 # ---------------------------------------------------------------------------

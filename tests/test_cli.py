@@ -244,6 +244,7 @@ _BAD_NUMBERS = [
      "samples"),
     ("play", {"robber": {"name": "greedy_robber", "params": {"samples": 2.5}}},
      "samples"),
+    ("play", {"kappa": -1}, "kappa"),
     ("solve", {"space": {"type": "ball", "dimension": 2.5}}, "integer"),
     ("solve", {"space": {"type": "sphere", "dimension": "1.5"}}, "integer"),
 ]
@@ -293,6 +294,10 @@ _BAD_INPUTS = [
      "start"),
     ("solve", _SOLVE | {"mode": "finite", "store_policy": "false"}, "store_policy"),
     ("solve", _SOLVE | {"mode": "finite", "store_policy": 1}, "store_policy"),
+    ("solve", _SOLVE | {"mode": "standard", "family": []}, "family"),
+    ("copnumber", _COPNUMBER | {"family": []}, "family"),
+    ("play", _PLAY | {"robber": {"name": "follower_cop"}}, "config.robber"),
+    ("play", _PLAY | {"cops": {"name": "greedy_robber"}}, "config.cops"),
 ]
 
 
@@ -303,6 +308,18 @@ def test_rejects_malformed_inputs(tmp_path, capsys, command, cfg, needle):
     assert run(tmp_path, command, cfg) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and needle in err[0]
+
+
+@pytest.mark.parametrize("tail", [1.0, 0.0])
+def test_limit_rejects_schedule_uniform_for_16_steps_only(tmp_path, capsys, tail):
+    cfg = {"space": INTERVAL | {"edges": [["a", "b", "8"]]}, "net_h": 0.25,
+           "k": 1, "mode": "limit", "horizon": {"N": 20},
+           "agility": {"kind": "explicit", "steps": [0.25] * 16 + [tail] * 4}}
+    assert run(tmp_path, "solve", cfg) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "uniform or decreasing" in err[0]
+    cfg["agility"]["steps"] = [0.25] * 20
+    assert run(tmp_path, "solve", cfg, out="uniform") == 0
 
 
 def test_solve_store_policy_false_dumps_no_policy(tmp_path):

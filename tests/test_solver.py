@@ -196,10 +196,11 @@ def test_solve_on_ball_based_product():
     assert res.values.max() <= 0.8 + 2 * net.h  # single cop corners on a box
 
 
-def test_state_budget_capacity_error():
+def test_state_budget_capacity_error(monkeypatch):
     net = cycle_net(8)
+    monkeypatch.setattr(solver, "DEFAULT_STATE_BUDGET", 100)
     with pytest.raises(CapacityError) as err:
-        solve_finite(net, 2, [0.25], state_budget=100)
+        solve_finite(net, 2, [0.25])
     assert err.value.required == 8**3
     assert err.value.available == 100
 
@@ -443,6 +444,15 @@ def test_limit_value_rejects_increasing():
         limit_value(net, 1, Agility.explicit([0.1, 0.2, 0.3, 0.4]), 1e-9, 4)
 
 
+@pytest.mark.parametrize("tail", [1.0, 0.0])
+def test_limit_value_probes_the_whole_explicit_schedule(tail):
+    # uniform over the first 16 steps only: not one iterated operator
+    net = build_net(make_interval(8.0), 0.25)
+    steps = [0.25] * 16 + [tail] * 4
+    with pytest.raises(ConfigError, match="uniform or decreasing"):
+        limit_value(net, 1, Agility.explicit(steps), 1e-9, 64)
+
+
 def test_limit_value_nonconverged_flag():
     net = cycle_net(8)
     res = limit_value(net, 1, Agility.uniform(0.25), 1e-15, 1)
@@ -487,6 +497,12 @@ def test_limit_value_stops_sweeping_at_fixed_point(monkeypatch):
     assert len(calls) == 7  # not 16: the layer was checked at 8 and 16
     assert res.converged and res.achieved_N == 16
     assert np.array_equal(res.values, V[6])
+
+
+def test_limit_value_long_uniform_explicit_schedule():
+    net = build_net(make_interval(8.0), 0.25)
+    res = limit_value(net, 1, Agility.explicit([0.25] * 20), 1e-9, 64)
+    assert_same_limit(res, limit_value(net, 1, Agility.uniform(0.25), 1e-9, 20))
 
 
 @pytest.mark.parametrize("make_net,k,N_max,converged", [
@@ -555,6 +571,8 @@ def test_standard_value_rejects_bad_family():
         standard_value(net, 1, [])
     with pytest.raises(ConfigError):
         standard_value(net, 1, [Agility.geometric(1.0, 0.5)])
+    with pytest.raises(ConfigError, match="empty"):
+        cop_number_estimate(net, 1, family=[])
 
 
 def test_cop_number_interval_strong():

@@ -104,13 +104,14 @@ def test_empty_pack_error():
 
 def test_probe_identity_coarse_gap_zero():
     net = build_net(make_cycle(2.0), 0.25)
-    res = minmax_gap_probe(net, 1, Agility.uniform(0.25), 0.0, 4)
+    res = minmax_gap_probe(net, 1, Agility.uniform(0.25), 0.0, 4, coarse=net)
     assert res.gap == 0.0
 
 
 def test_probe_interval_everything_captured():
     net = build_net(make_interval(1.0), 0.25)
-    res = minmax_gap_probe(net, 1, Agility.uniform(0.5), 0.25, 4)
+    coarse = build_net(make_interval(1.0), 0.5)
+    res = minmax_gap_probe(net, 1, Agility.uniform(0.5), 0.25, 4, coarse=coarse)
     assert res.gap == 0.0
     assert res.upper.max() == 0.0
 
@@ -130,13 +131,18 @@ def test_probe_playouts_stay_on_net_indices(monkeypatch):
     fine = build_net(space, 0.25)
     coarse = build_net(space, 0.5)
     want = minmax_gap_probe(fine, 1, Agility.uniform(0.5), 0.25, 8, coarse=coarse)
-    indices = [fine.index_of(p) for p in coarse.points]
+    calls = []
+    nearest_index = Net.nearest_index
 
-    def no_snapping(self, point):
-        raise AssertionError("playout snapped a point to the net")
+    def counted(self, point):
+        calls.append(point)
+        return nearest_index(self, point)
 
-    monkeypatch.setattr(Net, "nearest_index", no_snapping)
-    got = minmax_gap_probe(fine, 1, Agility.uniform(0.5), 0.25, 8, coarse=indices)
+    monkeypatch.setattr(Net, "nearest_index", counted)
+    got = minmax_gap_probe(fine, 1, Agility.uniform(0.5), 0.25, 8, coarse=coarse)
+    # one call per coarse point, to map the coarse net onto the fine one;
+    # the playouts never snap a point to the net
+    assert len(calls) == coarse.size
     assert np.array_equal(got.upper, want.upper)
     assert np.array_equal(got.lower, want.lower)
 
@@ -172,9 +178,10 @@ def _half_units(values):
     ], ["0" * 25] * 5, 1.0),
 ], ids=["uniform", "long-first-step"])
 def test_probe_lifts_two_cops(taus, upper, lower, gap):
-    # interval of length 2 at spacing 0.5; the greedy 0.5-subnet has 3 points
+    # interval of length 2 at spacing 0.5, lifted from its 3-point 1.0-net
     fine = build_net(make_interval(2.0), 0.5)
-    res = minmax_gap_probe(fine, 2, Agility.explicit(taus), 0.5, 3)
+    coarse = build_net(make_interval(2.0), 1.0)
+    res = minmax_gap_probe(fine, 2, Agility.explicit(taus), 0.5, 3, coarse=coarse)
     assert _half_units(res.upper) == upper
     assert _half_units(res.lower) == lower
     assert res.gap == gap and res.eps == 0.5
@@ -185,8 +192,6 @@ def test_probe_rejects_foreign_coarse():
     alien = build_net(make_cycle(2.0), 0.35)  # 1/3 offsets, not on the fine grid
     with pytest.raises(ConfigError):
         minmax_gap_probe(fine, 1, Agility.uniform(0.5), 0.25, 2, coarse=alien)
-    with pytest.raises(ConfigError):
-        minmax_gap_probe(fine, 1, Agility.uniform(0.5), 0.25, 2, coarse=[0, 0, 1])
 
 
 # ---------------------------------------------------------------------------

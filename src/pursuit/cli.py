@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -78,25 +77,42 @@ def _int(value, name: str) -> int:
         raise ConfigError(f"bad {name}: {exc}") from exc
 
 
-_DUMP_CHUNK = 4096  # list items rendered per write by _dump
+_DUMP_CHUNK = 4096  # array entries rendered per write by _dump
 
 
 def _dump(obj, path: Path) -> None:
     """Write ``obj`` as the bytes of ``json.dump(obj, fh, sort_keys=True,
-    indent=1)`` plus a newline, streaming to the file as it goes."""
+    indent=1, default=np.ndarray.tolist)`` plus a newline, streaming to the
+    file as it goes."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         _write_json(fh.write, obj, "\n")
         fh.write("\n")
 
 
-def _write_json(write, obj, newline: str) -> None:
-    """Encode ``obj`` as the json module does with ``sort_keys=True`` and
-    ``indent=1``; ``newline`` is a line break plus the indent of ``obj``.
+class _Text(dict):
+    """JSON text of array entries, each distinct key formatted once."""
 
-    A chunk of list items that are all plain ints, or all finite plain
-    floats, is joined with ``repr``, which is what the json encoder writes
-    for them.  Every other scalar and every key goes through ``json.dumps``.
+    def __init__(self, fmt):
+        self.fmt = fmt
+
+    def __missing__(self, key):
+        text = self[key] = self.fmt(key)
+        return text
+
+
+def _float_text(bits: int) -> str:
+    return json.dumps(float(np.uint64(bits).view(np.float64)))
+
+
+def _write_json(write, obj, newline: str) -> None:
+    """Encode ``obj`` as the json module does with ``sort_keys=True``,
+    ``indent=1`` and ``default=np.ndarray.tolist``; ``newline`` is a line
+    break plus the indent of ``obj``.
+
+    A 1-d float64 or integer array is written from a table of the text of
+    each distinct entry; floats are keyed by their bit pattern, so ``0.0``
+    and ``-0.0`` stay apart.  Any other array goes through ``tolist()``.
     """
     inner = newline + " "
     if isinstance(obj, dict):
@@ -109,24 +125,31 @@ def _write_json(write, obj, newline: str) -> None:
             _write_json(write, value, inner)
             sep = ","
         write(newline + "}")
+    elif isinstance(obj, np.ndarray):
+        if (obj.ndim != 1 or not obj.size
+                or not (obj.dtype == np.float64 or obj.dtype.kind in "iu")):
+            _write_json(write, obj.tolist(), newline)
+        else:
+            keys, text = ((obj.view(np.uint64), _Text(_float_text))
+                          if obj.dtype == np.float64 else (obj, _Text(repr)))
+            sep = "," + inner
+            write("[" + inner)
+            for start in range(0, obj.size, _DUMP_CHUNK):
+                if start:
+                    write(sep)
+                chunk = keys[start:start + _DUMP_CHUNK].tolist()
+                write(sep.join(map(text.__getitem__, chunk)))
+            write(newline + "]")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             write("[]")
             return
         sep = "," + inner
         write("[" + inner)
-        for start in range(0, len(obj), _DUMP_CHUNK):
-            chunk = obj[start:start + _DUMP_CHUNK]
-            if start:
+        for i, value in enumerate(obj):
+            if i:
                 write(sep)
-            kinds = set(map(type, chunk))
-            if kinds == {int} or (kinds == {float} and all(map(math.isfinite, chunk))):
-                write(sep.join(map(repr, chunk)))
-                continue
-            for i, value in enumerate(chunk):
-                if i:
-                    write(sep)
-                _write_json(write, value, inner)
+            _write_json(write, value, inner)
         write(newline + "]")
     else:
         write(json.dumps(obj))
@@ -205,7 +228,7 @@ def _starts(cfg: dict, k: int, net):
 def _values_block(values: np.ndarray, mode, tuples):
     out = {
         "shape": list(values.shape),
-        "flat": values.reshape(-1).tolist(),
+        "flat": values.reshape(-1),
     }
     if mode == "explicit":
         out["per_start"] = [
@@ -240,8 +263,8 @@ def cmd_solve(args) -> int:
         if policy is not None:
             policy_dump = {
                 str(m): {
-                    "robber": policy.robber[m].reshape(-1).tolist(),
-                    "cops": [policy.cops[m][axis].reshape(-1).tolist()
+                    "robber": policy.robber[m].reshape(-1),
+                    "cops": [policy.cops[m][axis].reshape(-1)
                              for axis in sorted(policy.cops[m])],
                 }
                 for m in sorted(policy.robber)

@@ -722,8 +722,9 @@ def _ball_net(space: BallSpace, h: float):
     return points, h
 
 
-def _circle_net(h: float):
+def _circle_net(h: float, budget: int):
     m = max(3, math.ceil(2 * math.pi / h - 1e-12))
+    _check_budget(m, budget)
     pts = [
         np.array([math.cos(2 * math.pi * j / m), math.sin(2 * math.pi * j / m)])
         for j in range(m)
@@ -814,7 +815,7 @@ def build_net(space: Space, h: float, point_budget: int = DEFAULT_POINT_BUDGET) 
         _check_budget(len(points), point_budget)
     elif isinstance(space, SphereSpace):
         if space.dimension == 1:
-            points, cover = _circle_net(h)
+            points, cover = _circle_net(h, point_budget)
         elif space.dimension == 2:
             points, cover = _icosphere_net(space, h, point_budget)
         else:

@@ -332,9 +332,8 @@ def _violation_volatile(net, inst) -> float:
     return max(0.0, worst)
 
 
-def _violation_minmax_gap(net, inst) -> float:
+def _violation_minmax_gap(net, inst, coarse) -> float:
     cfg = inst["minmax"]
-    coarse = build_net(net.space, cfg["coarse_h"])
     res = minmax_gap_probe(
         net, inst["k"], Agility.explicit(cfg["taus"]), cfg["eps"],
         len(cfg["taus"]), coarse=coarse,
@@ -481,12 +480,13 @@ def _check_instance(inst) -> None:
 
 
 def _guard_instance(inst, net) -> None:
-    if net.size > SUITE_NET_LIMIT:
-        raise CapacityError("suite net points", net.size, SUITE_NET_LIMIT)
     if inst["k"] > SUITE_K_LIMIT:
         raise CapacityError("suite cop count", inst["k"], SUITE_K_LIMIT)
     if len(inst["taus"]) > SUITE_N_LIMIT:
         raise CapacityError("suite horizon", len(inst["taus"]), SUITE_N_LIMIT)
+    if "minmax" in inst and len(inst["minmax"]["taus"]) > SUITE_N_LIMIT:
+        raise CapacityError("suite min-max horizon", len(inst["minmax"]["taus"]),
+                            SUITE_N_LIMIT)
     if "oracle_N" in inst:
         nodes = _oracle_nodes(net, inst["k"], inst["taus"][:inst["oracle_N"]])
         if nodes > SUITE_ORACLE_NODE_LIMIT:
@@ -509,15 +509,16 @@ def _oracle_nodes(net, k: int, taus) -> int:
     return nodes
 
 
-def _run_instance(inst, net) -> list:
+def _run_instance(inst, net, coarse) -> list:
     label = _instance_label(inst, net)
     reports = []
     for lemma, (runner, tol) in _LEMMA_RUNNERS.items():
-        if lemma == "minmax-gap" and "minmax" not in inst:
+        if lemma == "minmax-gap" and coarse is None:
             continue
         if lemma == "oracle-equivalence" and "oracle_N" not in inst:
             continue
-        reports.append(LemmaReport(lemma, label, runner(net, inst), tol))
+        args = (net, inst, coarse) if lemma == "minmax-gap" else (net, inst)
+        reports.append(LemmaReport(lemma, label, runner(*args), tol))
     return reports
 
 
@@ -530,14 +531,16 @@ def run_suite(instances=None) -> list:
         raise ConfigError("no instances: a pack needs a non-empty list of instances")
     for inst in instances:
         _check_instance(inst)
-    # size guards fire before any solve
+    # size guards fire before any solve; no net may exceed the suite's limit
     nets = []
     for inst in instances:
-        net = build_net(space_from_config(inst["space"]), inst["h"])
+        net = build_net(space_from_config(inst["space"]), inst["h"], SUITE_NET_LIMIT)
         _guard_instance(inst, net)
-        nets.append(net)
-    return [r for inst, net in zip(instances, nets)
-            for r in _run_instance(inst, net)]
+        coarse = (build_net(net.space, inst["minmax"]["coarse_h"], SUITE_NET_LIMIT)
+                  if "minmax" in inst else None)
+        nets.append((net, coarse))
+    return [r for inst, (net, coarse) in zip(instances, nets)
+            for r in _run_instance(inst, net, coarse)]
 
 
 def suite_passed(reports) -> bool:

@@ -343,8 +343,24 @@ def test_whole_dimensions_and_typed_params_still_run(tmp_path):
 def _assert_dump_matches_json(directory, obj):
     path = directory / "dump.json"
     cli._dump(obj, path)
-    assert path.read_bytes() == (
-        json.dumps(obj, sort_keys=True, indent=1) + "\n").encode()
+    assert path.read_bytes() == (json.dumps(
+        obj, sort_keys=True, indent=1, default=np.ndarray.tolist) + "\n").encode()
+
+
+def _floats_from_bits(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+_NAN_PAYLOAD = 0x7FF8_0000_0000_0001  # a NaN other than float("nan")
+# 0.0, -0.0, NaN, a payload NaN, a negative NaN, +-inf, the least subnormal,
+# a mid subnormal, 1e308 and -1e308
+_SPECIAL_BITS = [
+    0, 1 << 63, int(np.float64("nan").view(np.uint64)), _NAN_PAYLOAD,
+    0xFFF8_0000_0000_0000, 0x7FF0_0000_0000_0000, 0xFFF0_0000_0000_0000,
+    1, 0x0008_0000_0000_0000, int(np.float64(1e308).view(np.uint64)),
+    int(np.float64(-1e308).view(np.uint64)),
+]
+_BIG_INTS = [2**53 + 1, 2**62 + 3, 2**63 - 1, -2**63, -(2**53) - 1, -1, 0]
 
 
 _scalars = st.one_of(
@@ -358,8 +374,21 @@ _leaf_lists = st.one_of(
     st.lists(st.floats()),
     st.lists(st.one_of(st.integers(), st.floats(), st.booleans())),
 )
+_arrays = st.one_of(
+    # float64 entries with repeats, drawn from the special values above and
+    # a few arbitrary bit patterns (any NaN payload, subnormals)
+    st.lists(st.integers(0, 2**64 - 1), max_size=5).flatmap(
+        lambda extra: st.lists(st.sampled_from(_SPECIAL_BITS + extra), max_size=30)
+    ).map(_floats_from_bits),
+    st.lists(st.floats()).map(lambda xs: np.array(xs, dtype=np.float64)),
+    st.lists(st.one_of(st.sampled_from(_BIG_INTS),
+                       st.integers(-2**63, 2**63 - 1))).map(
+        lambda xs: np.array(xs, dtype=np.int64)),
+    st.lists(st.integers(0, 2**64 - 1)).map(lambda xs: np.array(xs, dtype=np.uint64)),
+    st.sampled_from([np.float64, np.int64, np.int32]).map(lambda t: np.empty(0, t)),
+)
 _json_like = st.recursive(
-    st.one_of(_scalars, _leaf_lists),
+    st.one_of(_scalars, _leaf_lists, _arrays),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=3).map(tuple),
@@ -388,6 +417,32 @@ def test_dump_matches_json_dump_across_chunks(tmp_path, odd):
                                              "nested": [items, [mixed], {}, []]})
 
 
+def test_dump_array_across_chunks(tmp_path):
+    n = 2 * cli._DUMP_CHUNK + 3
+    floats = np.arange(n) / 7
+    floats[cli._DUMP_CHUNK + 1] = np.nan
+    floats[cli._DUMP_CHUNK + 2] = -0.0
+    floats[cli._DUMP_CHUNK + 3] = 0.0
+    ints = np.arange(-5, n - 5) % 11 - 5
+    _assert_dump_matches_json(tmp_path, {"floats": floats, "ints": ints,
+                                         "nested": [floats, [ints], {}, []]})
+    text = (tmp_path / "dump.json").read_text()
+    assert "NaN" in text and "-0.0" in text
+
+
+@pytest.mark.parametrize("array", [
+    np.arange(6.0).reshape(2, 3),
+    np.array([True, False, True]),
+    np.array([0.1, -0.0, np.nan, np.inf], dtype=np.float32),
+    np.array(2.5),
+    np.array(7),
+    np.array([1.5, -0.0, np.nan], dtype=">f8"),
+    np.arange(10.0)[::3],
+], ids=["2d", "bool", "float32", "0d-float", "0d-int", "big-endian", "strided"])
+def test_dump_matches_json_dump_on_other_arrays(tmp_path, array):
+    _assert_dump_matches_json(tmp_path, {"a": array, "in": [array, {"b": array}]})
+
+
 def test_dump_matches_json_dump_on_policy_result(tmp_path, monkeypatch):
     dumped = []
     real_dump = cli._dump
@@ -402,9 +457,10 @@ def test_dump_matches_json_dump_on_policy_result(tmp_path, monkeypatch):
            "store_policy": True}
     assert run(tmp_path, "solve", cfg) == 0
     (result,) = dumped
-    assert result["policy"]["3"]["robber"]
+    assert result["policy"]["3"]["robber"].size
     written = (tmp_path / "out" / "solve_result.json").read_bytes()
-    assert written == (json.dumps(result, sort_keys=True, indent=1) + "\n").encode()
+    assert written == (json.dumps(result, sort_keys=True, indent=1,
+                                  default=np.ndarray.tolist) + "\n").encode()
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +613,18 @@ def test_verify_rejects_oversize_oracle_tree(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "oracle tree nodes" in err[0]
     assert "68853957120" in err[0] and "1000000" in err[0]
+
+
+def test_verify_rejects_long_minmax_horizon(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the min-max horizon was capped")
+
+    monkeypatch.setattr(verify, "solve_finite", no_solve)
+    inst = _PACK_INSTANCE | {"minmax": _PACK_INSTANCE["minmax"] | {"taus": [0.5] * 200}}
+    assert run(tmp_path, "verify", {"instances": [inst]}) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "suite min-max horizon" in err[0]
+    assert "200" in err[0] and "6" in err[0]
 
 
 def test_verify_empty_pack(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,6 +271,17 @@ def test_net_budget_capacity_error():
     assert "100" in str(err.value)
     with pytest.raises(CapacityError):
         build_net(BallSpace(2), 1e-4, point_budget=100)
+
+
+def test_circle_net_budget_checked_before_points():
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError) as err:
+            build_net(SphereSpace(1), 1e-5, point_budget=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.required == 628319 and peak < 1_000_000
 
 
 def test_sphere3_net_unsupported():

@@ -68,6 +68,27 @@ def test_oversize_instance_guard():
     assert err.value.available == 12
 
 
+def test_tiny_coarse_h_fails_within_the_suite_net_limit(monkeypatch):
+    budgets = []
+
+    def recording_build_net(space, h, *args, **kwargs):
+        budgets.append(args[0] if args else kwargs["point_budget"])
+        return build_net(space, h, *args, **kwargs)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a lemma ran before every net was built")
+
+    monkeypatch.setattr(verify, "build_net", recording_build_net)
+    monkeypatch.setattr(verify, "solve_finite", no_solve)
+    pack = default_pack()
+    inst = next(i for i in pack if "minmax" in i)
+    tiny = inst | {"minmax": inst["minmax"] | {"coarse_h": 0.002}}
+    with pytest.raises(CapacityError) as err:
+        run_suite([pack[0], tiny])
+    assert err.value.what == "net points" and err.value.available == 12
+    assert budgets and max(budgets) == 12
+
+
 def count_oracle_nodes(net, k, taus):
     """Walk the exhaustive tree from every start tuple and count nodes."""
     reach = [[j for j in range(net.size) if net.matrix[i, j] <= t + 1e-12]

@@ -255,8 +255,7 @@ def run_game(space: Space, robber: Strategy, cops: Strategy, start: Position,
         raise ValueError("need at least one step")
     traj = Trajectory(space)
     pos = start
-    traj.append(pos, 0.0)
-    if min(space.distance(pos.robber, c) for c in pos.cops) <= kappa:
+    if traj.append(pos, 0.0) <= kappa:
         traj.captured = True
         traj.capture_step = 0
         return traj
@@ -275,8 +274,7 @@ def run_game(space: Space, robber: Strategy, cops: Strategy, start: Position,
             if moved > t + BUDGET_TOL:
                 raise StrategyFaultError("cops", n, f"moved {moved} > budget {t}")
         pos = Position(r_new, c_new)
-        traj.append(pos, t)
-        if min(space.distance(pos.robber, c) for c in pos.cops) <= kappa:
+        if traj.append(pos, t) <= kappa:
             traj.captured = True
             traj.capture_step = n
             return traj

@@ -208,24 +208,30 @@ def subdivide(tau: Agility, i: int, alpha: float) -> Agility:
 @dataclass
 class Trajectory:
     """Recorded play: the initial position plus the position after the cops'
-    move of every completed step, with the step durations used."""
+    move of every completed step, with the step durations used and each
+    position's gap (``robber_cop_distance``)."""
 
     space: object
     positions: list = field(default_factory=list)
     taus: list = field(default_factory=list)
     captured: bool = False
     capture_step: int | None = None
+    _gaps: list = field(default_factory=list, repr=False)
 
-    def append(self, position: Position, t: float) -> None:
+    def append(self, position: Position, t: float) -> float:
+        """Record one position; its gap is computed here, once, and returned."""
+        gap = robber_cop_distance(self.space, position)
         self.positions.append(position)
         self.taus.append(t)
+        self._gaps.append(gap)
+        return gap
 
     @property
     def steps(self) -> int:
         return len(self.positions) - 1
 
     def gaps(self) -> list:
-        return [robber_cop_distance(self.space, p) for p in self.positions]
+        return list(self._gaps)
 
 
 def trajectory_value(traj: Trajectory) -> float:

@@ -23,6 +23,7 @@ and antipodal sphere targets are nudged by a 1e-9 rotation before stepping.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -67,6 +68,12 @@ class Space:
         raise NotImplementedError
 
 
+def _norm(v) -> float:
+    """``float(np.linalg.norm(v))`` for a 1-d float64 vector, bit for bit
+    (numpy's norm takes ``sqrt(v.dot(v))`` there), without its dispatch."""
+    return math.sqrt(v.dot(v))
+
+
 def _check_budget(count: int, budget: int) -> None:
     if count > budget:
         raise CapacityError("net points", count, budget)
@@ -105,6 +112,11 @@ class MetricGraphSpace(Space):
         if not self.edges:
             raise ConfigError("metric graph needs at least one edge")
         self._build_shortest_paths()
+        # the CDF that Generator.choice builds from p = lengths / sum
+        lengths = np.array([w for _, _, w in self.edges])
+        cdf = (lengths / lengths.sum()).cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf.tolist()
 
     # -- construction helpers
 
@@ -189,22 +201,21 @@ class MetricGraphSpace(Space):
 
     # -- metric
 
-    def _end_costs(self, p):
-        e, off = int(p[0]), float(p[1])
+    def _exits(self, e: int, off: float):
+        """``(vertex, cost to reach it, its offset)`` for both ends of edge ``e``."""
         u, v, length = self.edges[e]
-        return (u, off), (v, length - off)
+        return (u, off, 0.0), (v, length - off, length)
 
     def distance(self, p, q) -> float:
         self.validate_point(p)
         self.validate_point(q)
         # canonical argument order makes symmetry exact
-        if (int(q[0]), float(q[1])) < (int(p[0]), float(p[1])):
-            p, q = q, p
-        best = math.inf
-        if int(p[0]) == int(q[0]):
-            best = abs(float(p[1]) - float(q[1]))
-        for x, cx in self._end_costs(p):
-            for y, cy in self._end_costs(q):
+        p, q = sorted([(int(p[0]), float(p[1])), (int(q[0]), float(q[1]))])
+        (ep, op_), (eq, oq) = p, q
+        best = abs(op_ - oq) if ep == eq else math.inf
+        exits_q = self._exits(eq, oq)
+        for x, cx, _ in self._exits(ep, op_):
+            for y, cy, _ in exits_q:
                 cand = cx + self.vdist[x, y] + cy
                 if cand < best:
                     best = cand
@@ -278,46 +289,43 @@ class MetricGraphSpace(Space):
             return (ei, 0.0, length)
         return (ei, length, 0.0)
 
-    def _routes(self, p, q):
-        """Candidate geodesic routes, each a list of (edge, off_from, off_to)
-        segments, paired with their total length."""
-        routes = []
-        ep, op_ = int(p[0]), float(p[1])
-        eq, oq = int(q[0]), float(q[1])
-        if ep == eq:
-            routes.append((abs(oq - op_), [(ep, op_, oq)]))
-        u_p, v_p, len_p = self.edges[ep]
-        u_q, v_q, len_q = self.edges[eq]
-        exits_p = [(u_p, op_, 0.0), (v_p, len_p - op_, len_p)]
-        exits_q = [(u_q, oq, 0.0), (v_q, len_q - oq, len_q)]
-        for x, cx, off_x in exits_p:
-            for y, cy, off_y in exits_q:
-                total = cx + self.vdist[x, y] + cy
-                segs = []
-                if cx > 0:
-                    segs.append((ep, op_, off_x))
-                segs.extend(
-                    self._hop_segment(*hop) for hop in self._vertex_path(x, y)
-                )
-                if cy > 0:
-                    segs.append((eq, off_y, oq))
-                routes.append((total, segs))
-        return routes
-
-    def _best_route(self, p, q):
-        routes = self._routes(p, q)
-        return min(routes, key=lambda r: (r[0], tuple(s[0] for s in r[1])))
+    def _route_segments(self, ep, op_, eq, oq, exits):
+        """Segments ``(edge, off_from, off_to)`` of one candidate route from
+        ``(ep, op_)`` to ``(eq, oq)``: the shared edge when ``exits`` is
+        None, else out through p's exit ``(x, cx, off_x)`` (see ``_exits``),
+        along the chosen vertex path and in through q's exit ``(y, cy, off_y)``."""
+        if exits is None:
+            return [(ep, op_, oq)]
+        (x, cx, off_x), (y, cy, off_y) = exits
+        segs = [(ep, op_, off_x)] if cx > 0 else []
+        segs.extend(self._hop_segment(*hop) for hop in self._vertex_path(x, y))
+        if cy > 0:
+            segs.append((eq, off_y, oq))
+        return segs
 
     def step_toward(self, p, q, t: float):
+        """Walk ``t`` along the shortest route; among routes of equal length
+        the one with the smallest edge-id sequence wins (the first candidate
+        on a tie), and only tied routes have their segments built."""
         self.validate_point(p)
         self.validate_point(q)
         if t < 0:
             raise ValueError("negative travel budget")
+        ep, op_ = int(p[0]), float(p[1])
+        eq, oq = int(q[0]), float(q[1])
         if t == 0.0:
-            return (int(p[0]), float(p[1]))
-        total, segs = self._best_route(p, q)
+            return (ep, op_)
+        cands = [(abs(oq - op_), None)] if ep == eq else []
+        exits_q = self._exits(eq, oq)
+        for ex in self._exits(ep, op_):
+            for ey in exits_q:
+                cands.append((ex[1] + self.vdist[ex[0], ey[0]] + ey[1], (ex, ey)))
+        total = min(c[0] for c in cands)
         if t >= total:
-            return (int(q[0]), float(q[1]))
+            return (eq, oq)
+        routes = [self._route_segments(ep, op_, eq, oq, exits)
+                  for length, exits in cands if length == total]
+        segs = min(routes, key=lambda r: tuple(s[0] for s in r))
         remaining = t
         for ei, a, b in segs:
             seg_len = abs(b - a)
@@ -327,12 +335,16 @@ class MetricGraphSpace(Space):
                 direction = 1.0 if b > a else -1.0
                 return (ei, a + direction * remaining)
             remaining -= seg_len
-        return (int(q[0]), float(q[1]))
+        return (eq, oq)
 
     def random_point(self, rng: np.random.Generator):
-        lengths = np.array([w for _, _, w in self.edges])
-        e = int(rng.choice(len(self.edges), p=lengths / lengths.sum()))
-        return (e, float(rng.uniform(0.0, lengths[e])))
+        """Uniform point by length.  The draw equals
+        ``rng.choice(len(edges), p=lengths / lengths.sum())`` followed by
+        ``rng.uniform(0, lengths[e])``, bit for bit: the edge is the
+        ``side="right"`` insertion point of one ``rng.random()`` in
+        ``choice``'s CDF, and ``uniform(0, L)`` is ``0 + L * rng.random()``."""
+        e = bisect.bisect_right(self._cdf, rng.random())
+        return (e, self.edges[e][2] * rng.random())
 
     @property
     def total_length(self) -> float:
@@ -366,15 +378,14 @@ class BallSpace(Space):
             raise MalformedPointError(
                 f"expected {self.dimension} coordinates, got shape {arr.shape}"
             )
-        if np.linalg.norm(arr) > self.radius + NORM_TOL:
-            raise MalformedPointError(
-                f"norm {np.linalg.norm(arr)} exceeds radius {self.radius}"
-            )
+        norm = _norm(arr)
+        if norm > self.radius + NORM_TOL:
+            raise MalformedPointError(f"norm {norm} exceeds radius {self.radius}")
 
     def distance(self, p, q) -> float:
         self.validate_point(p)
         self.validate_point(q)
-        return float(np.linalg.norm(np.asarray(p, float) - np.asarray(q, float)))
+        return _norm(np.asarray(p, float) - np.asarray(q, float))
 
     def step_toward(self, p, q, t: float):
         self.validate_point(p)
@@ -385,14 +396,14 @@ class BallSpace(Space):
         q = np.asarray(q, float)
         if t == 0.0:
             return p.copy()
-        d = float(np.linalg.norm(q - p))
+        d = _norm(q - p)
         if t >= d or d == 0.0:
             return q.copy()
         return p + (t / d) * (q - p)
 
     def random_point(self, rng: np.random.Generator):
         direction = rng.normal(size=self.dimension)
-        norm = np.linalg.norm(direction)
+        norm = _norm(direction)
         if norm == 0:
             return np.zeros(self.dimension)
         r = self.radius * rng.uniform() ** (1.0 / self.dimension)
@@ -448,7 +459,7 @@ class SphereSpace(Space):
             raise MalformedPointError(
                 f"expected {self.ambient} coordinates, got shape {arr.shape}"
             )
-        if abs(np.linalg.norm(arr) - 1.0) > NORM_TOL:
+        if abs(_norm(arr) - 1.0) > NORM_TOL:
             raise MalformedPointError(f"point is not on the unit sphere: {arr}")
 
     def distance(self, p, q) -> float:
@@ -456,9 +467,7 @@ class SphereSpace(Space):
         self.validate_point(q)
         u = np.asarray(p, float)
         v = np.asarray(q, float)
-        return 2.0 * math.atan2(
-            float(np.linalg.norm(u - v)), float(np.linalg.norm(u + v))
-        )
+        return 2.0 * math.atan2(_norm(u - v), _norm(u + v))
 
     def _antipodal_tangent(self, p):
         """Unit tangent at ``p`` toward a target rotated by the nudge angle
@@ -477,7 +486,7 @@ class SphereSpace(Space):
         u[i] = one_minus_c * p[i] + s * p[j]
         u[j] = one_minus_c * p[j] - s * p[i]
         w = u - np.dot(p, u) * p
-        nw = float(np.linalg.norm(w))
+        nw = _norm(w)
         if nw < 1e-30:
             # target axis is perpendicular to the rotation plane: fall back
             # to the most orthogonal coordinate direction
@@ -485,7 +494,7 @@ class SphereSpace(Space):
             w = np.zeros(self.ambient)
             w[m] = 1.0
             w = w - np.dot(p, w) * p
-            nw = float(np.linalg.norm(w))
+            nw = _norm(w)
         return w / nw
 
     def step_toward(self, p, q, t: float):
@@ -504,19 +513,19 @@ class SphereSpace(Space):
             w = self._antipodal_tangent(p)
         else:
             w = q - np.dot(p, q) * p
-            nw = float(np.linalg.norm(w))
+            nw = _norm(w)
             if nw == 0.0:
                 return p.copy()
             w = w / nw
         out = math.cos(t) * p + math.sin(t) * w
-        return out / np.linalg.norm(out)
+        return out / _norm(out)
 
     def random_point(self, rng: np.random.Generator):
         v = rng.normal(size=self.ambient)
-        n = np.linalg.norm(v)
+        n = _norm(v)
         while n == 0:
             v = rng.normal(size=self.ambient)
-            n = np.linalg.norm(v)
+            n = _norm(v)
         return v / n
 
     def describe(self) -> dict:
@@ -692,7 +701,7 @@ def _ball_pitch(n: int, h: float) -> float:
     return h / math.sqrt(n)  # conservative: survives boundary clipping
 
 
-def _ball_net(space: BallSpace, h: float):
+def _ball_net(space: BallSpace, h: float, budget: int):
     n, radius = space.dimension, space.radius
     pitch = _ball_pitch(n, h)
     if n == 1:
@@ -703,22 +712,27 @@ def _ball_net(space: BallSpace, h: float):
     axis = np.arange(-half, half + 1) * pitch
     mesh = np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1).reshape(-1, n)
     norms = np.linalg.norm(mesh, axis=1)
-    inside = [mesh[i] for i in range(len(mesh)) if norms[i] <= radius + 1e-12]
+    inside = mesh[norms <= radius + 1e-12]
+    _check_budget(len(inside), budget)  # before the rim loops, which scan it
     points = list(inside)
     if n == 2:
         m_ring = max(3, math.ceil(2 * math.pi * radius / h - 1e-12))
         for j in range(m_ring):
             ang = 2 * math.pi * j / m_ring
             pt = np.array([radius * math.cos(ang), radius * math.sin(ang)])
-            if all(np.linalg.norm(pt - q) > 1e-12 for q in inside):
+            if (np.linalg.norm(pt - inside, axis=1) > 1e-12).all():
                 points.append(pt)
     else:
         # project near-miss grid points onto the boundary to patch the rim
         shell = mesh[(norms > radius + 1e-12) & (norms <= radius + pitch * math.sqrt(n) / 2)]
+        kept = np.concatenate([inside, np.empty_like(shell)])  # points so far
+        count = len(inside)
         for g in shell:
             pt = g * (radius / np.linalg.norm(g))
-            if all(np.linalg.norm(pt - q) > 1e-9 for q in points):
+            if (np.linalg.norm(pt - kept[:count], axis=1) > 1e-9).all():
                 points.append(pt)
+                kept[count] = pt
+                count += 1
     return points, h
 
 
@@ -811,7 +825,7 @@ def build_net(space: Space, h: float, point_budget: int = DEFAULT_POINT_BUDGET) 
         axis_count = 2 * math.ceil(space.radius / _ball_pitch(n, h)) + 1
         if axis_count**n > 8 * point_budget:  # pre-check before grid allocation
             raise CapacityError("net points", axis_count**n, point_budget)
-        points, cover = _ball_net(space, h)
+        points, cover = _ball_net(space, h, point_budget)
         _check_budget(len(points), point_budget)
     elif isinstance(space, SphereSpace):
         if space.dimension == 1:

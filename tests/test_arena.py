@@ -13,7 +13,7 @@ from pursuit.arena import (
     run_game,
 )
 from pursuit.errors import StrategyFaultError, UnknownStrategyError
-from pursuit.game import Agility, Position, trajectory_value
+from pursuit.game import Agility, Position, robber_cop_distance, trajectory_value
 from pursuit.solver import policy_playout, solve_finite
 from pursuit.spaces import BallSpace, ProductSpace, SphereSpace, build_net
 
@@ -37,6 +37,23 @@ def test_stand_still_vs_follower_capture():
     assert traj.captured
     assert traj.capture_step == 4
     assert trajectory_value(traj) == 0.0
+
+
+@pytest.mark.parametrize("name", ["cycle", "ball", "cylinder"])
+def test_stored_gaps_equal_recomputed_distances(name, rng):
+    space, cops = {
+        "cycle": (make_cycle(2.0), "follower_cop"),
+        "ball": (BallSpace(2), "radial_cop"),
+        "cylinder": (ProductSpace(make_cycle(2 * math.pi)), "cylinder_lift_cop"),
+    }[name]
+    start = Position(space.random_point(rng), [space.random_point(rng)])
+    traj = run_game(space, get_strategy(space, "greedy_robber", samples=4, seed=5),
+                    get_strategy(space, cops), start, Agility.uniform(0.05), 30,
+                    kappa=0.0)
+    gaps = traj.gaps()
+    want = [robber_cop_distance(space, pos) for pos in traj.positions]
+    assert len(gaps) == traj.steps + 1
+    assert gaps == want and [type(g) for g in gaps] == [type(g) for g in want]
 
 
 def test_follower_gap_nonincreasing(rng):

@@ -1,8 +1,11 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pursuit.errors import (
     CapacityError,
@@ -14,6 +17,8 @@ from pursuit.spaces import (
     MetricGraphSpace,
     ProductSpace,
     SphereSpace,
+    _ball_net,
+    _norm,
     build_net,
     space_from_config,
 )
@@ -167,6 +172,91 @@ def test_sphere_antipodal_step_deterministic():
 
 
 # ---------------------------------------------------------------------------
+# fast paths equal the plain forms they replace
+
+
+@pytest.mark.parametrize("lengths", [[1.7], [0.5, 0.5, 0.5], [1.0, 1.5, 2.0, 0.25]])
+@pytest.mark.parametrize("seed", [0, 1, 7, 20240817])
+def test_graph_random_point_equals_choice_then_uniform(lengths, seed):
+    space = MetricGraphSpace(["a", "b"], [("a", "b", w) for w in lengths])
+    arr = np.array(lengths)
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(1000):
+        e = int(twin.choice(len(lengths), p=arr / arr.sum()))
+        expected = (e, float(twin.uniform(0.0, arr[e])))
+        got = space.random_point(rng)
+        assert got == expected and type(got[0]) is int and type(got[1]) is float
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@given(st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=4))
+def test_norm_equals_numpy_norm(xs):
+    v = np.array(xs)
+    with np.errstate(over="ignore"):  # both overflow to inf alike
+        got, want = _norm(v), float(np.linalg.norm(v))
+    assert type(got) is float and got == want
+
+
+def _reference_step(space, p, q, t):
+    """``step_toward`` as first written: build every candidate route in
+    full, then take the minimum by (total, edge-id tuple)."""
+    if t == 0.0:
+        return (int(p[0]), float(p[1]))
+    routes = []
+    ep, op_ = int(p[0]), float(p[1])
+    eq, oq = int(q[0]), float(q[1])
+    if ep == eq:
+        routes.append((abs(oq - op_), [(ep, op_, oq)]))
+    u_p, v_p, len_p = space.edges[ep]
+    u_q, v_q, len_q = space.edges[eq]
+    for x, cx, off_x in [(u_p, op_, 0.0), (v_p, len_p - op_, len_p)]:
+        for y, cy, off_y in [(u_q, oq, 0.0), (v_q, len_q - oq, len_q)]:
+            total = cx + space.vdist[x, y] + cy
+            segs = [(ep, op_, off_x)] if cx > 0 else []
+            segs.extend(space._hop_segment(*hop) for hop in space._vertex_path(x, y))
+            if cy > 0:
+                segs.append((eq, off_y, oq))
+            routes.append((total, segs))
+    total, segs = min(routes, key=lambda r: (r[0], tuple(s[0] for s in r[1])))
+    if t >= total:
+        return (eq, oq)
+    remaining = t
+    for ei, a, b in segs:
+        seg_len = abs(b - a)
+        if remaining <= seg_len:
+            if seg_len == 0:
+                continue
+            return (ei, a + (1.0 if b > a else -1.0) * remaining)
+        remaining -= seg_len
+    return (eq, oq)
+
+
+def _assert_steps_match_reference(space, pairs):
+    for p, q in pairs:
+        for t in (0.0, 0.1, 0.25, 0.5, 0.9, 1.0, 1.3, 2.5):
+            got = space.step_toward(p, q, t)
+            want = _reference_step(space, p, q, t)
+            assert got == want and type(got[1]) is type(want[1]), (p, q, t)
+
+
+def test_step_toward_equals_reference_on_antipodal_cycle_points():
+    # every pair is a tie between the two arcs
+    space = make_cycle(2.0)
+    arcs = [0.0, 0.125, 0.25, 0.5, 0.75, 0.9, 1.0, 1.25, 1.5, 1.875]
+    _assert_steps_match_reference(
+        space, [(cycle_point(space, s), cycle_point(space, s + 1.0)) for s in arcs]
+    )
+
+
+def test_step_toward_equals_reference_on_equal_edge_theta():
+    # three unit edges between a and b: routes through a and through b tie
+    # for equal offsets on different edges, and vertex aliases tie three ways
+    space = MetricGraphSpace(["a", "b"], [("a", "b", 1.0)] * 3)
+    points = [(e, off) for e in range(3) for off in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    _assert_steps_match_reference(space, [(p, q) for p in points for q in points])
+
+
+# ---------------------------------------------------------------------------
 # nets
 
 
@@ -282,6 +372,57 @@ def test_circle_net_budget_checked_before_points():
     finally:
         tracemalloc.stop()
     assert err.value.required == 628319 and peak < 1_000_000
+
+
+def _reference_ball_net(space, h):
+    """``_ball_net`` for dimension >= 2 as first written: every rim
+    candidate is tested against every kept point in a Python loop."""
+    n, radius = space.dimension, space.radius
+    pitch = h if n == 2 else h / math.sqrt(n)
+    half = math.ceil(radius / pitch)
+    axis = np.arange(-half, half + 1) * pitch
+    mesh = np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    norms = np.linalg.norm(mesh, axis=1)
+    inside = [mesh[i] for i in range(len(mesh)) if norms[i] <= radius + 1e-12]
+    points = list(inside)
+    if n == 2:
+        m_ring = max(3, math.ceil(2 * math.pi * radius / h - 1e-12))
+        for j in range(m_ring):
+            ang = 2 * math.pi * j / m_ring
+            pt = np.array([radius * math.cos(ang), radius * math.sin(ang)])
+            if all(np.linalg.norm(pt - q) > 1e-12 for q in inside):
+                points.append(pt)
+    else:
+        shell = mesh[(norms > radius + 1e-12) & (norms <= radius + pitch * math.sqrt(n) / 2)]
+        for g in shell:
+            pt = g * (radius / np.linalg.norm(g))
+            if all(np.linalg.norm(pt - q) > 1e-9 for q in points):
+                points.append(pt)
+    return points
+
+
+@pytest.mark.parametrize("dim, radius, h", [
+    # at h 0.2 and 0.25 four rim points coincide with grid points
+    (2, 1.0, 0.08), (2, 1.0, 0.13), (2, 1.0, 0.2), (2, 1.0, 0.25), (2, 0.5, 0.08),
+    (2, 0.5, 0.3), (2, 1.7, 0.2),
+    (3, 0.5, 0.3), (3, 1.0, 0.5),
+])
+def test_ball_net_equals_reference_construction(dim, radius, h):
+    space = BallSpace(dim, radius)
+    points, cover = _ball_net(space, h, 10**6)
+    want = _reference_ball_net(space, h)
+    assert cover == h
+    assert np.array(points).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("h, budget", [(0.03, 1000), (0.0071, 20_000)])
+def test_ball_net_budget_checked_before_rim(h, budget):
+    # 3505 and 62 301 points inside the disc: rejected before the rim loop
+    start = time.perf_counter()
+    with pytest.raises(CapacityError) as err:
+        build_net(BallSpace(2), h, point_budget=budget)
+    assert time.perf_counter() - start < 0.5
+    assert err.value.available == budget and err.value.required > budget
 
 
 def test_sphere3_net_unsupported():

@@ -55,10 +55,11 @@ def _reach_or_step(space: Space, frm, target, t: float):
 
 
 # ---------------------------------------------------------------------------
-# built-in strategies
+# built-in strategies: each ``make_*`` returns the move callable, and
+# ``_CATALOG`` alone gives the strategy's name and side
 
 
-def make_follower_cop(space: Space) -> Strategy:
+def make_follower_cop(space: Space):
     """Each cop moves straight toward the revealed robber position along a
     geodesic, covering min(t, distance); the gap never increases."""
 
@@ -67,28 +68,28 @@ def make_follower_cop(space: Space) -> Strategy:
             _reach_or_step(space, c, pos.robber, t) for c in pos.cops
         )
 
-    return Strategy("follower_cop", "cops", move)
+    return move
 
 
-def make_stand_still_cops(space: Space) -> Strategy:
+def make_stand_still_cops(space: Space):
     """Cops that never move (baseline opponent)."""
 
     def move(pos: Position, t: float, n: int):
         return tuple(pos.cops)
 
-    return Strategy("stand_still_cops", "cops", move)
+    return move
 
 
-def make_stand_still_robber(space: Space) -> Strategy:
+def make_stand_still_robber(space: Space):
     """Robber that never moves (baseline opponent)."""
 
     def move(pos: Position, t: float, n: int):
         return pos.robber
 
-    return Strategy("stand_still_robber", "robber", move)
+    return move
 
 
-def make_antipodal_robber(space: Space) -> Strategy:
+def make_antipodal_robber(space: Space):
     """Sphere evader: head for the point antipodal to the nearest cop,
     snapping onto it exactly whenever it is reachable this step."""
     if not isinstance(space, SphereSpace):
@@ -100,10 +101,10 @@ def make_antipodal_robber(space: Space) -> Strategy:
         target = -np.asarray(nearest, dtype=float)
         return _reach_or_step(space, pos.robber, target, t)
 
-    return Strategy("antipodal_robber", "robber", move)
+    return move
 
 
-def make_radial_cop(space: Space) -> Strategy:
+def make_radial_cop(space: Space):
     """Ball pursuer: if a point of the center-to-robber segment is within
     reach, take the one closest to the robber; otherwise move straight
     toward the center."""
@@ -131,7 +132,7 @@ def make_radial_cop(space: Space) -> Strategy:
     def move(pos: Position, t: float, n: int):
         return tuple(chase_one(c, pos.robber, t) for c in pos.cops)
 
-    return Strategy("radial_cop", "cops", move)
+    return move
 
 
 def lift_slope(p: float, eps: float) -> float:
@@ -159,7 +160,7 @@ def lift_slope(p: float, eps: float) -> float:
     return T * (1.0 + 1e-9)
 
 
-def make_cylinder_lift_cop(space: Space, eps: float = 0.1) -> Strategy:
+def make_cylinder_lift_cop(space: Space, eps: float = 0.1):
     """Product-space pursuer: follows the robber's base coordinate while
     climbing the fiber at a constant slope, chosen so the climb costs less
     than ``eps`` extra path length per unit of fiber gained."""
@@ -182,12 +183,10 @@ def make_cylinder_lift_cop(space: Space, eps: float = 0.1) -> Strategy:
     def move(pos: Position, t: float, n: int):
         return tuple(chase_one(c, pos.robber, t) for c in pos.cops)
 
-    strat = Strategy("cylinder_lift_cop", "cops", move)
-    strat.slope = slope
-    return strat
+    return move
 
 
-def make_greedy_robber(space: Space, samples: int = 32, seed: int = 0) -> Strategy:
+def make_greedy_robber(space: Space, samples: int = 32, seed: int = 0):
     """Heuristic evader: probes a fixed number of sampled destinations within
     the step budget and keeps the one maximizing the distance to the nearest
     cop.  This is a plain local search, not a boundary-approach evader; it
@@ -204,7 +203,7 @@ def make_greedy_robber(space: Space, samples: int = 32, seed: int = 0) -> Strate
         ]
         return candidates[int(np.argmax(scores))]
 
-    return Strategy("greedy_robber", "robber", move)
+    return move
 
 
 _CATALOG = {
@@ -237,8 +236,8 @@ def get_strategy(space: Space, name: str, **params) -> Strategy:
         raise UnknownStrategyError(
             f"unknown strategy {name!r}; valid names: {sorted(_CATALOG)}"
         )
-    _, make, _ = _CATALOG[name]
-    return make(space, **params)
+    side, make, _ = _CATALOG[name]
+    return Strategy(name, side, make(space, **params))
 
 
 # ---------------------------------------------------------------------------

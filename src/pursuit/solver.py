@@ -370,16 +370,11 @@ class StandardResult:
         return float(self.values.max())
 
 
-def default_family(net) -> list:
-    """Uniform schedules at one, two and four covering radii."""
-    return [Agility.uniform(net.h * s) for s in (1.0, 2.0, 4.0)]
-
-
 def _family_or_default(net, family) -> list:
-    """``family``, or the default family when it is None; an empty family
-    is an error."""
+    """``family``, or when it is None the uniform schedules at one, two and
+    four covering radii; an empty family is an error."""
     if family is None:
-        return default_family(net)
+        return [Agility.uniform(net.h * s) for s in (1.0, 2.0, 4.0)]
     if not family:
         raise ConfigError("no instances: agility family is empty")
     return family

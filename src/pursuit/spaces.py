@@ -346,10 +346,6 @@ class MetricGraphSpace(Space):
         e = bisect.bisect_right(self._cdf, rng.random())
         return (e, self.edges[e][2] * rng.random())
 
-    @property
-    def total_length(self) -> float:
-        return float(sum(w for _, _, w in self.edges))
-
 
 # ---------------------------------------------------------------------------
 # Euclidean balls
@@ -676,12 +672,13 @@ class Net:
         }
 
 
-def _graph_net(space: MetricGraphSpace, h: float):
+def _graph_net(space: MetricGraphSpace, h: float, budget: int):
+    nsegs = [max(1, math.ceil(length / h - 1e-12)) for _, _, length in space.edges]
+    _check_budget(len(space.vertex_ids) + sum(n - 1 for n in nsegs), budget)
     points = [space.vertex_point(v) for v in range(len(space.vertex_ids))]
     seen = {(int(p[0]), float(p[1])) for p in points}
     worst_spacing = 0.0
-    for ei, (_, _, length) in enumerate(space.edges):
-        nseg = max(1, math.ceil(length / h - 1e-12))
+    for ei, ((_, _, length), nseg) in enumerate(zip(space.edges, nsegs)):
         spacing = length / nseg
         worst_spacing = max(worst_spacing, spacing)
         for j in range(1, nseg):
@@ -704,11 +701,14 @@ def _ball_pitch(n: int, h: float) -> float:
 def _ball_net(space: BallSpace, h: float, budget: int):
     n, radius = space.dimension, space.radius
     pitch = _ball_pitch(n, h)
+    half = math.ceil(radius / pitch)
+    if (2 * half + 1) ** n > 8 * budget:  # before the grid is allocated
+        raise CapacityError("net points", (2 * half + 1) ** n, budget)
     if n == 1:
         m = max(1, math.ceil(2 * radius / pitch - 1e-12))
+        _check_budget(m + 1, budget)
         xs = np.linspace(-radius, radius, m + 1)
         return [np.array([x]) for x in xs], (2 * radius / m) / 2.0
-    half = math.ceil(radius / pitch)
     axis = np.arange(-half, half + 1) * pitch
     mesh = np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1).reshape(-1, n)
     norms = np.linalg.norm(mesh, axis=1)
@@ -733,6 +733,7 @@ def _ball_net(space: BallSpace, h: float, budget: int):
                 points.append(pt)
                 kept[count] = pt
                 count += 1
+    _check_budget(len(points), budget)
     return points, h
 
 
@@ -763,6 +764,7 @@ _ICOSA_FACES = [
 def _icosphere_net(space: SphereSpace, h: float, budget: int):
     verts = [np.array(v) / np.linalg.norm(v) for v in _ICOSA_VERTS]
     faces = list(_ICOSA_FACES)
+    _check_budget(len(verts), budget)
 
     def max_edge(vs, fs):
         worst = 0.0
@@ -815,18 +817,9 @@ def build_net(space: Space, h: float, point_budget: int = DEFAULT_POINT_BUDGET) 
     if h <= 0:
         raise ConfigError("target covering radius must be positive")
     if isinstance(space, MetricGraphSpace):
-        est = len(space.vertex_ids) + sum(
-            max(0, math.ceil(w / h - 1e-12) - 1) for _, _, w in space.edges
-        )
-        _check_budget(est, point_budget)
-        points, cover = _graph_net(space, h)
+        points, cover = _graph_net(space, h, point_budget)
     elif isinstance(space, BallSpace):
-        n = space.dimension
-        axis_count = 2 * math.ceil(space.radius / _ball_pitch(n, h)) + 1
-        if axis_count**n > 8 * point_budget:  # pre-check before grid allocation
-            raise CapacityError("net points", axis_count**n, point_budget)
         points, cover = _ball_net(space, h, point_budget)
-        _check_budget(len(points), point_budget)
     elif isinstance(space, SphereSpace):
         if space.dimension == 1:
             points, cover = _circle_net(h, point_budget)
@@ -836,14 +829,17 @@ def build_net(space: Space, h: float, point_budget: int = DEFAULT_POINT_BUDGET) 
             raise ConfigError(
                 "net construction is implemented for spheres of dimension 1 and 2 only"
             )
-        _check_budget(len(points), point_budget)
     elif isinstance(space, ProductSpace):
         h_factor = h / 2.0 ** (1.0 / space.p)
-        base_net = build_net(space.base, h_factor, point_budget)
         nseg = max(1, math.ceil(space.fiber_length / h_factor - 1e-12))
         fiber = [space.fiber_length * j / nseg for j in range(nseg + 1)]
         fiber_cover = (space.fiber_length / nseg) / 2.0
-        _check_budget(base_net.size * len(fiber), point_budget)
+        # base * fiber <= budget exactly when base <= budget // fiber
+        try:
+            base_net = build_net(space.base, h_factor, point_budget // len(fiber))
+        except CapacityError as exc:
+            raise CapacityError("net points", exc.required * len(fiber),
+                                point_budget) from exc
         points = [(bp, s) for bp in base_net.points for s in fiber]
         d_base = np.repeat(
             np.repeat(base_net.matrix, len(fiber), axis=0), len(fiber), axis=1

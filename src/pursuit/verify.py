@@ -1,7 +1,9 @@
 """Certification suite: every solver inequality checked on small instances.
 
 Each check solves tiny net games exhaustively and measures the worst
-violation of one inequality:
+violation of one inequality.  The checks of an instance share one plain
+(endpoint) solve of its game, with every layer kept, and no check holds an
+array larger than one value layer:
 
 * ``L1-equality``        endpoint and running-minimum recursions coincide
 * ``step-monotone``      values never increase when the horizon grows
@@ -22,6 +24,7 @@ checks (analytic-space matrices carry rounding).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,7 +42,7 @@ from .solver import (
     solve_finite,
     solve_volatile,
 )
-from .spaces import MetricGraphSpace, Net, build_net, space_from_config
+from .spaces import Net, build_net, space_from_config
 
 SUITE_NET_LIMIT = 12
 SUITE_K_LIMIT = 2
@@ -104,46 +107,6 @@ def exhaustive_value(net: Net, k: int, taus, r: int, cops) -> float:
         return best
 
     return rec(int(r), tuple(int(c) for c in cops), len(taus))
-
-
-def random_oracle_instances(count: int = 20, seed: int = 0) -> list:
-    """Randomized small instances (net <= 6, k <= 2, N <= 3) whose exhaustive
-    tree stays at or below 120 000 nodes."""
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < count:
-        shape = rng.choice(["path", "cycle", "star"])
-        if shape == "path":
-            n_edges = int(rng.integers(1, 3))
-            verts = [f"v{i}" for i in range(n_edges + 1)]
-            edges = [
-                (verts[i], verts[i + 1], float(rng.uniform(0.5, 1.5)))
-                for i in range(n_edges)
-            ]
-        elif shape == "cycle":
-            half = float(rng.uniform(0.5, 1.5))
-            verts = ["a", "b"]
-            edges = [("a", "b", half), ("a", "b", half)]
-        else:
-            verts = ["c", "x", "y", "z"]
-            edges = [("c", w, float(rng.uniform(0.5, 1.2))) for w in "xyz"]
-        space = MetricGraphSpace(verts, edges)
-        total = space.total_length
-        net = build_net(space, total / float(rng.uniform(1.5, 3.0)))
-        if net.size > 6:
-            continue
-        k = int(rng.integers(1, 3))
-        N = int(rng.integers(1, 4))
-        taus = [float(rng.uniform(0.8, 2.2) * net.h) for _ in range(N)]
-        worst_reach = max(
-            int((net.matrix[i] <= t + 1e-12).sum())
-            for i in range(net.size)
-            for t in taus
-        )
-        if (worst_reach ** (k + 1)) ** N > 120_000:
-            continue
-        out.append((net, k, taus))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -252,70 +215,57 @@ def minmax_gap_probe(net: Net, k: int, tau: Agility, eps: float, N: int,
 # lemma batteries
 
 
-def _tuple_pos_distance(D: np.ndarray, k: int) -> np.ndarray:
-    """max over coordinates of D, between all position tuples; shape
-    (P^(k+1), P^(k+1))."""
-    P = D.shape[0]
-    size = P ** (k + 1)
-    out = np.zeros((size, size))
-    for axis in range(k + 1):
-        rep_in = P ** (k - axis)
-        rep_out = P**axis
-        idx = np.tile(np.repeat(np.arange(P), rep_in), rep_out)
-        out = np.maximum(out, D[np.ix_(idx, idx)])
-    return out
-
-
-def _violation_l1_equality(net, inst) -> float:
-    a, _ = solve_finite(net, inst["k"], inst["taus"], store_layers=True)
+def _violation_l1_equality(net, inst, plain, coarse) -> float:
     b, _ = solve_finite(net, inst["k"], inst["taus"], variant="intermediate",
                         store_layers=True)
     return max(
-        float(np.abs(a.layer(m) - b.layer(m)).max()) for m in range(len(inst["taus"]) + 1)
+        float(np.abs(plain.layer(m) - b.layer(m)).max())
+        for m in range(len(inst["taus"]) + 1)
     )
 
 
-def _violation_step_monotone(net, inst) -> float:
+def _violation_step_monotone(net, inst, plain, coarse) -> float:
     taus = inst["taus"]
-    full, _ = solve_finite(net, inst["k"], taus)
     worst = 0.0
     for M in range(1, len(taus)):
         short, _ = solve_finite(net, inst["k"], taus[:M])
-        worst = max(worst, float((full.top - short.top).max()))
+        worst = max(worst, float((plain.top - short.top).max()))
     return max(0.0, worst)
 
 
-def _violation_pos_continuity(net, inst) -> float:
-    table, _ = solve_finite(net, inst["k"], inst["taus"])
-    flat = table.top.reshape(-1)
-    dpos = _tuple_pos_distance(net.matrix, inst["k"])
-    diff = np.abs(flat[:, None] - flat[None, :])
-    return max(0.0, float((diff - 2.0 * dpos).max()))
+def _violation_pos_continuity(net, inst, plain, coarse) -> float:
+    """Worst |V(a) - V(b)| - 2 * d(a, b) over tuple pairs, where d is the
+    largest coordinate distance; one start tuple ``a`` at a time."""
+    V, D = plain.top, net.matrix
+    along = [tuple(-1 if j == i else 1 for j in range(V.ndim)) for i in range(V.ndim)]
+    worst = 0.0
+    for a in np.ndindex(V.shape):
+        dpos = functools.reduce(
+            np.maximum, (D[ai].reshape(shape) for ai, shape in zip(a, along)))
+        worst = max(worst, float((np.abs(V - V[a]) - 2.0 * dpos).max()))
+    return worst
 
 
-def _violation_agility_continuity(net, inst) -> float:
+def _violation_agility_continuity(net, inst, plain, coarse) -> float:
     taus = inst["taus"]
     other = inst["taus_perturbed"]
     ell1 = sum(abs(a - b) for a, b in zip(taus, other))
-    a, _ = solve_finite(net, inst["k"], taus)
     b, _ = solve_finite(net, inst["k"], other)
-    return max(0.0, float(np.abs(a.top - b.top).max()) - 2.0 * ell1)
+    return max(0.0, float(np.abs(plain.top - b.top).max()) - 2.0 * ell1)
 
 
-def _violation_subdivision(net, inst) -> float:
+def _violation_subdivision(net, inst, plain, coarse) -> float:
     taus = inst["taus"]
     i, alpha = inst["subdivide"]
     finer = subdivide(Agility.explicit(taus), i, alpha)
-    orig, _ = solve_finite(net, inst["k"], taus)
     fine, _ = solve_finite(net, inst["k"], finer.prefix(len(taus) + 1))
-    return max(0.0, float((orig.top - fine.top).max()))
+    return max(0.0, float((plain.top - fine.top).max()))
 
 
-def _violation_volatile(net, inst) -> float:
+def _violation_volatile(net, inst, plain, coarse) -> float:
     taus = inst["taus"]
     k = inst["k"]
     N = len(taus)
-    plain, _ = solve_finite(net, k, taus)
     # zero perturbation must reproduce the plain solve exactly
     zero = Perturbation([0.0] * (N + 1))
     worst = 0.0
@@ -332,7 +282,7 @@ def _violation_volatile(net, inst) -> float:
     return max(0.0, worst)
 
 
-def _violation_minmax_gap(net, inst, coarse) -> float:
+def _violation_minmax_gap(net, inst, plain, coarse) -> float:
     cfg = inst["minmax"]
     res = minmax_gap_probe(
         net, inst["k"], Agility.explicit(cfg["taus"]), cfg["eps"],
@@ -341,7 +291,7 @@ def _violation_minmax_gap(net, inst, coarse) -> float:
     return max(0.0, res.gap - 4.0 * cfg["eps"])
 
 
-def _violation_oracle(net, inst) -> float:
+def _violation_oracle(net, inst, plain, coarse) -> float:
     n_oracle = inst["oracle_N"]
     taus = inst["taus"][:n_oracle]
     table, _ = solve_finite(net, inst["k"], taus)
@@ -511,14 +461,14 @@ def _oracle_nodes(net, k: int, taus) -> int:
 
 def _run_instance(inst, net, coarse) -> list:
     label = _instance_label(inst, net)
+    plain, _ = solve_finite(net, inst["k"], inst["taus"], store_layers=True)
     reports = []
     for lemma, (runner, tol) in _LEMMA_RUNNERS.items():
         if lemma == "minmax-gap" and coarse is None:
             continue
         if lemma == "oracle-equivalence" and "oracle_N" not in inst:
             continue
-        args = (net, inst, coarse) if lemma == "minmax-gap" else (net, inst)
-        reports.append(LemmaReport(lemma, label, runner(*args), tol))
+        reports.append(LemmaReport(lemma, label, runner(net, inst, plain, coarse), tol))
     return reports
 
 

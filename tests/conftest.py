@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pursuit.spaces import BallSpace, MetricGraphSpace, ProductSpace, SphereSpace
+from pursuit.spaces import BallSpace, MetricGraphSpace, ProductSpace, SphereSpace, build_net
 
 
 def make_cycle(total_length: float = 2.0) -> MetricGraphSpace:
@@ -30,6 +30,46 @@ def make_star(arms: int = 3, arm_length: float = 1.0) -> MetricGraphSpace:
     vertices = ["c"] + [f"t{i}" for i in range(arms)]
     edges = [("c", f"t{i}", arm_length) for i in range(arms)]
     return MetricGraphSpace(vertices, edges)
+
+
+def random_oracle_instances(count: int = 20, seed: int = 0) -> list:
+    """Randomized small instances (net <= 6, k <= 2, N <= 3) whose exhaustive
+    tree stays at or below 120 000 nodes."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        shape = rng.choice(["path", "cycle", "star"])
+        if shape == "path":
+            n_edges = int(rng.integers(1, 3))
+            verts = [f"v{i}" for i in range(n_edges + 1)]
+            edges = [
+                (verts[i], verts[i + 1], float(rng.uniform(0.5, 1.5)))
+                for i in range(n_edges)
+            ]
+        elif shape == "cycle":
+            half = float(rng.uniform(0.5, 1.5))
+            verts = ["a", "b"]
+            edges = [("a", "b", half), ("a", "b", half)]
+        else:
+            verts = ["c", "x", "y", "z"]
+            edges = [("c", w, float(rng.uniform(0.5, 1.2))) for w in "xyz"]
+        space = MetricGraphSpace(verts, edges)
+        total = float(sum(w for _, _, w in space.edges))
+        net = build_net(space, total / float(rng.uniform(1.5, 3.0)))
+        if net.size > 6:
+            continue
+        k = int(rng.integers(1, 3))
+        N = int(rng.integers(1, 4))
+        taus = [float(rng.uniform(0.8, 2.2) * net.h) for _ in range(N)]
+        worst_reach = max(
+            int((net.matrix[i] <= t + 1e-12).sum())
+            for i in range(net.size)
+            for t in taus
+        )
+        if (worst_reach ** (k + 1)) ** N > 120_000:
+            continue
+        out.append((net, k, taus))
+    return out
 
 
 @pytest.fixture

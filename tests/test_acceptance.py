@@ -12,18 +12,10 @@ import pytest
 from pursuit.arena import get_strategy, run_game
 from pursuit.game import Agility, Position, trajectory_value
 from pursuit.solver import limit_value, solve_finite, standard_value
-from pursuit.spaces import BallSpace, MetricGraphSpace, ProductSpace, SphereSpace, build_net
-from pursuit.verify import (
-    exhaustive_value,
-    minmax_gap_probe,
-    random_oracle_instances,
-    run_suite,
-)
+from pursuit.spaces import BallSpace, ProductSpace, SphereSpace, build_net
+from pursuit.verify import exhaustive_value, minmax_gap_probe, run_suite
 
-
-def make_cycle(total_length):
-    half = total_length / 2.0
-    return MetricGraphSpace(["u", "v"], [("u", "v", half), ("u", "v", half)])
+from conftest import make_cycle, random_oracle_instances
 
 
 def report(num, name, ok, detail):

@@ -195,7 +195,6 @@ def test_cylinder_lift_slope_inequality():
 def test_cylinder_lift_cop_closes_fiber():
     space = ProductSpace(make_cycle(2.0), fiber_length=1.0, p=2.0)
     cop = get_strategy(space, "cylinder_lift_cop", eps=0.1)
-    assert cop.slope > 5.05
     pos = Position(((0, 0.5), 1.0), [((0, 0.5), 0.0)])
     (new,) = cop.move(pos, 0.2, 1)
     assert 0.0 < new[1] <= 1.0

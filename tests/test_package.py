@@ -1,7 +1,14 @@
 import pursuit
+from pursuit import solver, verify
+from pursuit.spaces import MetricGraphSpace
 
 DELETED = ["Polyline", "polyline_length", "pos_metrics", "shift",
-           "common_subdivision", "policy_strategy", "MalformedPathError"]
+           "common_subdivision", "policy_strategy", "MalformedPathError",
+           "random_oracle_instances", "default_family"]
+DELETED_ATTRS = [(verify, "random_oracle_instances"),
+                 (verify, "_tuple_pos_distance"),
+                 (solver, "default_family"),
+                 (MetricGraphSpace, "total_length")]
 
 
 def test_all_names_resolve():
@@ -14,3 +21,5 @@ def test_deleted_names_are_not_exported():
     for name in DELETED:
         assert name not in pursuit.__all__
         assert not hasattr(pursuit, name), name
+    for owner, name in DELETED_ATTRS:
+        assert not hasattr(owner, name), name

@@ -465,6 +465,32 @@ def test_product_net_is_cartesian():
     assert net.size == base_net.size * len(fiber_vals)
 
 
+def test_product_net_budget_checked_before_base_matrix():
+    # fiber of 355 points, so the base may have 20 000 // 355 = 56; the 2222
+    # base points of the cycle fail before any point or matrix is made
+    space = ProductSpace(make_cycle(2 * math.pi), fiber_length=1.0, p=2.0)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError) as err:
+            build_net(space, 0.004)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.5 and peak < 5_000_000
+    assert err.value.available == 20_000
+    assert err.value.required == 2222 * 355
+
+
+def test_product_net_budget_is_exact():
+    space = ProductSpace(make_interval(1.0), fiber_length=1.0, p=2.0)
+    size = build_net(space, 0.25).size
+    assert build_net(space, 0.25, point_budget=size).size == size
+    with pytest.raises(CapacityError) as err:
+        build_net(space, 0.25, point_budget=size - 1)
+    assert err.value.required == size and err.value.available == size - 1
+
+
 # ---------------------------------------------------------------------------
 # JSON descriptions
 

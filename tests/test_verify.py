@@ -1,8 +1,12 @@
 import itertools
 import json
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pursuit import verify
 from pursuit.errors import CapacityError, ConfigError
@@ -14,12 +18,11 @@ from pursuit.verify import (
     default_pack,
     exhaustive_value,
     minmax_gap_probe,
-    random_oracle_instances,
     run_suite,
     suite_passed,
 )
 
-from conftest import make_cycle, make_interval
+from conftest import make_cycle, make_interval, random_oracle_instances
 
 
 def test_default_pack_all_pass():
@@ -112,6 +115,102 @@ def test_oracle_node_count_matches_tree_walk(name):
     taus = inst["taus"][:inst["oracle_N"]]
     assert verify._oracle_nodes(net, inst["k"], taus) == \
         count_oracle_nodes(net, inst["k"], taus)
+
+
+def test_each_instance_solves_its_plain_game_once(monkeypatch):
+    calls = []
+
+    def counting_solve(net, k, taus, *args, **kwargs):
+        calls.append((list(taus), kwargs.get("variant", "endpoint")))
+        return solve_finite(net, k, taus, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "solve_finite", counting_solve)
+    for inst in default_pack():
+        # the oracle solves its own prefix game, equal to the plain one
+        # when oracle_N is the horizon
+        inst.pop("oracle_N", None)
+        calls.clear()
+        run_suite([inst])
+        assert calls.count((inst["taus"], "endpoint")) == 1, inst["name"]
+
+
+def test_suite_memory_is_one_value_layer():
+    # shaped like perfbench's path-9-k2: 9 points, two cops, 729 tuples
+    inst = {"name": "path-9-k2",
+            "space": {"type": "metric_graph", "vertices": ["a", "m", "b"],
+                      "edges": [["a", "m", "0.75"], ["m", "b", "1.25"]]},
+            "h": 0.25, "k": 2, "taus": [0.25] * 3,
+            "taus_perturbed": [0.25, 0.5, 0.25], "subdivide": [2, 0.5],
+            "volatile_eps": [0.0, 0.25, 0.0, 0.0], "oracle_N": 1}
+    run_suite([inst])  # warm imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        reports = run_suite([inst])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reports[0].instance == "path-9-k2[P=9,k=2,N=3]"
+    assert suite_passed(reports)
+    assert peak < 4_000_000
+
+
+def pairwise_pos_continuity(D, V):
+    """pos-continuity over the full (P^(k+1))^2 matrix of tuple pairs, as
+    the suite first computed it."""
+    k = V.ndim - 1
+    P = D.shape[0]
+    size = P ** (k + 1)
+    dpos = np.zeros((size, size))
+    for axis in range(k + 1):
+        rep_in = P ** (k - axis)
+        rep_out = P**axis
+        idx = np.tile(np.repeat(np.arange(P), rep_in), rep_out)
+        dpos = np.maximum(dpos, D[np.ix_(idx, idx)])
+    flat = V.reshape(-1)
+    diff = np.abs(flat[:, None] - flat[None, :])
+    return max(0.0, float((diff - 2.0 * dpos).max()))
+
+
+def pos_continuity(D, V):
+    return verify._violation_pos_continuity(
+        SimpleNamespace(matrix=D), {"k": V.ndim - 1}, SimpleNamespace(top=V), None)
+
+
+_tied = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+
+
+@st.composite
+def distances_and_values(draw):
+    P = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 2))
+    entry = st.one_of(_tied, st.floats(0.0, 4.0))
+    D = np.array(draw(st.lists(entry, min_size=P * P, max_size=P * P)))
+    D = D.reshape(P, P)
+    if draw(st.booleans()):  # symmetric with a zero diagonal, like a net
+        D = np.triu(D, 1) + np.triu(D, 1).T
+    if draw(st.booleans()):  # values unrelated to D: violations are positive
+        value = st.one_of(_tied, st.floats(-4.0, 4.0))
+        V = np.array(draw(st.lists(value, min_size=P ** (k + 1),
+                                   max_size=P ** (k + 1))))
+        V = V.reshape((P,) * (k + 1))
+    else:  # the robber-to-cops distance under D, as in a base layer
+        V = np.full((P,) * (k + 1), np.inf)
+        for j in range(1, k + 1):
+            V = np.minimum(V, D.reshape([P if a in (0, j) else 1 for a in range(k + 1)]))
+    return D, V
+
+
+@settings(max_examples=300, deadline=None)
+@given(distances_and_values())
+def test_pos_continuity_equals_pairwise_matrix(case):
+    D, V = case
+    assert pos_continuity(D, V) == pairwise_pos_continuity(D, V)
+
+
+def test_pos_continuity_reports_a_positive_violation():
+    D = np.array([[0.0, 0.25], [0.25, 0.0]])
+    V = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert pos_continuity(D, V) == pairwise_pos_continuity(D, V) == 0.5
 
 
 def test_empty_pack_error():

@@ -254,7 +254,8 @@ def run_game(space: Space, robber: Strategy, cops: Strategy, start: Position,
         raise ValueError("need at least one step")
     traj = Trajectory(space)
     pos = start
-    if traj.append(pos, 0.0) <= kappa:
+    traj.append(pos, 0.0)
+    if traj.gap(-1) <= kappa:
         traj.captured = True
         traj.capture_step = 0
         return traj
@@ -273,7 +274,8 @@ def run_game(space: Space, robber: Strategy, cops: Strategy, start: Position,
             if moved > t + BUDGET_TOL:
                 raise StrategyFaultError("cops", n, f"moved {moved} > budget {t}")
         pos = Position(r_new, c_new)
-        if traj.append(pos, t) <= kappa:
+        traj.append(pos, t)
+        if traj.gap(-1) <= kappa:
             traj.captured = True
             traj.capture_step = n
             return traj

@@ -216,22 +216,25 @@ class Trajectory:
     taus: list = field(default_factory=list)
     captured: bool = False
     capture_step: int | None = None
-    _gaps: list = field(default_factory=list, repr=False)
+    _gaps: list = field(default_factory=list, repr=False)  # None until read
 
-    def append(self, position: Position, t: float) -> float:
-        """Record one position; its gap is computed here, once, and returned."""
-        gap = robber_cop_distance(self.space, position)
+    def append(self, position: Position, t: float) -> None:
         self.positions.append(position)
         self.taus.append(t)
-        self._gaps.append(gap)
-        return gap
+        self._gaps.append(None)
 
     @property
     def steps(self) -> int:
         return len(self.positions) - 1
 
+    def gap(self, n: int) -> float:
+        """Gap of position ``n``, computed on its first read, once."""
+        if self._gaps[n] is None:
+            self._gaps[n] = robber_cop_distance(self.space, self.positions[n])
+        return self._gaps[n]
+
     def gaps(self) -> list:
-        return list(self._gaps)
+        return [self.gap(n) for n in range(len(self.positions))]
 
 
 def trajectory_value(traj: Trajectory) -> float:

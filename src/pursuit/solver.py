@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import reach_filter
+from ._kernels import pad_reach, reach_filter
 from .errors import CapacityError, ConfigError, PlayoutError
 from .game import Agility, Position, Trajectory
 
@@ -35,10 +35,11 @@ DEFAULT_STATE_BUDGET = 16_777_216
 
 @dataclass
 class ReachSet:
-    """CSR lists of net indices within a closed ball of radius ``t``."""
+    """CSR lists of net indices within a closed ball of radius ``t``, padded in ``rows``."""
 
     indptr: np.ndarray
     indices: np.ndarray
+    rows: np.ndarray
 
     def of(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
@@ -50,12 +51,14 @@ def reach_set(net, t: float) -> ReachSet:
     cached = net._reach_cache.get(key)
     if cached is not None:
         return cached
+    if not key >= 0:  # NaN too: the filter needs every point to reach itself
+        raise ConfigError(f"reach radius must be a number >= 0, got {t}")
     mask = net.matrix <= t + REACH_SLACK
     counts = mask.sum(axis=1)
     indptr = np.zeros(net.size + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     indices = np.nonzero(mask)[1].astype(np.int64)
-    rs = ReachSet(indptr, indices)
+    rs = ReachSet(indptr, indices, pad_reach(indptr, indices))
     net._reach_cache[key] = rs
     return rs
 
@@ -176,7 +179,7 @@ def _sweep(V, rs: ReachSet, k: int, want_policy: bool = False):
     args = {}
     for axis in range(k, -1, -1):
         V = reach_filter(V, rs.indptr, rs.indices, axis,
-                         "min" if axis else "max", want_policy)
+                         "min" if axis else "max", want_policy, rows=rs.rows)
         if want_policy:
             V, args[axis] = V
     return V, args
@@ -254,7 +257,7 @@ def solve_volatile(net, k: int, taus, perturbation: Perturbation,
         if e > 0:
             adv = reach_set(net, e)
             for axis in range(k + 1):
-                V = reach_filter(V, adv.indptr, adv.indices, axis, adv_mode)
+                V = reach_filter(V, adv.indptr, adv.indices, axis, adv_mode, rows=adv.rows)
     layers[N] = V
     return ValueTable(taus, layers)
 

@@ -294,7 +294,7 @@ def _violation_minmax_gap(net, inst, plain, coarse) -> float:
 def _violation_oracle(net, inst, plain, coarse) -> float:
     n_oracle = inst["oracle_N"]
     taus = inst["taus"][:n_oracle]
-    table, _ = solve_finite(net, inst["k"], taus)
+    table = plain if len(taus) == len(inst["taus"]) else solve_finite(net, inst["k"], taus)[0]
     worst = 0.0
     for tup in itertools.product(range(net.size), repeat=inst["k"] + 1):
         expected = exhaustive_value(net, inst["k"], taus, tup[0], tup[1:])

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pursuit import solver
-from pursuit._kernels import reach_filter
+from pursuit._kernels import BLOCK_ENTRIES, pad_reach, reach_filter
 from pursuit.errors import CapacityError, ConfigError, PlayoutError
 from pursuit.game import Agility, trajectory_value
 from pursuit.solver import (
@@ -93,6 +95,12 @@ def test_reach_contains_self_and_slack():
 def test_reach_cache_reused():
     net = interval_net3()
     assert reach_set(net, 0.5) is reach_set(net, 0.5)
+
+
+@pytest.mark.parametrize("t", [-0.5, math.nan])
+def test_solve_rejects_a_step_no_point_can_take(t):
+    with pytest.raises(ConfigError, match="reach radius"):
+        solve_finite(cycle_net(8), 1, [0.25, t])
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +300,27 @@ def test_playout_budget_violation_error():
     _, policy = solve_finite(net, 1, taus, store_policy=True)
     with pytest.raises(PlayoutError, match="budget"):
         policy_playout(net, teleporter, policy, (2, 0), taus)
+
+
+def test_captured_playout_computes_no_gap(monkeypatch):
+    net = cycle_net(8)
+    taus = [0.25] * 3
+    _, policy = solve_finite(net, 2, taus, store_policy=True)
+    calls = []
+    distance = net.space.distance
+    monkeypatch.setattr(net.space, "distance",
+                        lambda *a: calls.append(a) or distance(*a))
+    late = 0
+    for start in itertools.product(range(net.size), repeat=3):
+        traj = policy_playout(net, policy, policy, start, taus)
+        if traj.captured:
+            late += traj.capture_step > 0
+            assert trajectory_value(traj) == 0.0
+    assert late and not calls
+    # gaps are still there when read, and each is computed once
+    first = traj.gaps()
+    read = len(calls)
+    assert read and traj.gaps() == first and len(calls) == read
 
 
 # ---------------------------------------------------------------------------
@@ -624,6 +653,10 @@ def loop_filter(values, rs, axis, mode):
 @pytest.mark.parametrize("net_maker, k, t", [
     (lambda: build_net(make_star(3), 0.25), 1, 0.5),
     (lambda: cycle_net(8), 2, 0.25),
+    # reach widths 3..7, varying by row
+    (lambda: build_net(make_star(3), 0.25), 2, 0.5),
+    # every reach list is the whole net
+    (lambda: cycle_net(8), 2, 10.0),
 ])
 @pytest.mark.parametrize("mode", ["min", "max"])
 @pytest.mark.parametrize("want_arg", [False, True])
@@ -642,3 +675,79 @@ def test_reach_filter_matches_loop(net_maker, k, t, mode, want_arg):
             assert out.tobytes() == want_out.tobytes()
             if want_arg:
                 assert np.array_equal(idx, want_idx)
+
+
+def row_filter(values, indptr, indices, axis, mode, want_arg=False):
+    """The per-row filter the blocked kernel replaced: one gather and one
+    reduction per net point."""
+    extreme, pick = {"min": (np.ndarray.min, np.ndarray.argmin),
+                     "max": (np.ndarray.max, np.ndarray.argmax)}[mode]
+    values = np.asarray(values, dtype=np.float64)
+    shape = values.shape
+    P = indptr.size - 1
+    a, b = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
+    flip = b == 1 and a > 1
+
+    def as3(x):
+        return x.reshape(a, P).T[None] if flip else x.reshape(a, P, b)
+
+    src = np.ascontiguousarray(as3(values))
+    out = np.empty(shape)
+    arg = np.empty(shape, dtype=np.int64)
+    out3, arg3 = as3(out), as3(arg)
+    for i in range(P):
+        local = indices[indptr[i]:indptr[i + 1]]
+        sub = src[:, local, :]
+        out3[:, i, :] = extreme(sub, axis=1)
+        arg3[:, i, :] = local[pick(sub, axis=1)]
+    return (out, arg) if want_arg else out
+
+
+def assert_same_filter(layer, rs, axis, mode, want_arg):
+    got = reach_filter(layer, rs.indptr, rs.indices, axis, mode, want_arg,
+                       rows=rs.rows)
+    want = row_filter(layer, rs.indptr, rs.indices, axis, mode, want_arg)
+    if want_arg:
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1], want[1])
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["min", "max"])
+@pytest.mark.parametrize("want_arg", [False, True])
+def test_reach_filter_spans_blocks_on_every_axis(mode, want_arg):
+    net = build_net(make_star(3), 0.08)  # 40 points, reach widths 3..7
+    rs = reach_set(net, 0.2)
+    k = 2
+    # the other two axes hold P**2 entries, so every axis needs two blocks
+    assert net.size > BLOCK_ENTRIES // net.size ** k
+    V = np.random.default_rng(3).integers(0, 3, size=(net.size,) * (k + 1))
+    for layer in (V.astype(float), V.T.astype(float)):
+        for axis in range(k + 1):
+            assert_same_filter(layer, rs, axis, mode, want_arg)
+
+
+@st.composite
+def reach_layers(draw):
+    """Ascending reach lists that contain their own row, and a small
+    integer-valued layer over them, so most reach lists hold ties."""
+    P = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 2))
+    lists = [sorted({i} | set(draw(st.lists(st.integers(0, P - 1), max_size=P))))
+             for i in range(P)]
+    indptr = np.cumsum([0] + [len(r) for r in lists], dtype=np.int64)
+    indices = np.array([j for r in lists for j in r], dtype=np.int64)
+    rs = solver.ReachSet(indptr, indices, pad_reach(indptr, indices))
+    flat = draw(st.lists(st.integers(0, 2), min_size=P ** (k + 1),
+                         max_size=P ** (k + 1)))
+    layer = np.array(flat, dtype=float).reshape((P,) * (k + 1))
+    return rs, layer, draw(st.integers(0, k)), draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(reach_layers(), st.sampled_from(["min", "max"]), st.booleans())
+def test_reach_filter_matches_row_filter(case, mode, want_arg):
+    rs, layer, axis, transpose = case
+    assert_same_filter(layer.T if transpose else layer, rs, axis, mode, want_arg)
+

@@ -126,9 +126,6 @@ def test_each_instance_solves_its_plain_game_once(monkeypatch):
 
     monkeypatch.setattr(verify, "solve_finite", counting_solve)
     for inst in default_pack():
-        # the oracle solves its own prefix game, equal to the plain one
-        # when oracle_N is the horizon
-        inst.pop("oracle_N", None)
         calls.clear()
         run_suite([inst])
         assert calls.count((inst["taus"], "endpoint")) == 1, inst["name"]

@@ -21,7 +21,6 @@ from .game import (
 )
 from .solver import (
     Perturbation,
-    Policy,
     ValueTable,
     cop_number_estimate,
     duration_value,
@@ -50,7 +49,6 @@ __all__ = [
     "MetricGraphSpace",
     "Net",
     "Perturbation",
-    "Policy",
     "Position",
     "ProductSpace",
     "Space",

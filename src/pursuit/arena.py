@@ -191,6 +191,10 @@ def make_greedy_robber(space: Space, samples: int = 32, seed: int = 0):
     the step budget and keeps the one maximizing the distance to the nearest
     cop.  This is a plain local search, not a boundary-approach evader; it
     carries no guarantee of avoiding capture."""
+    if samples < 0:
+        raise UnknownStrategyError("greedy_robber needs samples >= 0")
+    if seed < 0:
+        raise UnknownStrategyError("greedy_robber needs seed >= 0")
     rng = np.random.default_rng(seed)
 
     def move(pos: Position, t: float, n: int):

@@ -255,19 +255,18 @@ def cmd_solve(args) -> int:
     policy_dump = None
     if mode == "finite":
         taus = agility.prefix(n)
-        table, policy = solve_finite(
+        table = solve_finite(
             net, k, taus, variant=cfg.get("variant", "endpoint"),
             store_policy=store_policy,
         )
         values = table.top
-        if policy is not None:
+        if store_policy:
             policy_dump = {
                 str(m): {
-                    "robber": policy.robber[m].reshape(-1),
-                    "cops": [policy.cops[m][axis].reshape(-1)
-                             for axis in sorted(policy.cops[m])],
+                    "robber": args[0].reshape(-1),
+                    "cops": [t.reshape(-1) for t in args[1:]],
                 }
-                for m in sorted(policy.robber)
+                for m, args in sorted(table.moves.items())
             }
     elif mode == "limit":
         if T is not None:

@@ -51,8 +51,8 @@ def reach_set(net, t: float) -> ReachSet:
     cached = net._reach_cache.get(key)
     if cached is not None:
         return cached
-    if not key >= 0:  # NaN too: the filter needs every point to reach itself
-        raise ConfigError(f"reach radius must be a number >= 0, got {t}")
+    if not 0 <= key < math.inf:  # NaN too: every point must reach itself
+        raise ConfigError(f"reach radius must be a finite number >= 0, got {t}")
     mask = net.matrix <= t + REACH_SLACK
     counts = mask.sum(axis=1)
     indptr = np.zeros(net.size + 1, dtype=np.int64)
@@ -64,21 +64,29 @@ def reach_set(net, t: float) -> ReachSet:
 
 
 # ---------------------------------------------------------------------------
-# tables, policies, perturbations
+# tables, perturbations
 
 
 @dataclass
 class ValueTable:
-    """Per-layer game values over net position tuples.
+    """Per-layer game values over net position tuples, and the moves that
+    attain them.
 
     ``layers[m]`` holds the value with ``m`` remaining steps as a dense
     array indexed ``[robber, cop_1, ..., cop_k]``.  Layer 0 is the
     robber-to-cops distance; layer ``N`` is the full-horizon value.  Only
     layers 0 and ``N`` are retained unless the solve stored all of them.
+
+    ``moves[m]``, filled by a solve with ``store_policy``, lists the arg
+    table of every axis: ``moves[m][0][r, c1..ck]`` is the robber's move
+    and ``moves[m][j][r', c1..ck]`` is cop ``j``'s move given the robber
+    already moved to ``r'``.  Ties resolve to the lowest net index for the
+    robber and the lexicographically smallest cop tuple.
     """
 
     taus: np.ndarray
     layers: dict
+    moves: dict = field(default_factory=dict)
 
     @property
     def N(self) -> int:
@@ -95,38 +103,17 @@ class ValueTable:
             )
         return self.layers[m]
 
-
-@dataclass
-class Policy:
-    """Argmax/argmin moves extracted alongside a solve.
-
-    For ``m`` remaining steps, ``robber[m][r, c1..ck]`` is the robber's
-    move and ``cops[m][j][r', c1..ck]`` is cop ``j``'s move given the
-    robber already moved to ``r'``.  Ties resolve to the lowest net index
-    for the robber and the lexicographically smallest cop tuple.
-    """
-
-    k: int
-    taus: np.ndarray
-    robber: dict
-    cops: dict
-
-    @property
-    def N(self) -> int:
-        return len(self.taus)
-
     def robber_move(self, m: int, tup) -> int:
-        if m not in self.robber:
+        if m not in self.moves:
             raise PlayoutError(tuple(tup), m, "no robber policy layer")
-        return int(self.robber[m][tuple(tup)])
+        return int(self.moves[m][0][tuple(tup)])
 
     def cop_moves(self, m: int, robber_new: int, cops: tuple) -> tuple:
-        if m not in self.cops:
+        if m not in self.moves:
             raise PlayoutError((robber_new, *cops), m, "no cop policy layer")
         chosen = []
-        for j in range(self.k):  # axis j+1 holds cop j's argmin table
-            idx = (robber_new, *chosen, *cops[j:])
-            chosen.append(int(self.cops[m][j + 1][idx]))
+        for j, arg in enumerate(self.moves[m][1:]):  # cop j's argmin table
+            chosen.append(int(arg[(robber_new, *chosen, *cops[j:])]))
         return tuple(chosen)
 
 
@@ -138,8 +125,8 @@ class Perturbation:
 
     def __init__(self, eps):
         self.eps = np.asarray(list(eps), dtype=float)
-        if (self.eps < 0).any():
-            raise ConfigError("perturbation radii must be nonnegative")
+        if not ((self.eps >= 0) & (self.eps < math.inf)).all():
+            raise ConfigError("perturbation radii must be finite and nonnegative")
 
     def delta(self, n: int) -> float:
         return float(self.eps[: n + 1].sum())
@@ -174,9 +161,9 @@ def _base_layer(net, k: int) -> np.ndarray:
 
 def _sweep(V, rs: ReachSet, k: int, want_policy: bool = False):
     """One backward-induction step: cop min-filters on axes k..1, then the
-    robber max-filter on axis 0.  Returns the next layer and a dict of the
-    arg table of every axis, empty unless ``want_policy``."""
-    args = {}
+    robber max-filter on axis 0.  Returns the next layer and the arg table
+    of every axis in axis order, all None unless ``want_policy``."""
+    args = [None] * (k + 1)
     for axis in range(k, -1, -1):
         V = reach_filter(V, rs.indptr, rs.indices, axis,
                          "min" if axis else "max", want_policy, rows=rs.rows)
@@ -191,7 +178,8 @@ def solve_finite(net, k: int, taus, variant: str = "endpoint", *,
 
     ``variant="endpoint"`` scores the final distance only; ``"intermediate"``
     additionally takes the running minimum with the current distance at
-    every level.  Returns ``(ValueTable, Policy | None)``.
+    every level.  Returns the :class:`ValueTable`; with ``store_policy``
+    it also answers ``robber_move`` and ``cop_moves``.
     """
     if variant not in ("endpoint", "intermediate"):
         raise ConfigError(f"unknown variant {variant!r}")
@@ -201,8 +189,7 @@ def solve_finite(net, k: int, taus, variant: str = "endpoint", *,
     taus = np.asarray(list(taus), dtype=float)
     N = taus.size
     base = _base_layer(net, k)
-    layers = {0: base}
-    pol_r, pol_c = {}, {}
+    table = ValueTable(taus, {0: base})
     V = base
     for m in range(1, N + 1):
         t = float(taus[N - m])
@@ -211,14 +198,11 @@ def solve_finite(net, k: int, taus, variant: str = "endpoint", *,
         if variant == "intermediate":
             V = np.minimum(base, V)
         if store_policy:
-            pol_r[m] = args.pop(0)
-            pol_c[m] = args
+            table.moves[m] = args
         if store_layers:
-            layers[m] = V
-    layers[N] = V
-    table = ValueTable(taus, layers)
-    policy = Policy(k, taus, pol_r, pol_c) if store_policy else None
-    return table, policy
+            table.layers[m] = V
+    table.layers[N] = V
+    return table
 
 
 def solve_volatile(net, k: int, taus, perturbation: Perturbation,
@@ -340,8 +324,7 @@ def limit_value(net, k: int, agility: Agility, tol: float = 1e-9,
             return V
     else:
         def top(N):
-            table, _ = solve_finite(net, k, agility.prefix(N))
-            return table.top
+            return solve_finite(net, k, agility.prefix(N)).top
     return _doubling(top, 1, N_max, tol)
 
 
@@ -359,8 +342,7 @@ def duration_value(net, k: int, T: float, N_start: int = 1,
         raise ConfigError("N must be at least 1")
 
     def top(N):
-        table, _ = solve_finite(net, k, [T / N] * N)
-        return table.top
+        return solve_finite(net, k, [T / N] * N).top
     return _doubling(top, N_start, N_max, tol)
 
 
@@ -454,9 +436,10 @@ def policy_playout(net, robber_source, cop_source, start, taus) -> Trajectory:
     is revealed, then the cops move; stops early on capture, when a cop
     stands on the robber's net point (distance 0).
 
-    Each source answers in net indices, as :class:`Policy` does: it has a
-    horizon ``N`` and answers ``robber_move(m, tup)`` or
-    ``cop_moves(m, r_new, cops)`` with ``m = N - n + 1`` at step ``n``.  A
+    Each source answers in net indices, as a :class:`ValueTable` solved
+    with ``store_policy`` does: it has a horizon ``N`` and answers
+    ``robber_move(m, tup)`` or ``cop_moves(m, r_new, cops)`` with
+    ``m = N - n + 1`` at step ``n``.  A
     move longer than the step's duration (plus the reach slack) raises
     :class:`PlayoutError`.
     """

@@ -104,8 +104,9 @@ class MetricGraphSpace(Space):
         for e in edges:
             u, v, length = e
             length = float(length)
-            if length <= 0:
-                raise ConfigError(f"edge ({u},{v}) has non-positive length {length}")
+            if not 0 < length < math.inf:
+                raise ConfigError(f"edge ({u},{v}) length must be finite and positive, "
+                                  f"got {length}")
             if str(u) not in self._vindex or str(v) not in self._vindex:
                 raise ConfigError(f"edge ({u},{v}) references unknown vertex")
             self.edges.append((self._vindex[str(u)], self._vindex[str(v)], length))
@@ -363,8 +364,8 @@ class BallSpace(Space):
     def __init__(self, dimension: int, radius: float = 1.0):
         if dimension < 1:
             raise ConfigError("ball dimension must be >= 1")
-        if radius <= 0:
-            raise ConfigError("ball radius must be positive")
+        if not 0 < radius < math.inf:
+            raise ConfigError(f"ball radius must be finite and positive, got {radius}")
         self.dimension = int(dimension)
         self.radius = float(radius)
 
@@ -557,10 +558,10 @@ class ProductSpace(Space):
     kind = "product"
 
     def __init__(self, base: Space, fiber_length: float = 1.0, p: float = 2.0):
-        if fiber_length <= 0:
-            raise ConfigError("fiber length must be positive")
-        if p < 1:
-            raise ConfigError("product exponent must satisfy p >= 1")
+        if not 0 < fiber_length < math.inf:
+            raise ConfigError(f"fiber length must be finite and positive, got {fiber_length}")
+        if not 1 <= p < math.inf:
+            raise ConfigError(f"product exponent must be finite and satisfy p >= 1, got {p}")
         self.base = base
         self.fiber_length = float(fiber_length)
         self.p = float(p)
@@ -676,17 +677,12 @@ def _graph_net(space: MetricGraphSpace, h: float, budget: int):
     nsegs = [max(1, math.ceil(length / h - 1e-12)) for _, _, length in space.edges]
     _check_budget(len(space.vertex_ids) + sum(n - 1 for n in nsegs), budget)
     points = [space.vertex_point(v) for v in range(len(space.vertex_ids))]
-    seen = {(int(p[0]), float(p[1])) for p in points}
     worst_spacing = 0.0
     for ei, ((_, _, length), nseg) in enumerate(zip(space.edges, nsegs)):
         spacing = length / nseg
         worst_spacing = max(worst_spacing, spacing)
-        for j in range(1, nseg):
-            pt = (ei, j * spacing)
-            key = (int(pt[0]), float(pt[1]))
-            if key not in seen:
-                seen.add(key)
-                points.append(pt)
+        # interior offsets lie strictly inside (0, length): no vertex repeats
+        points.extend((ei, j * spacing) for j in range(1, nseg))
     return points, worst_spacing / 2.0
 
 
@@ -814,8 +810,8 @@ def build_net(space: Space, h: float, point_budget: int = DEFAULT_POINT_BUDGET) 
     Cartesian product of factor nets.  Raises :class:`CapacityError` when the
     construction would exceed ``point_budget`` points.
     """
-    if h <= 0:
-        raise ConfigError("target covering radius must be positive")
+    if not 0 < h < math.inf:
+        raise ConfigError(f"target covering radius must be finite and positive, got {h}")
     if isinstance(space, MetricGraphSpace):
         points, cover = _graph_net(space, h, point_budget)
     elif isinstance(space, BallSpace):
@@ -867,7 +863,10 @@ def build_net(space: Space, h: float, point_budget: int = DEFAULT_POINT_BUDGET) 
 
 
 def _num(value) -> float:
-    """Parse a finite number that may arrive as a decimal string."""
+    """Parse a finite number that may arrive as a decimal string; a boolean
+    is not a number."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
     x = float(value)
     if not math.isfinite(x):
         raise ValueError(f"{value!r} is not a finite number")

@@ -36,7 +36,7 @@ from .game import Agility, subdivide, trajectory_value
 from .solver import (
     REACH_SLACK,
     Perturbation,
-    Policy,
+    ValueTable,
     policy_playout,
     reach_set,
     solve_finite,
@@ -135,34 +135,29 @@ class _LiftedPolicy:
     target within the step's budget."""
 
     net: Net
-    fine_of: list  # coarse index -> fine index
-    policy: Policy
+    fine_of: list  # coarse index -> fine index, sorted without repeats
+    table: ValueTable  # the coarse solve, with its moves
 
     def __post_init__(self):
-        cols = np.asarray(self.fine_of)
-        sub = self.net.matrix[:, cols]
-        self.round_to = cols[np.argmin(sub, axis=1)]  # fine -> fine (coarse member)
-        self.coarse_idx = {f: c for c, f in enumerate(self.fine_of)}
+        # fine -> coarse index of the nearest coarse member (lowest on ties)
+        self.to_coarse = np.argmin(self.net.matrix[:, self.fine_of], axis=1).tolist()
 
     @property
     def N(self) -> int:
-        return self.policy.N
-
-    def _coarse(self, i: int) -> int:
-        return self.coarse_idx[int(self.round_to[i])]
+        return self.table.N
 
     def _advance(self, m: int, cur: int, target_fine: int) -> int:
-        t = float(self.policy.taus[self.N - m])
+        t = float(self.table.taus[self.N - m])
         feasible = reach_set(self.net, t).of(cur)
         return int(feasible[np.argmin(self.net.matrix[feasible, target_fine])])
 
     def robber_move(self, m: int, tup) -> int:
-        target = self.policy.robber_move(m, tuple(self._coarse(i) for i in tup))
+        target = self.table.robber_move(m, tuple(self.to_coarse[i] for i in tup))
         return self._advance(m, tup[0], self.fine_of[target])
 
     def cop_moves(self, m: int, robber_new: int, cops: tuple) -> tuple:
-        moves = self.policy.cop_moves(
-            m, self._coarse(robber_new), tuple(self._coarse(c) for c in cops))
+        moves = self.table.cop_moves(
+            m, self.to_coarse[robber_new], tuple(self.to_coarse[c] for c in cops))
         return tuple(self._advance(m, c, self.fine_of[j])
                      for c, j in zip(cops, moves))
 
@@ -193,9 +188,9 @@ def minmax_gap_probe(net: Net, k: int, tau: Agility, eps: float, N: int,
     eps = float(eps)
     fine_of = sorted(_coarse_to_fine(net, coarse))
 
-    _, fine_policy = solve_finite(net, k, taus, store_policy=True)
-    _, coarse_policy = solve_finite(_subnet(net, fine_of), k, taus,
-                                    store_policy=True)
+    fine_policy = solve_finite(net, k, taus, store_policy=True)
+    coarse_policy = solve_finite(_subnet(net, fine_of), k, taus,
+                                 store_policy=True)
     lifted = _LiftedPolicy(net, fine_of, coarse_policy)
 
     shape = (net.size,) * (k + 1)
@@ -216,8 +211,8 @@ def minmax_gap_probe(net: Net, k: int, tau: Agility, eps: float, N: int,
 
 
 def _violation_l1_equality(net, inst, plain, coarse) -> float:
-    b, _ = solve_finite(net, inst["k"], inst["taus"], variant="intermediate",
-                        store_layers=True)
+    b = solve_finite(net, inst["k"], inst["taus"], variant="intermediate",
+                     store_layers=True)
     return max(
         float(np.abs(plain.layer(m) - b.layer(m)).max())
         for m in range(len(inst["taus"]) + 1)
@@ -228,7 +223,7 @@ def _violation_step_monotone(net, inst, plain, coarse) -> float:
     taus = inst["taus"]
     worst = 0.0
     for M in range(1, len(taus)):
-        short, _ = solve_finite(net, inst["k"], taus[:M])
+        short = solve_finite(net, inst["k"], taus[:M])
         worst = max(worst, float((plain.top - short.top).max()))
     return max(0.0, worst)
 
@@ -250,7 +245,7 @@ def _violation_agility_continuity(net, inst, plain, coarse) -> float:
     taus = inst["taus"]
     other = inst["taus_perturbed"]
     ell1 = sum(abs(a - b) for a, b in zip(taus, other))
-    b, _ = solve_finite(net, inst["k"], other)
+    b = solve_finite(net, inst["k"], other)
     return max(0.0, float(np.abs(plain.top - b.top).max()) - 2.0 * ell1)
 
 
@@ -258,7 +253,7 @@ def _violation_subdivision(net, inst, plain, coarse) -> float:
     taus = inst["taus"]
     i, alpha = inst["subdivide"]
     finer = subdivide(Agility.explicit(taus), i, alpha)
-    fine, _ = solve_finite(net, inst["k"], finer.prefix(len(taus) + 1))
+    fine = solve_finite(net, inst["k"], finer.prefix(len(taus) + 1))
     return max(0.0, float((plain.top - fine.top).max()))
 
 
@@ -294,7 +289,7 @@ def _violation_minmax_gap(net, inst, plain, coarse) -> float:
 def _violation_oracle(net, inst, plain, coarse) -> float:
     n_oracle = inst["oracle_N"]
     taus = inst["taus"][:n_oracle]
-    table = plain if len(taus) == len(inst["taus"]) else solve_finite(net, inst["k"], taus)[0]
+    table = plain if len(taus) == len(inst["taus"]) else solve_finite(net, inst["k"], taus)
     worst = 0.0
     for tup in itertools.product(range(net.size), repeat=inst["k"] + 1):
         expected = exhaustive_value(net, inst["k"], taus, tup[0], tup[1:])
@@ -461,7 +456,7 @@ def _oracle_nodes(net, k: int, taus) -> int:
 
 def _run_instance(inst, net, coarse) -> list:
     label = _instance_label(inst, net)
-    plain, _ = solve_finite(net, inst["k"], inst["taus"], store_layers=True)
+    plain = solve_finite(net, inst["k"], inst["taus"], store_layers=True)
     reports = []
     for lemma, (runner, tol) in _LEMMA_RUNNERS.items():
         if lemma == "minmax-gap" and coarse is None:

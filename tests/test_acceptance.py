@@ -138,7 +138,7 @@ def test_criterion_6_oracle_equivalence():
     worst = 0.0
     checked = 0
     for net, k, taus in instances:
-        table, _ = solve_finite(net, k, taus)
+        table = solve_finite(net, k, taus)
         for tup in np.ndindex(*table.top.shape):
             expected = exhaustive_value(net, k, taus, tup[0], tup[1:])
             worst = max(worst, abs(float(table.top[tup]) - expected))

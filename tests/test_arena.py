@@ -237,7 +237,7 @@ def test_run_game_reproduces_policy_playout():
     space = make_cycle(2.0)
     net = build_net(space, 0.25)
     taus = [0.25] * 4
-    _, policy = solve_finite(net, 1, taus, store_policy=True)
+    policy = solve_finite(net, 1, taus, store_policy=True)
     start_idx = (0, 1)
     net_traj = policy_playout(net, policy, policy, start_idx, taus)
 

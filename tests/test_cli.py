@@ -247,6 +247,12 @@ _BAD_NUMBERS = [
     ("play", {"kappa": -1}, "kappa"),
     ("solve", {"space": {"type": "ball", "dimension": 2.5}}, "integer"),
     ("solve", {"space": {"type": "sphere", "dimension": "1.5"}}, "integer"),
+    ("solve", {"k": True}, "k"),
+    ("solve", {"space": CYCLE | {"edges": [["u", "v", True], ["u", "v", "1"]]}},
+     "space"),
+    ("solve", {"agility": {"kind": "uniform", "t": True}}, "agility"),
+    ("copnumber", {"k_max": True}, "k_max"),
+    ("play", {"N": True}, "N"),
 ]
 
 
@@ -298,6 +304,10 @@ _BAD_INPUTS = [
     ("copnumber", _COPNUMBER | {"family": []}, "family"),
     ("play", _PLAY | {"robber": {"name": "follower_cop"}}, "config.robber"),
     ("play", _PLAY | {"cops": {"name": "greedy_robber"}}, "config.cops"),
+    ("play", _PLAY | {"robber": {"name": "greedy_robber", "params": {"seed": -3}}},
+     "seed"),
+    ("play", _PLAY | {"robber": {"name": "greedy_robber",
+                                 "params": {"samples": -1}}}, "samples"),
 ]
 
 

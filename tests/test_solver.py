@@ -97,7 +97,7 @@ def test_reach_cache_reused():
     assert reach_set(net, 0.5) is reach_set(net, 0.5)
 
 
-@pytest.mark.parametrize("t", [-0.5, math.nan])
+@pytest.mark.parametrize("t", [-0.5, math.nan, math.inf])
 def test_solve_rejects_a_step_no_point_can_take(t):
     with pytest.raises(ConfigError, match="reach radius"):
         solve_finite(cycle_net(8), 1, [0.25, t])
@@ -109,7 +109,7 @@ def test_solve_rejects_a_step_no_point_can_take(t):
 
 def test_base_case_is_distance():
     net = interval_net3()
-    table, _ = solve_finite(net, 1, [])
+    table = solve_finite(net, 1, [])
     r, c = net.index_of((0, 1.0)), net.index_of((0, 0.0))
     assert table.top[r, c] == 1.0
     assert np.array_equal(table.top, net.matrix)
@@ -120,7 +120,7 @@ def test_interval_cop_corners_robber():
     r, c = net.index_of((0, 1.0)), net.index_of((0, 0.0))
     expected = brute_value(net, 1, [0.5, 0.5], r, [c])
     assert expected == 0.0
-    table, _ = solve_finite(net, 1, [0.5, 0.5])
+    table = solve_finite(net, 1, [0.5, 0.5])
     assert table.top[r, c] == expected
 
 
@@ -129,7 +129,7 @@ def test_cycle_antipodal_holds_gap():
     r, c = antipodal_pair(net)
     expected = brute_value(net, 1, [0.5, 0.5], r, [c])
     assert expected == 0.5
-    table, _ = solve_finite(net, 1, [0.5, 0.5])
+    table = solve_finite(net, 1, [0.5, 0.5])
     assert table.top[r, c] == expected
 
 
@@ -137,7 +137,7 @@ def test_cycle_antipodal_holds_gap():
 def test_solver_matches_oracle_exhaustively(k, N):
     net = cycle_net(4)
     taus = [0.5] * N
-    table, _ = solve_finite(net, k, taus)
+    table = solve_finite(net, k, taus)
     for tup in itertools.product(range(net.size), repeat=k + 1):
         assert table.top[tup] == brute_value(net, k, taus, tup[0], tup[1:])
 
@@ -145,7 +145,7 @@ def test_solver_matches_oracle_exhaustively(k, N):
 def test_intermediate_matches_its_oracle():
     net = build_net(make_star(3, 1.0), 0.5)
     taus = [0.5, 0.5]
-    table, _ = solve_finite(net, 1, taus, variant="intermediate")
+    table = solve_finite(net, 1, taus, variant="intermediate")
     for tup in itertools.product(range(net.size), repeat=2):
         assert table.top[tup] == brute_value(net, 1, taus, tup[0], tup[1:],
                                              variant="intermediate")
@@ -154,29 +154,29 @@ def test_intermediate_matches_its_oracle():
 def test_endpoint_equals_intermediate_on_aligned_net():
     net = cycle_net(8)
     taus = [0.25] * 4
-    a, _ = solve_finite(net, 1, taus, store_layers=True)
-    b, _ = solve_finite(net, 1, taus, variant="intermediate", store_layers=True)
+    a = solve_finite(net, 1, taus, store_layers=True)
+    b = solve_finite(net, 1, taus, variant="intermediate", store_layers=True)
     for m in range(5):
         assert np.array_equal(a.layer(m), b.layer(m))
 
 
 def test_step_monotone_in_horizon():
     net = cycle_net(8)
-    short, _ = solve_finite(net, 1, [0.25] * 2)
-    long, _ = solve_finite(net, 1, [0.25] * 5)
+    short = solve_finite(net, 1, [0.25] * 2)
+    long = solve_finite(net, 1, [0.25] * 5)
     assert (long.top <= short.top).all()
 
 
 def test_cop_symmetry_of_values():
     net = interval_net3()
-    table, _ = solve_finite(net, 2, [0.5, 0.5])
+    table = solve_finite(net, 2, [0.5, 0.5])
     assert np.array_equal(table.top, np.swapaxes(table.top, 1, 2))
 
 
 def test_three_cops_against_oracle():
     net = build_net(make_interval(1.0), 1.0)  # two points
     taus = [1.0, 1.0]
-    table, _ = solve_finite(net, 3, taus)
+    table = solve_finite(net, 3, taus)
     for tup in itertools.product(range(net.size), repeat=4):
         assert table.top[tup] == brute_value(net, 3, taus, tup[0], tup[1:])
 
@@ -220,7 +220,7 @@ def test_state_budget_capacity_error(monkeypatch):
 def test_policy_moves_are_reachable():
     net = cycle_net(8)
     taus = [0.25, 0.25, 0.25]
-    _, policy = solve_finite(net, 1, taus, store_policy=True)
+    policy = solve_finite(net, 1, taus, store_policy=True)
     for m in range(1, 4):
         t = taus[3 - m]
         rs = reach_set(net, t)
@@ -235,9 +235,9 @@ def test_policy_moves_are_reachable():
 def test_playout_optimal_vs_optimal_attains_table_value():
     net = cycle_net(8)
     taus = [0.25] * 4
-    table, policy = solve_finite(net, 1, taus, store_policy=True)
+    table = solve_finite(net, 1, taus, store_policy=True)
     for start in [(0, 4), (1, 5), (0, 1), (2, 2), (3, 7)]:
-        traj = policy_playout(net, policy, policy, start, taus)
+        traj = policy_playout(net, table, table, start, taus)
         assert trajectory_value(traj) == table.top[start]
 
 
@@ -269,25 +269,46 @@ class IndexSource:
 def test_playout_cross_evaluations():
     net = cycle_net(8)
     taus = [0.25] * 4
-    table, policy = solve_finite(net, 1, taus, store_policy=True)
+    table = solve_finite(net, 1, taus, store_policy=True)
     follower = IndexSource(net, taus)
     start = antipodal_pair(net)
-    vs_follower = policy_playout(net, policy, follower, start, taus)
+    vs_follower = policy_playout(net, table, follower, start, taus)
     assert trajectory_value(vs_follower) >= table.top[start]
 
     net_i = interval_net3()
     taus_i = [0.5] * 4
-    table_i, policy_i = solve_finite(net_i, 1, taus_i, store_policy=True)
+    table_i = solve_finite(net_i, 1, taus_i, store_policy=True)
     stand_still = IndexSource(net_i, taus_i)
     r, c = net_i.index_of((0, 1.0)), net_i.index_of((0, 0.0))
-    traj = policy_playout(net_i, stand_still, policy_i, (r, c), taus_i)
+    traj = policy_playout(net_i, stand_still, table_i, (r, c), taus_i)
     assert traj.captured
     assert trajectory_value(traj) == 0.0
 
 
+def test_table_without_policy_answers_no_move():
+    net = cycle_net(8)
+    taus = [0.25] * 2
+    table = solve_finite(net, 1, taus)
+    assert table.moves == {}
+    with pytest.raises(PlayoutError, match="no robber policy layer"):
+        policy_playout(net, table, table, (0, 4), taus)
+    with pytest.raises(PlayoutError, match="no cop policy layer"):
+        policy_playout(net, IndexSource(net, taus), table, (0, 4), taus)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_moves_hold_one_arg_table_per_axis(k):
+    net = cycle_net(8)
+    table = solve_finite(net, k, [0.25] * 2, store_policy=True)
+    assert sorted(table.moves) == [1, 2]
+    for m in (1, 2):
+        assert len(table.moves[m]) == k + 1
+        assert all(arg.shape == (net.size,) * (k + 1) for arg in table.moves[m])
+
+
 def test_playout_horizon_mismatch_error():
     net = interval_net3()
-    _, policy = solve_finite(net, 1, [0.5], store_policy=True)
+    policy = solve_finite(net, 1, [0.5], store_policy=True)
     with pytest.raises(PlayoutError):
         policy_playout(net, policy, policy, (2, 0), [0.5, 0.5])
 
@@ -297,7 +318,7 @@ def test_playout_budget_violation_error():
     a, b = net.index_of((0, 0.0)), net.index_of((0, 1.0))
     taus = [0.1, 0.1]
     teleporter = IndexSource(net, taus, robber_to=lambda r: a if r == b else b)
-    _, policy = solve_finite(net, 1, taus, store_policy=True)
+    policy = solve_finite(net, 1, taus, store_policy=True)
     with pytest.raises(PlayoutError, match="budget"):
         policy_playout(net, teleporter, policy, (2, 0), taus)
 
@@ -305,7 +326,7 @@ def test_playout_budget_violation_error():
 def test_captured_playout_computes_no_gap(monkeypatch):
     net = cycle_net(8)
     taus = [0.25] * 3
-    _, policy = solve_finite(net, 2, taus, store_policy=True)
+    policy = solve_finite(net, 2, taus, store_policy=True)
     calls = []
     distance = net.space.distance
     monkeypatch.setattr(net.space, "distance",
@@ -331,7 +352,7 @@ def test_volatile_zero_perturbation_identical():
     net = cycle_net(8)
     taus = [0.25, 0.25]
     pert = Perturbation([0.0, 0.0, 0.0])
-    plain, _ = solve_finite(net, 1, taus)
+    plain = solve_finite(net, 1, taus)
     for side in ("cop_guarantee", "robber_guarantee"):
         vol = solve_volatile(net, 1, taus, pert, side)
         assert np.array_equal(vol.top, plain.top)
@@ -353,7 +374,7 @@ def test_volatile_sandwich_order():
     pert = Perturbation([0.25, 0.0])
     lo = solve_volatile(net, 1, taus, pert, "cop_guarantee")
     hi = solve_volatile(net, 1, taus, pert, "robber_guarantee")
-    mid, _ = solve_finite(net, 1, taus)
+    mid = solve_finite(net, 1, taus)
     assert (lo.top <= mid.top).all()
     assert (mid.top <= hi.top).all()
 
@@ -454,7 +475,7 @@ def test_limit_value_matches_explicit_resolve():
     # the uniform fast path must agree with independent fixed-N solves
     net = cycle_net(8)
     res = limit_value(net, 1, Agility.uniform(0.25), 1e-12, 8)
-    table, _ = solve_finite(net, 1, [0.25] * res.achieved_N)
+    table = solve_finite(net, 1, [0.25] * res.achieved_N)
     assert np.array_equal(res.values, table.top)
 
 
@@ -463,7 +484,7 @@ def test_limit_value_decreasing_agility():
     res = limit_value(net, 1, Agility.harmonic(0.5), 1e-9, 8)
     assert res.achieved_N >= 2
     # the doubling driver must agree with a direct fixed-horizon solve
-    table, _ = solve_finite(net, 1, Agility.harmonic(0.5).prefix(res.achieved_N))
+    table = solve_finite(net, 1, Agility.harmonic(0.5).prefix(res.achieved_N))
     assert np.array_equal(res.values, table.top)
 
 
@@ -498,7 +519,7 @@ def theta_net():
 def reference_limit(net, k, t, tol, N_max):
     """Horizon doubling over independent fixed-N solves, no fixed-point skip."""
     def top(N):
-        return solve_finite(net, k, [t] * N)[0].top
+        return solve_finite(net, k, [t] * N).top
     return solver._doubling(top, 1, N_max, tol)
 
 
@@ -512,7 +533,7 @@ def test_limit_value_stops_sweeping_at_fixed_point(monkeypatch):
     # on the theta net with k=1 and t=0.25, layer 6 is the first fixed
     # point: sweep 7 returns it unchanged, between checkpoints 4 and 8
     net = theta_net()
-    V = [solve_finite(net, 1, [0.25] * n)[0].top for n in range(9)]
+    V = [solve_finite(net, 1, [0.25] * n).top for n in range(9)]
     assert not np.array_equal(V[5], V[6]) and np.array_equal(V[6], V[7])
     calls = []
     sweep = solver._sweep

@@ -12,6 +12,7 @@ from pursuit.errors import (
     ConfigError,
     MalformedPointError,
 )
+from pursuit.solver import Perturbation
 from pursuit.spaces import (
     BallSpace,
     MetricGraphSpace,
@@ -514,6 +515,21 @@ def test_space_config_decimal_strings():
     }
     space = space_from_config(cfg)
     assert space.edges[0][2] == 0.1
+
+
+@pytest.mark.parametrize("make", [
+    lambda x: MetricGraphSpace(["a", "b"], [("a", "b", x)]),
+    lambda x: BallSpace(2, x),
+    lambda x: ProductSpace(make_cycle(2.0), x),
+    lambda x: ProductSpace(make_cycle(2.0), 1.0, x),
+    lambda x: build_net(make_interval(1.0), x),
+    lambda x: Perturbation([0.1, x]),
+], ids=["edge-length", "ball-radius", "fiber-length", "product-p", "net-h",
+        "perturbation"])
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_constructors_reject_non_finite_lengths(make, x):
+    with pytest.raises(ConfigError, match="finite"):
+        make(x)
 
 
 def test_space_config_errors():

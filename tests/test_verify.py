@@ -317,7 +317,7 @@ def test_probe_rejects_foreign_coarse():
 
 def test_exhaustive_matches_solver_on_randomized_instances():
     for net, k, taus in random_oracle_instances(5, seed=11):
-        table, _ = solve_finite(net, k, taus)
+        table = solve_finite(net, k, taus)
         for tup in np.ndindex(*table.top.shape):
             assert table.top[tup] == exhaustive_value(net, k, taus, tup[0], tup[1:])
 

@@ -14,7 +14,7 @@ array larger than one value layer:
                          twice the accumulated adversary radius
 * ``minmax-gap``         coarse-policy cross-evaluation gap <= 4 * radius
 * ``oracle-equivalence`` the layered solver equals a memoization-free
-                         exhaustive game-tree search
+                         alpha-beta game-tree search, exact at the root
 
 The default instance pack uses dyadic edge lengths and spacings so the
 exact checks run on exactly representable arithmetic; tolerances are 0 for
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, MalformedPointError
 from .game import Agility, subdivide, trajectory_value
 from .solver import (
     REACH_SLACK,
@@ -77,36 +77,44 @@ class LemmaReport:
 
 
 def exhaustive_value(net: Net, k: int, taus, r: int, cops) -> float:
-    """Memoization-free exhaustive minimax over the net game tree, scoring
-    the final distance.
+    """Memoization-free alpha-beta minimax over the net game tree, scoring
+    the final distance; min and max are exact, so the root, searched with
+    the window (-inf, inf), gets the full tree's value bit for bit.
 
     Kept deliberately independent of the layered solver: plain recursion
     over reach lists recomputed from the distance matrix.
     """
-    D = net.matrix
     P = net.size
+    start = (int(r), *(int(c) for c in cops))
+    if len(start) != k + 1 or not all(0 <= i < P for i in start):
+        raise ValueError(f"want a robber and k={k} cops in [0, {P}), got {start}")
+    D = net.matrix.tolist()
     taus = list(taus)
     slack = 1e-12
+    reach = [[[j for j, d in enumerate(row) if d <= t + slack] for row in D]
+             for t in taus]
 
-    def reach(i, t):
-        return [j for j in range(P) if D[i, j] <= t + slack]
-
-    def rec(r, cops, m):
+    def rec(r, cops, m, alpha, beta):
         if m == 0:
-            return min(D[r, c] for c in cops)
-        t = taus[len(taus) - m]
+            return min(D[r][c] for c in cops)
+        step = reach[len(taus) - m]
         best = -math.inf
-        for rn in reach(r, t):
+        for rn in step[r]:
+            lo = max(alpha, best)
             worst = math.inf
-            for cn in itertools.product(*[reach(c, t) for c in cops]):
-                v = rec(rn, cn, m - 1)
+            for cn in itertools.product(*[step[c] for c in cops]):
+                v = rec(rn, cn, m - 1, lo, min(beta, worst))
                 if v < worst:
                     worst = v
+                    if worst <= lo:
+                        break
             if worst > best:
                 best = worst
+                if best >= beta:
+                    break
         return best
 
-    return rec(int(r), tuple(int(c) for c in cops), len(taus))
+    return rec(start[0], start[1:], len(taus), -math.inf, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +122,11 @@ def exhaustive_value(net: Net, k: int, taus, r: int, cops) -> float:
 
 
 def _coarse_to_fine(net: Net, coarse: Net) -> list:
+    if coarse.space.describe() != net.space.describe():
+        raise ConfigError("coarse net lies in another space than the fine net")
     try:
         return [net.index_of(p) for p in coarse.points]
-    except Exception as exc:
+    except MalformedPointError as exc:
         raise ConfigError(
             f"coarse net is not a subset of the fine net: {exc}"
         ) from exc
@@ -175,10 +185,10 @@ def minmax_gap_probe(net: Net, k: int, tau: Agility, eps: float, N: int,
     """Cross-evaluate optimal fine-net policies against policies solved on a
     coarse net and lifted back onto the fine net.
 
-    Every point of ``coarse`` must be a point of ``net`` (within 1e-9),
-    otherwise :class:`ConfigError` is raised.  ``eps`` is the caller's bound
-    on the distance from a fine point to its nearest coarse point; it is
-    reported, not checked.  ``upper`` plays the
+    ``coarse`` must lie in the space of ``net``, and each of its points must
+    be a point of ``net`` (within 1e-9), else :class:`ConfigError` is raised.
+    ``eps`` is the caller's bound on the distance from a fine point to its
+    nearest coarse point; it is reported, not checked.  ``upper`` plays the
     fine-optimal robber against the lifted cops, ``lower`` the lifted robber
     against the fine-optimal cops, over the first ``N`` steps of ``tau``;
     the reported gap is the worst ``upper - lower`` over all start tuples.
@@ -440,7 +450,8 @@ def _guard_instance(inst, net) -> None:
 
 
 def _oracle_nodes(net, k: int, taus) -> int:
-    """Nodes that ``exhaustive_value`` visits over all start tuples.
+    """Nodes of the full game trees of all start tuples: an upper bound on
+    the nodes the pruned ``exhaustive_value`` visits.
 
     At depth d each player independently follows one of ``paths_d(i)``
     move sequences from its start ``i``, so summed over the ``k + 1``

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -12,7 +13,7 @@ from pursuit import verify
 from pursuit.errors import CapacityError, ConfigError
 from pursuit.game import Agility
 from pursuit.solver import solve_finite
-from pursuit.spaces import Net, build_net, space_from_config
+from pursuit.spaces import BallSpace, Net, build_net, space_from_config
 from pursuit.verify import (
     LEMMA_IDS,
     default_pack,
@@ -311,8 +312,106 @@ def test_probe_rejects_foreign_coarse():
         minmax_gap_probe(fine, 1, Agility.uniform(0.5), 0.25, 2, coarse=alien)
 
 
+def test_probe_rejects_coarse_net_of_another_space():
+    # the interval net's points (0, 0.0), (0, 0.5), (0, 1.0) read as ball points
+    fine = build_net(BallSpace(2), 0.5)
+    other = build_net(make_interval(1.0), 0.5)
+    assert (fine.size, other.size) == (25, 3)
+    with pytest.raises(ConfigError, match="another space"):
+        minmax_gap_probe(fine, 1, Agility.uniform(0.5), 0.5, 2, coarse=other)
+
+
 # ---------------------------------------------------------------------------
 # oracle helpers
+
+
+def reference_exhaustive_value(net, k, taus, r, cops):
+    """The unpruned oracle: full minimax over the game tree."""
+    D = net.matrix
+    P = net.size
+    taus = list(taus)
+    slack = 1e-12
+
+    def reach(i, t):
+        return [j for j in range(P) if D[i, j] <= t + slack]
+
+    def rec(r, cops, m):
+        if m == 0:
+            return min(D[r, c] for c in cops)
+        t = taus[len(taus) - m]
+        best = -math.inf
+        for rn in reach(r, t):
+            worst = math.inf
+            for cn in itertools.product(*[reach(c, t) for c in cops]):
+                v = rec(rn, cn, m - 1)
+                if v < worst:
+                    worst = v
+            if worst > best:
+                best = worst
+        return best
+
+    return rec(int(r), tuple(int(c) for c in cops), len(taus))
+
+
+def assert_oracle_equals_reference(net, k, taus, tuples):
+    for tup in tuples:
+        want = reference_exhaustive_value(net, k, taus, tup[0], tup[1:])
+        got = exhaustive_value(net, k, taus, tup[0], tup[1:])
+        assert got == want and np.signbit(got) == np.signbit(want), (tup, got, want)
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_pruned_oracle_equals_reference_on_random_instances(seed):
+    for net, k, taus in random_oracle_instances(20, seed=seed):
+        assert_oracle_equals_reference(
+            net, k, taus, itertools.product(range(net.size), repeat=k + 1))
+
+
+@pytest.mark.parametrize("inst", default_pack(), ids=lambda inst: inst["name"])
+def test_pruned_oracle_equals_reference_on_default_pack(inst):
+    # instances without an oracle horizon are searched two steps deep
+    net = build_net(space_from_config(inst["space"]), inst["h"])
+    k = inst["k"]
+    assert_oracle_equals_reference(
+        net, k, inst["taus"][:inst.get("oracle_N", 2)],
+        itertools.product(range(net.size), repeat=k + 1))
+
+
+@st.composite
+def tied_oracle_games(draw):
+    """Symmetric matrices over {0, 0.5, 1, 1.5} with a zero diagonal, steps
+    from {0, 0.5, 1} (zero-length steps included) and one start tuple; at
+    most 15 625 leaves per tree."""
+    P = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 2))
+    N = draw(st.integers(1, 3 if k == 1 else 2))
+    half = st.sampled_from([0.0, 0.5, 1.0, 1.5])
+    matrix = np.zeros((P, P))
+    for i, j in itertools.combinations(range(P), 2):
+        matrix[i, j] = matrix[j, i] = draw(half)
+    taus = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=N, max_size=N))
+    tup = draw(st.tuples(*[st.integers(0, P - 1)] * (k + 1)))
+    return Net(None, list(range(P)), 0.5, matrix), k, taus, tup
+
+
+@given(tied_oracle_games())
+@settings(max_examples=300, deadline=None)
+def test_pruned_oracle_equals_reference_on_tied_matrices(game):
+    net, k, taus, tup = game
+    assert_oracle_equals_reference(net, k, taus, [tup])
+
+
+@pytest.mark.parametrize("k,r,cops", [
+    (2, 0, (0,)),     # one cop for two
+    (1, 0, (0, 2)),   # two cops for one
+    (1, -1, (0,)),    # a negative robber index
+    (1, 0, (3,)),     # a cop index past the net
+])
+def test_exhaustive_value_rejects_bad_arguments(k, r, cops):
+    net = build_net(make_interval(1.0), 0.5)
+    assert net.size == 3
+    with pytest.raises(ValueError):
+        exhaustive_value(net, k, [0.5], r, cops)
 
 
 def test_exhaustive_matches_solver_on_randomized_instances():

@@ -32,16 +32,15 @@ def pad_reach(indptr, indices) -> np.ndarray:
     return rows
 
 
-def reach_filter(values, indptr, indices, axis, mode, want_arg=False, *, rows=None):
+def reach_filter(values, indptr, indices, axis, mode, want_arg=False, *, rows):
     """Extreme-over-reach filter along one axis of a dense layer.
 
     ``out[..., i, ...] = mode over j in reach(i) of values[..., j, ...]``.
     Ties resolve to the lowest reach index (reach lists are ascending).
-    ``rows`` is ``pad_reach(indptr, indices)``, built here when not given.
+    ``rows`` is ``pad_reach(indptr, indices)``.
     Returns the filtered array, and the arg table too if ``want_arg``.
     """
     fold, better = (np.minimum, np.less) if mode == "min" else (np.maximum, np.greater)
-    rows = pad_reach(indptr, indices) if rows is None else rows
     values = np.asarray(values, dtype=np.float64)
     shape = values.shape
     P = indptr.size - 1

@@ -39,33 +39,33 @@ _BLOCK_ENTRIES = 8192  # matrix entries per row block of a graph net build
 
 
 class Space:
-    """Abstract geodesic space interface."""
+    """A compact geodesic space, as the game uses it: the metric, and moves
+    of bounded length along a geodesic.
 
-    kind = "abstract"
+    ``distance(p, q)`` and ``step_toward(p, q, t)`` are the only public
+    queries.  Each validates both points once with ``validate_point``
+    (which raises :class:`MalformedPointError`), ``step_toward`` rejects a
+    negative budget, and then the subclass's ``_distance(p, q)`` or
+    ``_step(p, q, t)`` answers.  Code that already holds valid points, such
+    as net points or a product's factors, calls those two directly.  A
+    subclass also defines ``random_point``, ``describe`` and the JSON codec
+    ``point_to_json`` / ``point_from_json``; ``point_from_json`` takes a
+    JSON list and parses its numbers as config numbers are parsed.
+    """
 
     def distance(self, p, q) -> float:
-        raise NotImplementedError
+        self.validate_point(p)
+        self.validate_point(q)
+        return self._distance(p, q)
 
     def step_toward(self, p, q, t: float):
         """Point on a geodesic from ``p`` to ``q`` at distance ``min(t, d(p,q))``
         from ``p``. ``t`` must be nonnegative; ``t >= d`` returns ``q``."""
-        raise NotImplementedError
-
-    def validate_point(self, p) -> None:
-        raise NotImplementedError
-
-    def random_point(self, rng: np.random.Generator):
-        raise NotImplementedError
-
-    def describe(self) -> dict:
-        """JSON-ready description of the space."""
-        raise NotImplementedError
-
-    def point_to_json(self, p):
-        raise NotImplementedError
-
-    def point_from_json(self, obj):
-        raise NotImplementedError
+        self.validate_point(p)
+        self.validate_point(q)
+        if t < 0:
+            raise ValueError("negative travel budget")
+        return self._step(p, q, t)
 
 
 def _norm(v) -> float:
@@ -92,8 +92,6 @@ class MetricGraphSpace(Space):
     deterministic predecessor tie-break), so point queries are O(1) plus a
     constant number of endpoint combinations.
     """
-
-    kind = "metric_graph"
 
     def __init__(self, vertices, edges):
         self.vertex_ids = [str(v) for v in vertices]
@@ -162,7 +160,7 @@ class MetricGraphSpace(Space):
             e, off = p
             e = int(e)
             off = float(off)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedPointError(f"not a graph point: {p!r}") from exc
         if not 0 <= e < len(self.edges):
             raise MalformedPointError(f"edge index {e} out of range")
@@ -186,7 +184,8 @@ class MetricGraphSpace(Space):
         return [int(p[0]), float(p[1])]
 
     def point_from_json(self, obj):
-        p = (int(obj[0]), float(obj[1]))
+        e, off = _json_list(obj, 2)
+        p = (_whole(e), _num(off))
         self.validate_point(p)
         return p
 
@@ -207,9 +206,7 @@ class MetricGraphSpace(Space):
         u, v, length = self.edges[e]
         return (u, off, 0.0), (v, length - off, length)
 
-    def distance(self, p, q) -> float:
-        self.validate_point(p)
-        self.validate_point(q)
+    def _distance(self, p, q) -> float:
         # canonical argument order makes symmetry exact
         p, q = sorted([(int(p[0]), float(p[1])), (int(q[0]), float(q[1]))])
         (ep, op_), (eq, oq) = p, q
@@ -231,8 +228,6 @@ class MetricGraphSpace(Space):
         sum is the one ``distance`` forms.  Rows are built in blocks of
         about ``_BLOCK_ENTRIES`` entries, so no temporary is matrix-sized.
         """
-        for p in points:
-            self.validate_point(p)
         n = len(points)
         edge = np.fromiter((int(p[0]) for p in points), np.intp, n)
         off = np.fromiter((float(p[1]) for p in points), float, n)
@@ -304,14 +299,10 @@ class MetricGraphSpace(Space):
             segs.append((eq, off_y, oq))
         return segs
 
-    def step_toward(self, p, q, t: float):
+    def _step(self, p, q, t: float):
         """Walk ``t`` along the shortest route; among routes of equal length
         the one with the smallest edge-id sequence wins (the first candidate
         on a tie), and only tied routes have their segments built."""
-        self.validate_point(p)
-        self.validate_point(q)
-        if t < 0:
-            raise ValueError("negative travel budget")
         ep, op_ = int(p[0]), float(p[1])
         eq, oq = int(q[0]), float(q[1])
         if t == 0.0:
@@ -349,17 +340,34 @@ class MetricGraphSpace(Space):
 
 
 # ---------------------------------------------------------------------------
-# Euclidean balls
+# Coordinate vectors: Euclidean balls and round spheres
 
 
-class BallSpace(Space):
+class _VectorSpace(Space):
+    """A space whose points are float coordinate vectors."""
+
+    @staticmethod
+    def _coords(p, n: int) -> np.ndarray:
+        arr = np.asarray(p, dtype=float)
+        if arr.shape != (n,):
+            raise MalformedPointError(f"expected {n} coordinates, got shape {arr.shape}")
+        return arr
+
+    def point_to_json(self, p):
+        return [float(x) for x in np.asarray(p, float)]
+
+    def point_from_json(self, obj):
+        p = np.array([_num(x) for x in _json_list(obj)])
+        self.validate_point(p)
+        return p
+
+
+class BallSpace(_VectorSpace):
     """Closed Euclidean ball of given dimension and radius.
 
     The ball is convex, so the intrinsic metric coincides with the Euclidean
     one and geodesics are chords.
     """
-
-    kind = "ball"
 
     def __init__(self, dimension: int, radius: float = 1.0):
         if dimension < 1:
@@ -370,25 +378,14 @@ class BallSpace(Space):
         self.radius = float(radius)
 
     def validate_point(self, p) -> None:
-        arr = np.asarray(p, dtype=float)
-        if arr.shape != (self.dimension,):
-            raise MalformedPointError(
-                f"expected {self.dimension} coordinates, got shape {arr.shape}"
-            )
-        norm = _norm(arr)
+        norm = _norm(self._coords(p, self.dimension))
         if norm > self.radius + NORM_TOL:
             raise MalformedPointError(f"norm {norm} exceeds radius {self.radius}")
 
-    def distance(self, p, q) -> float:
-        self.validate_point(p)
-        self.validate_point(q)
+    def _distance(self, p, q) -> float:
         return _norm(np.asarray(p, float) - np.asarray(q, float))
 
-    def step_toward(self, p, q, t: float):
-        self.validate_point(p)
-        self.validate_point(q)
-        if t < 0:
-            raise ValueError("negative travel budget")
+    def _step(self, p, q, t: float):
         p = np.asarray(p, float)
         q = np.asarray(q, float)
         if t == 0.0:
@@ -409,14 +406,6 @@ class BallSpace(Space):
     def describe(self) -> dict:
         return {"type": "ball", "dimension": self.dimension, "radius": repr(self.radius)}
 
-    def point_to_json(self, p):
-        return [float(x) for x in np.asarray(p, float)]
-
-    def point_from_json(self, obj):
-        p = np.asarray(obj, dtype=float)
-        self.validate_point(p)
-        return p
-
     def pairwise(self, points) -> np.ndarray:
         arr = np.asarray(points, float)
         diff = arr[:, None, :] - arr[None, :, :]
@@ -424,11 +413,7 @@ class BallSpace(Space):
         return np.minimum(out, out.T)
 
 
-# ---------------------------------------------------------------------------
-# Round spheres
-
-
-class SphereSpace(Space):
+class SphereSpace(_VectorSpace):
     """Unit sphere of dimension ``n`` embedded in ``n+1`` coordinates.
 
     Distance is the great-circle angle in ``[0, pi]`` computed with the
@@ -438,8 +423,6 @@ class SphereSpace(Space):
     circle, around the first coordinate axis otherwise) to pick one geodesic
     reproducibly.
     """
-
-    kind = "sphere"
 
     def __init__(self, dimension: int):
         if dimension < 1:
@@ -451,17 +434,11 @@ class SphereSpace(Space):
         return self.dimension + 1
 
     def validate_point(self, p) -> None:
-        arr = np.asarray(p, dtype=float)
-        if arr.shape != (self.ambient,):
-            raise MalformedPointError(
-                f"expected {self.ambient} coordinates, got shape {arr.shape}"
-            )
+        arr = self._coords(p, self.ambient)
         if abs(_norm(arr) - 1.0) > NORM_TOL:
             raise MalformedPointError(f"point is not on the unit sphere: {arr}")
 
-    def distance(self, p, q) -> float:
-        self.validate_point(p)
-        self.validate_point(q)
+    def _distance(self, p, q) -> float:
         u = np.asarray(p, float)
         v = np.asarray(q, float)
         return 2.0 * math.atan2(_norm(u - v), _norm(u + v))
@@ -494,16 +471,12 @@ class SphereSpace(Space):
             nw = _norm(w)
         return w / nw
 
-    def step_toward(self, p, q, t: float):
-        self.validate_point(p)
-        self.validate_point(q)
-        if t < 0:
-            raise ValueError("negative travel budget")
+    def _step(self, p, q, t: float):
         p = np.asarray(p, float)
         q = np.asarray(q, float)
         if t == 0.0:
             return p.copy()
-        theta = self.distance(p, q)
+        theta = self._distance(p, q)
         if t >= theta:
             return q.copy()
         if math.pi - theta <= 1e-12:
@@ -528,14 +501,6 @@ class SphereSpace(Space):
     def describe(self) -> dict:
         return {"type": "sphere", "dimension": self.dimension}
 
-    def point_to_json(self, p):
-        return [float(x) for x in np.asarray(p, float)]
-
-    def point_from_json(self, obj):
-        p = np.asarray(obj, dtype=float)
-        self.validate_point(p)
-        return p
-
     def pairwise(self, points) -> np.ndarray:
         arr = np.asarray(points, float)
         diff = np.linalg.norm(arr[:, None, :] - arr[None, :, :], axis=2)
@@ -554,8 +519,6 @@ class ProductSpace(Space):
     ``d_p((a,s),(b,t)) = (d(a,b)^p + |s-t|^p)^(1/p)``; when the fiber
     coordinates coincide this reduces to the base distance exactly.
     """
-
-    kind = "product"
 
     def __init__(self, base: Space, fiber_length: float = 1.0, p: float = 2.0):
         if not 0 < fiber_length < math.inf:
@@ -590,27 +553,21 @@ class ProductSpace(Space):
             return math.hypot(d_base, d_fiber)
         return (d_base**self.p + d_fiber**self.p) ** (1.0 / self.p)
 
-    def distance(self, pt, qt) -> float:
-        self.validate_point(pt)
-        self.validate_point(qt)
+    def _distance(self, pt, qt) -> float:
         return self.combine(
-            self.base.distance(pt[0], qt[0]), abs(float(pt[1]) - float(qt[1]))
+            self.base._distance(pt[0], qt[0]), abs(float(pt[1]) - float(qt[1]))
         )
 
-    def step_toward(self, pt, qt, t: float):
-        self.validate_point(pt)
-        self.validate_point(qt)
-        if t < 0:
-            raise ValueError("negative travel budget")
+    def _step(self, pt, qt, t: float):
         if t == 0.0:
-            return (self.base.step_toward(pt[0], pt[0], 0.0), float(pt[1]))
-        d_base = self.base.distance(pt[0], qt[0])
+            return (self.base._step(pt[0], pt[0], 0.0), float(pt[1]))
+        d_base = self.base._distance(pt[0], qt[0])
         ds = float(qt[1]) - float(pt[1])
         total = self.combine(d_base, abs(ds))
         if t >= total or total == 0.0:
-            return (self.base.step_toward(qt[0], qt[0], 0.0), float(qt[1]))
+            return (self.base._step(qt[0], qt[0], 0.0), float(qt[1]))
         lam = t / total
-        b = self.base.step_toward(pt[0], qt[0], lam * d_base)
+        b = self.base._step(pt[0], qt[0], lam * d_base)
         return (b, float(pt[1]) + lam * ds)
 
     def random_point(self, rng: np.random.Generator):
@@ -628,7 +585,8 @@ class ProductSpace(Space):
         return [self.base.point_to_json(pt[0]), float(pt[1])]
 
     def point_from_json(self, obj):
-        pt = (self.base.point_from_json(obj[0]), float(obj[1]))
+        b, s = _json_list(obj, 2)
+        pt = (self.base.point_from_json(b), _num(s))
         self.validate_point(pt)
         return pt
 
@@ -654,13 +612,14 @@ class Net:
         return len(self.points)
 
     def nearest_index(self, point) -> int:
-        dists = [self.space.distance(point, p) for p in self.points]
+        self.space.validate_point(point)
+        dists = [self.space._distance(point, p) for p in self.points]
         return int(np.argmin(dists))
 
     def index_of(self, point) -> int:
         """Index of a net point coinciding with ``point`` (within 1e-9)."""
         i = self.nearest_index(point)
-        if self.space.distance(point, self.points[i]) > 1e-9:
+        if self.space._distance(point, self.points[i]) > 1e-9:
             raise MalformedPointError(f"point {point!r} is not aligned with the net")
         return i
 
@@ -766,7 +725,7 @@ def _icosphere_net(space: SphereSpace, h: float, budget: int):
         worst = 0.0
         for a, b, c in fs:
             for i, j in ((a, b), (b, c), (c, a)):
-                worst = max(worst, space.distance(vs[i], vs[j]))
+                worst = max(worst, space._distance(vs[i], vs[j]))
         return worst
 
     while max_edge(verts, faces) > h:
@@ -797,7 +756,7 @@ def _icosphere_net(space: SphereSpace, h: float, budget: int):
         center = normal / nn
         if np.dot(center, verts[a] + verts[b] + verts[c]) < 0:
             center = -center
-        cover = max(cover, space.distance(center, verts[a]))
+        cover = max(cover, space._distance(center, verts[a]))
     return verts, cover
 
 
@@ -853,7 +812,7 @@ def build_net(space: Space, h: float, point_budget: int = DEFAULT_POINT_BUDGET) 
         cover = space.combine(base_net.h, fiber_cover)
         return Net(space, points, cover, matrix, requested_h=h)
     else:
-        raise ConfigError(f"no net construction for space kind {space.kind!r}")
+        raise ConfigError(f"no net construction for {type(space).__name__}")
     matrix = space.pairwise(points)
     return Net(space, points, min(cover, h), matrix, requested_h=h)
 
@@ -871,6 +830,14 @@ def _num(value) -> float:
     if not math.isfinite(x):
         raise ValueError(f"{value!r} is not a finite number")
     return x
+
+
+def _json_list(obj, length: int | None = None) -> list:
+    """A JSON point's list of entries, checked for ``length`` when given."""
+    if not isinstance(obj, list) or (length is not None and len(obj) != length):
+        want = "a list" if length is None else f"a list of {length} entries"
+        raise MalformedPointError(f"a point must be {want}, got {obj!r}")
+    return obj
 
 
 def _whole(value) -> int:

@@ -281,6 +281,18 @@ def test_integral_numeric_fields_accept_whole_floats(tmp_path):
 
 _BALL_PLAY = _PLAY | {"space": {"type": "ball", "dimension": 2},
                       "start": {"robber": [0.5, 0.0], "cops": [[0.0, 0.0]]}}
+_BALL1_PLAY = _PLAY | {"space": {"type": "ball", "dimension": 1},
+                       "start": {"robber": [0.5], "cops": [[0.0]]}}
+_PRODUCT_PLAY = _PLAY | {"space": {"type": "product", "base": INTERVAL},
+                         "start": {"robber": [[0, 1.0], 0.5], "cops": [[[0, 0.0], 0.0]]}}
+
+
+def _start(base, robber=None, cop=None):
+    """``base`` with one start point replaced."""
+    start = base["start"] | ({"robber": robber} if cop is None else {"cops": [cop]})
+    return base | {"start": start}
+
+
 _BAD_INPUTS = [
     ("solve", 5, "config"),
     ("copnumber", 5, "config"),
@@ -308,6 +320,14 @@ _BAD_INPUTS = [
      "seed"),
     ("play", _PLAY | {"robber": {"name": "greedy_robber",
                                  "params": {"samples": -1}}}, "samples"),
+    # start points: a graph point is [edge, offset] with a whole edge id and
+    # a finite offset, a ball point a list of numbers, a product point
+    # [base point, fiber]; booleans are not numbers
+    *[("play", _start(_PLAY, robber=point), "start") for point in
+      ([0.5, 1.0], [False, 1.0], [0, True], "01", [0, 0.5, 7], [math.inf, 1.0])],
+    ("play", _start(_BALL_PLAY, robber=[True, 0.0]), "start"),
+    ("play", _start(_PRODUCT_PLAY, cop=[[0, 0.0], True]), "start"),
+    ("play", _start(_BALL1_PLAY, robber="0"), "start"),
 ]
 
 

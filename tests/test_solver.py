@@ -691,7 +691,8 @@ def test_reach_filter_matches_loop(net_maker, k, t, mode, want_arg):
     for layer in (V, V.T):
         for axis in range(k + 1):
             want_out, want_idx = loop_filter(layer, rs, axis, mode)
-            got = reach_filter(layer, rs.indptr, rs.indices, axis, mode, want_arg)
+            got = reach_filter(layer, rs.indptr, rs.indices, axis, mode, want_arg,
+                               rows=rs.rows)
             out, idx = got if want_arg else (got, None)
             assert out.tobytes() == want_out.tobytes()
             if want_arg:

@@ -82,6 +82,29 @@ def test_distance_rejects_malformed_points():
         sph.distance(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
 
 
+# one malformed point per space: an edge id or offset out of range, an
+# infinite edge id, a point outside the ball, the wrong shape, off the sphere
+_MALFORMED = {
+    "interval": (5, 0.1), "cycle": (0, 3.0), "star": (math.inf, 0.0),
+    "ball1": np.array([2.0]), "ball2": np.zeros(3), "circle": np.array([0.5, 0.5]),
+    "sphere2": np.array([1.0, 0.0]), "cyl": ((0, 0.5), 2.0),
+}
+
+
+@pytest.mark.parametrize("name", ALL_SPACES)
+def test_public_queries_check_points_and_budget(name, rng):
+    space = space_by_name(name)
+    p, q = space.random_point(rng), space.random_point(rng)
+    with pytest.raises(ValueError, match="negative travel budget"):
+        space.step_toward(p, q, -0.1)
+    bad = _MALFORMED[name]
+    for args in ((bad, q), (p, bad)):
+        with pytest.raises(MalformedPointError):
+            space.distance(*args)
+        with pytest.raises(MalformedPointError):
+            space.step_toward(*args, 0.5)
+
+
 def test_vertex_alias_zero_distance():
     space = make_cycle(2.0)
     # offset 0 of edge 1 is vertex u, also addressed as offset 0 of edge 0

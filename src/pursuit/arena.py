@@ -10,6 +10,9 @@ Built-in strategies keep a relative 1e-12 safety margin below the budget
 so that floating-point rounding can never trip the budget validator; a
 move that should exactly reach a target still snaps onto it whenever the
 measured distance is within the documented 1e-9 compliance tolerance.
+``run_game`` validates the start (through its first gap) and every move
+(through its budget check), so built-in strategies query the space with
+``_distance``/``_step`` and the batch hooks, which skip validation.
 """
 
 from __future__ import annotations
@@ -49,9 +52,9 @@ def _guarded(t: float) -> float:
 def _reach_or_step(space: Space, frm, target, t: float):
     """Snap onto ``target`` when it is within the budget tolerance,
     otherwise advance the guarded budget along the geodesic."""
-    if space.distance(frm, target) <= t + BUDGET_TOL:
+    if space._distance(frm, target) <= t + BUDGET_TOL:
         return target
-    return space.step_toward(frm, target, _guarded(t))
+    return space._step(frm, target, _guarded(t))
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +99,7 @@ def make_antipodal_robber(space: Space):
         raise UnknownStrategyError("antipodal_robber needs a sphere space")
 
     def move(pos: Position, t: float, n: int):
-        dists = [space.distance(pos.robber, c) for c in pos.cops]
+        dists = [space._distance(pos.robber, c) for c in pos.cops]
         nearest = pos.cops[int(np.argmin(dists))]
         target = -np.asarray(nearest, dtype=float)
         return _reach_or_step(space, pos.robber, target, t)
@@ -127,7 +130,7 @@ def make_radial_cop(space: Space):
             lo, hi = max(0.0, proj - root), min(rn, proj + root)
             if lo <= hi:
                 return hi * rhat
-        return space.step_toward(c, np.zeros(space.dimension), t_eff)
+        return space._step(c, np.zeros(space.dimension), t_eff)
 
     def move(pos: Position, t: float, n: int):
         return tuple(chase_one(c, pos.robber, t) for c in pos.cops)
@@ -177,7 +180,7 @@ def make_cylinder_lift_cop(space: Space, eps: float = 0.1):
             base_budget = np.sqrt(max(0.0, t_eff * t_eff - climb * climb))
         else:
             base_budget = max(0.0, t_eff**space.p - climb**space.p) ** (1.0 / space.p)
-        new_base = space.base.step_toward(c[0], robber[0], base_budget)
+        new_base = space.base._step(c[0], robber[0], base_budget)
         return (new_base, new_s)
 
     def move(pos: Position, t: float, n: int):
@@ -198,13 +201,11 @@ def make_greedy_robber(space: Space, samples: int = 32, seed: int = 0):
     rng = np.random.default_rng(seed)
 
     def move(pos: Position, t: float, n: int):
-        t_eff = _guarded(t)
-        candidates = [pos.robber]
-        for _ in range(samples):
-            candidates.append(space.step_toward(pos.robber, space.random_point(rng), t_eff))
-        scores = [
-            min(space.distance(cand, c) for c in pos.cops) for cand in candidates
-        ]
+        # stepping draws nothing, so drawing every target first keeps the stream
+        targets = [space.random_point(rng) for _ in range(samples)]
+        candidates = [pos.robber] + space._steps(pos.robber, targets,
+                                                 [_guarded(t)] * samples)
+        scores = np.min([space._distances(c, candidates) for c in pos.cops], axis=0)
         return candidates[int(np.argmax(scores))]
 
     return move

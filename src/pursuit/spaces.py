@@ -51,6 +51,13 @@ class Space:
     subclass also defines ``random_point``, ``describe`` and the JSON codec
     ``point_to_json`` / ``point_from_json``; ``point_from_json`` takes a
     JSON list and parses its numbers as config numbers are parsed.
+
+    Two batch hooks answer many queries from one valid origin:
+    ``_distances(p, qs)`` is the float array of ``_distance(p, q)`` over
+    ``qs``, and ``_steps(p, qs, ts)`` the list of ``_step(p, q, t)`` over
+    paired targets and budgets.  By default each is a plain loop over the
+    scalar form; a subclass may override them with array code that gives
+    the same values bit for bit (metric graphs and products do).
     """
 
     def distance(self, p, q) -> float:
@@ -66,6 +73,12 @@ class Space:
         if t < 0:
             raise ValueError("negative travel budget")
         return self._step(p, q, t)
+
+    def _distances(self, p, qs) -> np.ndarray:
+        return np.array([self._distance(p, q) for q in qs], dtype=float)
+
+    def _steps(self, p, qs, ts) -> list:
+        return [self._step(p, q, t) for q, t in zip(qs, ts)]
 
 
 def _norm(v) -> float:
@@ -111,8 +124,9 @@ class MetricGraphSpace(Space):
         if not self.edges:
             raise ConfigError("metric graph needs at least one edge")
         self._build_shortest_paths()
+        self._ends = np.array([(u, v) for u, v, _ in self.edges], dtype=np.intp)
+        self._lengths = lengths = np.array([w for _, _, w in self.edges])
         # the CDF that Generator.choice builds from p = lengths / sum
-        lengths = np.array([w for _, _, w in self.edges])
         cdf = (lengths / lengths.sum()).cumsum()
         cdf /= cdf[-1]
         self._cdf = cdf.tolist()
@@ -158,8 +172,8 @@ class MetricGraphSpace(Space):
     def validate_point(self, p) -> None:
         try:
             e, off = p
-            e = int(e)
-            off = float(off)
+            e = _whole(e)
+            off = _num(off)
         except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedPointError(f"not a graph point: {p!r}") from exc
         if not 0 <= e < len(self.edges):
@@ -219,6 +233,29 @@ class MetricGraphSpace(Space):
                     best = cand
         return best
 
+    def _exit_arrays(self, points):
+        """Edge ids and offsets of ``points`` as arrays, with ``_exits``'s
+        ``(vertex, cost)`` pairs for both ends of each point's edge."""
+        n = len(points)
+        edge = np.fromiter((int(p[0]) for p in points), np.intp, n)
+        off = np.fromiter((float(p[1]) for p in points), float, n)
+        ends = self._ends[edge]
+        return edge, off, ((ends[:, 0], off), (ends[:, 1], self._lengths[edge] - off))
+
+    def _distances(self, p, qs) -> np.ndarray:
+        """``_distance`` from ``p`` to each of ``qs``, bit for bit: as in
+        ``pairwise``, each route is summed from the lexicographically
+        smaller point's side."""
+        ep, op_ = int(p[0]), float(p[1])
+        eq, oq, exits_q = self._exit_arrays(qs)
+        swap = (eq < ep) | ((eq == ep) & (oq < op_))
+        best = np.where(eq == ep, np.abs(op_ - oq), np.inf)
+        for x, cx, _ in self._exits(ep, op_):
+            for y, cy in exits_q:
+                vd = self.vdist[x, y]
+                np.minimum(best, np.where(swap, (cy + vd) + cx, (cx + vd) + cy), out=best)
+        return best
+
     def pairwise(self, points) -> np.ndarray:
         """Matrix of ``distance`` over ``points``, equal to it bit for bit.
 
@@ -229,11 +266,7 @@ class MetricGraphSpace(Space):
         about ``_BLOCK_ENTRIES`` entries, so no temporary is matrix-sized.
         """
         n = len(points)
-        edge = np.fromiter((int(p[0]) for p in points), np.intp, n)
-        off = np.fromiter((float(p[1]) for p in points), float, n)
-        ends = np.array([(u, v) for u, v, _ in self.edges], dtype=np.intp)[edge]
-        rest = np.array([w for _, _, w in self.edges])[edge] - off
-        exits = ((ends[:, 0], off), (ends[:, 1], rest))
+        edge, off, exits = self._exit_arrays(points)
         # edge ids compared as floats (exact): int64 comparisons would page
         # in numpy loops that nothing else in a run uses
         e = edge.astype(float)
@@ -325,9 +358,46 @@ class MetricGraphSpace(Space):
                 if seg_len == 0:
                     continue
                 direction = 1.0 if b > a else -1.0
-                return (ei, a + direction * remaining)
+                return (ei, float(a + direction * remaining))
             remaining -= seg_len
         return (eq, oq)
+
+    def _steps(self, p, qs, ts) -> list:
+        """``_step`` from ``p`` toward each of ``qs`` with budgets ``ts``,
+        bit for bit.  The five route lengths are summed in ``_step``'s order;
+        a target within its budget is returned, and a step that stays inside
+        the first segment of the one shortest route, on the origin's own
+        edge, is ``op_ +- t``.  Every other target (tied routes, ``t == 0``,
+        a step that leaves the edge) goes through ``_step``."""
+        ep, op_ = int(p[0]), float(p[1])
+        eq, oq, exits_q = self._exit_arrays(qs)
+        t = np.array(ts, dtype=float)
+        routes = [np.where(eq == ep, np.abs(oq - op_), np.inf)]
+        for x, cx, _ in self._exits(ep, op_):
+            for y, cy in exits_q:
+                routes.append((cx + self.vdist[x, y]) + cy)
+        routes = np.array(routes)
+        total = routes.min(axis=0)
+        wins = routes == total
+        first = wins.argmax(axis=0)
+        # the shared edge runs to q; exits 1-2 walk down to offset 0 and
+        # exits 3-4 up to the edge's length, each from op_ along edge ep
+        room = np.where(first == 0, np.inf,
+                        np.where(first >= 3, self.edges[ep][2] - op_, op_))
+        up = np.where(first == 0, oq > op_, first >= 3)
+        moving = t != 0.0
+        reached = moving & (t >= total)
+        fast = moving & ~reached & (wins.sum(axis=0) == 1) & (room > 0) & (t <= room)
+        walked = op_ + np.where(up, t, -t)
+        out = []
+        for q, ti, r, f, w in zip(qs, ts, reached.tolist(), fast.tolist(), walked.tolist()):
+            if r:
+                out.append((int(q[0]), float(q[1])))
+            elif f:
+                out.append((ep, w))
+            else:
+                out.append(self._step(p, q, ti))
+        return out
 
     def random_point(self, rng: np.random.Generator):
         """Uniform point by length.  The draw equals
@@ -532,8 +602,8 @@ class ProductSpace(Space):
     def validate_point(self, pt) -> None:
         try:
             b, s = pt
-            s = float(s)
-        except (TypeError, ValueError) as exc:
+            s = _num(s)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedPointError(f"not a product point: {pt!r}") from exc
         self.base.validate_point(b)
         if not -NORM_TOL <= s <= self.fiber_length + NORM_TOL:
@@ -558,17 +628,39 @@ class ProductSpace(Space):
             self.base._distance(pt[0], qt[0]), abs(float(pt[1]) - float(qt[1]))
         )
 
-    def _step(self, pt, qt, t: float):
+    def _distances(self, pt, qts) -> np.ndarray:
+        s = float(pt[1])
+        d_base = self.base._distances(pt[0], [qt[0] for qt in qts]).tolist()
+        return np.array([self.combine(d, abs(s - float(qt[1])))
+                         for d, qt in zip(d_base, qts)], dtype=float)
+
+    def _plan(self, pt, qt, t: float, d_base: float):
+        """A step's product arithmetic, given the base distance: ``(point,
+        None)`` when the step stays at ``pt`` or ends on ``qt``, otherwise
+        ``(fiber coordinate, base budget)`` of a base step toward ``qt[0]``."""
         if t == 0.0:
-            return (self.base._step(pt[0], pt[0], 0.0), float(pt[1]))
-        d_base = self.base._distance(pt[0], qt[0])
+            return (self.base._step(pt[0], pt[0], 0.0), float(pt[1])), None
         ds = float(qt[1]) - float(pt[1])
         total = self.combine(d_base, abs(ds))
         if t >= total or total == 0.0:
-            return (self.base._step(qt[0], qt[0], 0.0), float(qt[1]))
+            return (self.base._step(qt[0], qt[0], 0.0), float(qt[1])), None
         lam = t / total
-        b = self.base._step(pt[0], qt[0], lam * d_base)
-        return (b, float(pt[1]) + lam * ds)
+        return float(float(pt[1]) + lam * ds), lam * d_base
+
+    def _step(self, pt, qt, t: float):
+        head, budget = self._plan(pt, qt, t, self.base._distance(pt[0], qt[0]))
+        return head if budget is None else (self.base._step(pt[0], qt[0], budget), head)
+
+    def _steps(self, pt, qts, ts) -> list:
+        d_base = self.base._distances(pt[0], [qt[0] for qt in qts]).tolist()
+        plans = [self._plan(pt, qt, t, d) for qt, t, d in zip(qts, ts, d_base)]
+        out = [head for head, _ in plans]
+        moving = [i for i, (_, budget) in enumerate(plans) if budget is not None]
+        bases = self.base._steps(pt[0], [qts[i][0] for i in moving],
+                                 [plans[i][1] for i in moving])
+        for i, b in zip(moving, bases):
+            out[i] = (b, plans[i][0])
+        return out
 
     def random_point(self, rng: np.random.Generator):
         return (self.base.random_point(rng), float(rng.uniform(0.0, self.fiber_length)))
@@ -613,8 +705,7 @@ class Net:
 
     def nearest_index(self, point) -> int:
         self.space.validate_point(point)
-        dists = [self.space._distance(point, p) for p in self.points]
-        return int(np.argmin(dists))
+        return int(np.argmin(self.space._distances(point, self.points)))
 
     def index_of(self, point) -> int:
         """Index of a net point coinciding with ``point`` (within 1e-9)."""
@@ -824,7 +915,7 @@ def build_net(space: Space, h: float, point_budget: int = DEFAULT_POINT_BUDGET) 
 def _num(value) -> float:
     """Parse a finite number that may arrive as a decimal string; a boolean
     is not a number."""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{value!r} is not a number")
     x = float(value)
     if not math.isfinite(x):

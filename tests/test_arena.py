@@ -15,7 +15,7 @@ from pursuit.arena import (
 from pursuit.errors import StrategyFaultError, UnknownStrategyError
 from pursuit.game import Agility, Position, robber_cop_distance, trajectory_value
 from pursuit.solver import policy_playout, solve_finite
-from pursuit.spaces import BallSpace, ProductSpace, SphereSpace, build_net
+from pursuit.spaces import BallSpace, MetricGraphSpace, ProductSpace, SphereSpace, build_net
 
 from conftest import make_cycle, make_interval
 
@@ -220,6 +220,54 @@ def test_builtin_budget_feasible_randomized(name, space_maker, rng):
         anchors = [pos.robber] if strat.side == "robber" else list(pos.cops)
         for a, b in zip(anchors, moves):
             assert space.distance(a, b) <= t + 1e-9
+
+
+def reference_greedy_robber(space, samples=32, seed=0):
+    """The greedy robber as first written: one validated ``step_toward`` per
+    drawn target, and every candidate scored with ``distance`` per cop."""
+    rng = np.random.default_rng(seed)
+
+    def move(pos, t, n):
+        t_eff = t * (1.0 - 1e-12)
+        candidates = [pos.robber]
+        for _ in range(samples):
+            candidates.append(space.step_toward(pos.robber, space.random_point(rng), t_eff))
+        scores = [
+            min(space.distance(cand, c) for c in pos.cops) for cand in candidates
+        ]
+        return candidates[int(np.argmax(scores))]
+
+    return move
+
+
+_THETA = MetricGraphSpace(["a", "b"], [("a", "b", 1.0), ("a", "b", 1.5), ("a", "b", 2.0)])
+_STAR = MetricGraphSpace(["c", "x", "y", "z", "w"],
+                         [("c", "x", 1.0), ("c", "y", 1.25), ("c", "z", 1.5), ("c", "w", 0.75)])
+_CYLINDER = ProductSpace(make_cycle(2 * math.pi), fiber_length=1.0, p=2.0)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20240817])
+@pytest.mark.parametrize("name", ["theta", "star", "cylinder", "ball"])
+def test_greedy_robber_equals_reference(name, seed, tmp_path):
+    space, cops, robber, cop_starts, t = {
+        "theta": (_THETA, "follower_cop", (1, 0.7), [(2, 1.0)], 0.05),
+        # the robber crosses the center before it is cornered on a leaf
+        "star": (_STAR, "follower_cop", (1, 0.1), [(2, 1.4), (1, 0.9)], 0.05),
+        "cylinder": (_CYLINDER, "cylinder_lift_cop", ((0, 1.5), 0.3),
+                     [((1, 1.5), 0.8)], 0.07),
+        "ball": (BallSpace(2), "radial_cop", np.array([0.8, 0.0]),
+                 [np.array([-0.4, 0.1])], 0.02),
+    }[name]
+    start = Position(robber, cop_starts)
+    trajectories = []
+    for move in (get_strategy(space, "greedy_robber", seed=seed).move,
+                 reference_greedy_robber(space, seed=seed)):
+        traj = run_game(space, Strategy("greedy_robber", "robber", move),
+                        get_strategy(space, cops), start, Agility.uniform(t), 60)
+        out = tmp_path / f"{len(trajectories)}.jsonl"
+        export_trajectory_jsonl(space, traj, out)
+        trajectories.append(out.read_bytes())
+    assert trajectories[0] == trajectories[1]
 
 
 def test_wrong_space_strategy_errors():

@@ -280,6 +280,178 @@ def test_step_toward_equals_reference_on_equal_edge_theta():
     _assert_steps_match_reference(space, [(p, q) for p in points for q in points])
 
 
+def _assert_same(got, want):
+    """Equal values of the same Python types, through tuples and arrays."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+    elif isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and np.array_equal(got, want), (got, want)
+    else:
+        assert got == want, (got, want)
+
+
+def _assert_batch_equals_loop(space, p, qs, ts):
+    got = space._distances(p, qs)
+    want = [space._distance(p, q) for q in qs]
+    assert type(got) is np.ndarray and got.dtype == float
+    assert got.tolist() == [float(d) for d in want], (p, qs)
+    steps = space._steps(p, qs, ts)
+    assert type(steps) is list and len(steps) == len(qs)
+    for q, t, step in zip(qs, ts, steps):
+        _assert_same(step, space._step(p, q, t))
+
+
+_THETA = MetricGraphSpace(["a", "b"], [("a", "b", 1.0)] * 3)
+_MIXED_GRAPH = MetricGraphSpace(
+    ["a", "b", "c"],
+    [("a", "b", 1.0), ("b", "c", 0.5), ("a", "c", 1.5), ("a", "b", 2.0), ("c", "c", 0.75)],
+)
+_BATCH_SPACES = {
+    "cycle": make_cycle(2.0),
+    "theta": _THETA,
+    "star": make_star(3, 1.0),
+    "mixed": _MIXED_GRAPH,
+    "cyl": ProductSpace(make_cycle(2.0), fiber_length=1.0, p=2.0),
+    "theta-l1": ProductSpace(_THETA, fiber_length=0.5, p=1.0),
+    "star-l3": ProductSpace(make_star(3, 1.0), fiber_length=1.0, p=3.0),
+    "ball-cyl": ProductSpace(BallSpace(2), fiber_length=1.0, p=2.0),
+}
+_BUDGETS = [0.0, 0.1, 0.25, 0.5, 1.0, 2.5]
+
+
+def _graph_points(space):
+    """Points at the quarter offsets of every edge, vertex aliases included."""
+    return [(e, length * j / 4.0) for e, (_, _, length) in enumerate(space.edges)
+            for j in range(5)]
+
+
+@st.composite
+def _graph_point(draw, space):
+    e = draw(st.integers(0, len(space.edges) - 1))
+    length = space.edges[e][2]
+    off = draw(st.sampled_from([0.0, length / 4, length / 2, length])
+               | st.floats(0.0, length))
+    return (e, off)
+
+
+@st.composite
+def _batch_case(draw):
+    name = draw(st.sampled_from(sorted(_BATCH_SPACES)))
+    space = _BATCH_SPACES[name]
+    if isinstance(space, ProductSpace):
+        base = space.base
+        if isinstance(base, BallSpace):
+            angle = st.floats(0.0, 2 * math.pi)
+            base_point = st.builds(
+                lambda r, a: np.array([r * math.cos(a), r * math.sin(a)]),
+                st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0), angle)
+        else:
+            base_point = _graph_point(base)
+        fiber = st.sampled_from([0.0, space.fiber_length]) | st.floats(0.0, space.fiber_length)
+        point = st.tuples(base_point, fiber)
+    else:
+        point = _graph_point(space)
+    p = draw(point)
+    qs = draw(st.lists(point | st.just(p), max_size=12))
+    ts = draw(st.lists(st.sampled_from(_BUDGETS) | st.floats(0.0, 3.0),
+                       min_size=len(qs), max_size=len(qs)))
+    return space, p, qs, ts
+
+
+@given(_batch_case())
+def test_batch_queries_equal_scalar_loop(case):
+    _assert_batch_equals_loop(*case)
+
+
+def _mixed_budgets(count):
+    return [_BUDGETS[i % len(_BUDGETS)] for i in range(count)]
+
+
+@pytest.mark.parametrize("space", [make_cycle(2.0), _THETA, _MIXED_GRAPH],
+                         ids=["cycle", "theta", "mixed"])
+def test_batch_queries_equal_scalar_loop_on_tied_and_aliased_points(space):
+    # every quarter point against every other: coincident points, vertex
+    # aliases at offset 0 and offset L, antipodal cycle points and the
+    # equal-edge theta's tied routes; each budget in turn per target
+    points = _graph_points(space)
+    for i, p in enumerate(points):
+        qs = points[i:] + points[:i]
+        for shift in range(len(_BUDGETS)):
+            ts = _mixed_budgets(len(qs) + shift)[shift:]
+            _assert_batch_equals_loop(space, p, qs, ts)
+
+
+def test_batch_queries_equal_scalar_loop_on_antipodal_cycle_points():
+    space = make_cycle(2.0)
+    arcs = [0.0, 0.125, 0.25, 0.5, 0.75, 0.9, 1.0, 1.25, 1.5, 1.875]
+    for s in arcs:
+        p = cycle_point(space, s)
+        qs = [cycle_point(space, s + 1.0)] * len(_BUDGETS)
+        _assert_batch_equals_loop(space, p, qs, _BUDGETS)
+        # the far point with budgets at and beyond the distance
+        _assert_batch_equals_loop(space, p, qs[:3], [1.0, 1.0 + 1e-12, 5.0])
+
+
+def test_batch_queries_equal_scalar_loop_on_random_points(rng):
+    # lengths whose sums round differently in the two summation orders, so
+    # a distance summed from the wrong point's side shows
+    space = MetricGraphSpace(["a", "b", "c"], [("a", "b", 0.1), ("b", "c", 0.7),
+                                               ("a", "c", 0.3), ("a", "b", 1.1)])
+    for _ in range(40):
+        p = space.random_point(rng)
+        qs = [space.random_point(rng) for _ in range(40)]
+        ts = rng.uniform(0.0, 0.5, len(qs)).tolist()
+        _assert_batch_equals_loop(space, p, qs, ts)
+
+
+@pytest.mark.parametrize("name", ["cyl", "theta-l1", "star-l3", "ball-cyl"])
+def test_product_batch_queries_equal_scalar_loop(name, rng):
+    space = _BATCH_SPACES[name]
+    for _ in range(20):
+        p = space.random_point(rng)
+        qs = [space.random_point(rng) for _ in range(8)] + [p]
+        # coincident base or fiber: the combine short cuts
+        qs += [(p[0], qs[0][1]), (qs[1][0], p[1])]
+        ts = _mixed_budgets(len(qs))
+        _assert_batch_equals_loop(space, p, qs, ts)
+
+
+def test_batch_queries_take_no_targets():
+    for space in _BATCH_SPACES.values():
+        p = space.random_point(np.random.default_rng(0))
+        assert space._distances(p, []).shape == (0,)
+        assert space._steps(p, [], []) == []
+
+
+@pytest.mark.parametrize("p", [(0.7, 0.2), (True, 0.2), (np.True_, 0.2), (1.5, 0.0),
+                               (0, True), ("x", 0.2), (None, 0.2)])
+def test_graph_points_reject_fractional_and_boolean_parts(p):
+    # a bare int() once truncated 0.7 to edge 0 and read True as edge 1
+    space = make_cycle(2.0)
+    with pytest.raises(MalformedPointError):
+        space.distance(p, (0, 0.9))
+    with pytest.raises(MalformedPointError):
+        space.step_toward((0, 0.9), p, 0.1)
+
+
+def test_graph_points_accept_integer_edge_ids():
+    space = make_cycle(2.0)
+    for e in (1, np.int64(1), np.int32(1), np.intp(1), 1.0):
+        assert space.distance((e, 0.2), (1, 0.2)) == 0.0
+        assert space.step_toward((e, 0.2), (1, 0.7), 0.25) == (1, 0.45)
+
+
+@pytest.mark.parametrize("fiber", [True, np.True_, "x", None])
+def test_product_points_reject_boolean_fiber(fiber):
+    space = ProductSpace(make_cycle(2.0), fiber_length=1.0)
+    with pytest.raises(MalformedPointError):
+        space.distance(((0, 0.5), fiber), ((0, 0.5), 0.5))
+    assert space.distance(((0, 0.5), np.float64(1.0)), ((0, 0.5), 0.5)) == 0.5
+
+
 # ---------------------------------------------------------------------------
 # nets
 

@@ -38,10 +38,11 @@ def reach_filter(values, indptr, indices, axis, mode, want_arg=False, *, rows):
     ``out[..., i, ...] = mode over j in reach(i) of values[..., j, ...]``.
     Ties resolve to the lowest reach index (reach lists are ascending).
     ``rows`` is ``pad_reach(indptr, indices)``.
-    Returns the filtered array, and the arg table too if ``want_arg``.
+    Returns the filtered array, and the arg table too if ``want_arg``.  A min
+    or a max picks one of its inputs, so the result keeps the input's dtype.
     """
     fold, better = (np.minimum, np.less) if mode == "min" else (np.maximum, np.greater)
-    values = np.asarray(values, dtype=np.float64)
+    values = np.asarray(values)
     shape = values.shape
     P = indptr.size - 1
     a, b = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
@@ -54,7 +55,7 @@ def reach_filter(values, indptr, indices, axis, mode, want_arg=False, *, rows):
         return x.reshape(a, P).T[None] if flip else x.reshape(a, P, b)
 
     src = np.ascontiguousarray(as3(values))
-    out = np.empty(shape)
+    out = np.empty(shape, dtype=values.dtype)
     arg = np.empty(shape, dtype=np.int64) if want_arg else None
     out3 = as3(out)
     arg3 = as3(arg) if want_arg else None

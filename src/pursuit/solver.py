@@ -7,11 +7,11 @@ distance, and each later layer applies, for the step's duration ``t``,
 a min-filter over every cop axis followed by a max-filter over the robber
 axis, each restricted to the points reachable within ``t``.
 
-Layers are dense arrays of shape ``(P,) * (k + 1)``; within a layer every
-tuple is independent, and results are identical regardless of evaluation
-order (pure max/min reductions with a fixed tie-break).  Reachability uses
-closed balls with a 1e-12 slack so that a step equal to the net spacing
-admits the intended moves despite floating-point rounding.
+Layers are dense ``(P,) * (k + 1)`` arrays of floats or distance ranks (the
+filter keeps their dtype); every tuple is independent, and results do not
+depend on evaluation order (pure max/min with a fixed tie-break).
+Reachability uses closed balls with a 1e-12 slack so that a step equal to
+the net spacing admits the intended moves despite floating-point rounding.
 """
 
 from __future__ import annotations
@@ -145,10 +145,9 @@ def _check_state_budget(net, k: int) -> None:
         raise CapacityError("solver states", states, DEFAULT_STATE_BUDGET)
 
 
-def _base_layer(net, k: int) -> np.ndarray:
-    """Robber-to-cops distance over all tuples: min over cop axes of D."""
-    P = net.size
-    D = net.matrix
+def _base_layer(D, k: int) -> np.ndarray:
+    """Robber-to-cops distance over all tuples: min over cop axes of ``D``."""
+    P = D.shape[0]
     out = None
     for j in range(1, k + 1):
         shape = [1] * (k + 1)
@@ -188,7 +187,7 @@ def solve_finite(net, k: int, taus, variant: str = "endpoint", *,
     _check_state_budget(net, k)
     taus = np.asarray(list(taus), dtype=float)
     N = taus.size
-    base = _base_layer(net, k)
+    base = _base_layer(net.matrix, k)
     table = ValueTable(taus, {0: base})
     V = base
     for m in range(1, N + 1):
@@ -225,7 +224,7 @@ def solve_volatile(net, k: int, taus, perturbation: Perturbation,
             f"perturbation needs {N + 1} radii, got {len(perturbation)}"
         )
     eps = perturbation.eps
-    base = _base_layer(net, k)
+    base = _base_layer(net.matrix, k)
     if side == "cop_guarantee":
         V = np.maximum(base - 2.0 * eps[N], 0.0) if eps[N] > 0 else base.copy()
         adv_mode = "min"
@@ -297,7 +296,10 @@ def limit_value(net, k: int, agility: Agility, tol: float = 1e-9,
     With a uniform agility one operator is iterated, extending a single
     layer; once a sweep returns its input unchanged, every later layer is
     that same array, so sweeping stops at this exact fixed point while the
-    doubling checks and their log go on as before.
+    doubling checks and their log go on as before.  The loop sweeps ranks of
+    the distinct distances, in the narrowest unsigned dtype, and decodes the
+    checked layers to the same floats.  Finite and volatile solves stay on
+    float64: they run once on a fresh net, where ranking costs more than it saves.
     """
     if k < 1:
         raise ConfigError("need at least one cop")
@@ -313,15 +315,17 @@ def limit_value(net, k: int, agility: Agility, tol: float = 1e-9,
     if agility.is_uniform(probe):
         # one operator iterated: extend the same layer instead of re-solving
         rs = reach_set(net, agility.tau(1))
-        V, done, fixed = _base_layer(net, k), 0, False
+        levels, ranks = np.unique(net.matrix, return_inverse=True)  # flat on numpy 1
+        ranks = ranks.reshape(net.matrix.shape).astype(np.min_scalar_type(levels.size - 1))
+        V, done, fixed = _base_layer(ranks, k), 0, False
 
         def top(N):
             nonlocal V, done, fixed
             while done < N and not fixed:
                 U, _ = _sweep(V, rs, k)
-                fixed = np.array_equal(U, V)  # NaN never compares equal
+                fixed = np.array_equal(U, V)
                 V, done = U, done + 1
-            return V
+            return levels[V]
     else:
         def top(N):
             return solve_finite(net, k, agility.prefix(N)).top

@@ -242,12 +242,12 @@ class MetricGraphSpace(Space):
         ends = self._ends[edge]
         return edge, off, ((ends[:, 0], off), (ends[:, 1], self._lengths[edge] - off))
 
-    def _distances(self, p, qs) -> np.ndarray:
+    def _distances(self, p, qs, exits=None) -> np.ndarray:
         """``_distance`` from ``p`` to each of ``qs``, bit for bit: as in
         ``pairwise``, each route is summed from the lexicographically
-        smaller point's side."""
+        smaller point's side.  ``exits`` is ``_exit_arrays(qs)`` if kept."""
         ep, op_ = int(p[0]), float(p[1])
-        eq, oq, exits_q = self._exit_arrays(qs)
+        eq, oq, exits_q = exits or self._exit_arrays(qs)
         swap = (eq < ep) | ((eq == ep) & (oq < op_))
         best = np.where(eq == ep, np.abs(op_ - oq), np.inf)
         for x, cx, _ in self._exits(ep, op_):
@@ -418,7 +418,12 @@ class _VectorSpace(Space):
 
     @staticmethod
     def _coords(p, n: int) -> np.ndarray:
-        arr = np.asarray(p, dtype=float)
+        """``p`` as ``n`` floats, parsed by ``_num``'s rule unless it is a float array."""
+        try:
+            arr = p if isinstance(p, np.ndarray) and p.dtype == float else \
+                np.array([_num(x) for x in p], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise MalformedPointError(f"not a coordinate vector: {p!r}") from exc
         if arr.shape != (n,):
             raise MalformedPointError(f"expected {n} coordinates, got shape {arr.shape}")
         return arr
@@ -449,7 +454,7 @@ class BallSpace(_VectorSpace):
 
     def validate_point(self, p) -> None:
         norm = _norm(self._coords(p, self.dimension))
-        if norm > self.radius + NORM_TOL:
+        if not norm <= self.radius + NORM_TOL:  # a NaN or inf coordinate fails too
             raise MalformedPointError(f"norm {norm} exceeds radius {self.radius}")
 
     def _distance(self, p, q) -> float:
@@ -505,7 +510,7 @@ class SphereSpace(_VectorSpace):
 
     def validate_point(self, p) -> None:
         arr = self._coords(p, self.ambient)
-        if abs(_norm(arr) - 1.0) > NORM_TOL:
+        if not abs(_norm(arr) - 1.0) <= NORM_TOL:  # a NaN or inf coordinate fails too
             raise MalformedPointError(f"point is not on the unit sphere: {arr}")
 
     def _distance(self, p, q) -> float:
@@ -698,6 +703,7 @@ class Net:
     matrix: np.ndarray
     requested_h: float = 0.0
     _reach_cache: dict = field(default_factory=dict, repr=False)
+    _point_arrays: tuple | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -705,7 +711,10 @@ class Net:
 
     def nearest_index(self, point) -> int:
         self.space.validate_point(point)
-        return int(np.argmin(self.space._distances(point, self.points)))
+        if self._point_arrays is None:  # a graph converts its points once
+            graph = isinstance(self.space, MetricGraphSpace)
+            self._point_arrays = (self.space._exit_arrays(self.points),) if graph else ()
+        return int(np.argmin(self.space._distances(point, self.points, *self._point_arrays)))
 
     def index_of(self, point) -> int:
         """Index of a net point coinciding with ``point`` (within 1e-9)."""

@@ -20,7 +20,7 @@ from pursuit.solver import (
     solve_volatile,
     standard_value,
 )
-from pursuit.spaces import MetricGraphSpace, build_net
+from pursuit.spaces import BallSpace, MetricGraphSpace, ProductSpace, SphereSpace, build_net
 
 from conftest import make_cycle, make_interval, make_star
 
@@ -571,6 +571,83 @@ def test_limit_value_matches_resolving_doubling(make_net, k, N_max, converged):
     assert res.converged is converged
 
 
+def ball_net(h=0.3):
+    return build_net(BallSpace(2), h)
+
+
+def sphere_net():
+    return build_net(SphereSpace(2), 0.6)
+
+
+def cylinder_net():
+    return build_net(ProductSpace(make_cycle(2.0), 1.0, 2.0), 0.25)
+
+
+@pytest.mark.parametrize("make_net", [
+    theta_net, lambda: cycle_net(8), ball_net, lambda: ball_net(0.08), sphere_net,
+    cylinder_net,
+], ids=["theta", "cycle", "ball", "ball-P568", "sphere", "cylinder"])
+def test_distance_ranks_decode_to_the_matrix_bits(make_net):
+    # the limit loop sweeps these ranks; np.unique would merge -0.0 into
+    # 0.0 and sort NaN last, so this is the guard that no net holds either
+    net = make_net()
+    levels, ranks = np.unique(net.matrix, return_inverse=True)
+    ranks = ranks.reshape(net.matrix.shape)
+    dtype = np.min_scalar_type(levels.size - 1)
+    assert dtype in (np.uint8, np.uint16)
+    assert np.array_equal(ranks.astype(dtype), ranks)
+    decoded = levels[ranks.astype(dtype)]
+    assert np.array_equal(decoded.view(np.int64), net.matrix.view(np.int64))
+
+
+def float_limit(net, k, t, tol, N_max):
+    """The uniform limit loop on float64 layers, with the same fixed-point
+    skip: the loop as it ran before layers were swept as ranks."""
+    rs = reach_set(net, t)
+    V, done, fixed = solver._base_layer(net.matrix, k), 0, False
+
+    def top(N):
+        nonlocal V, done, fixed
+        while done < N and not fixed:
+            U, _ = solver._sweep(V, rs, k)
+            fixed = np.array_equal(U, V)
+            V, done = U, done + 1
+        return V
+    return solver._doubling(top, 1, N_max, tol)
+
+
+@pytest.mark.parametrize("make_net,k,t,N_max,dtype,stop", [
+    (theta_net, 1, 0.25, 64, np.uint8, "fixed"),  # first unchanged sweep 7
+    (theta_net, 1, 0.25, 4, np.uint8, "N_max"),
+    (ball_net, 1, 0.5, 64, np.uint16, "fixed"),
+    (sphere_net, 1, 0.5, 32, np.uint16, "N_max"),  # layers still oscillate
+    (cylinder_net, 1, 0.25, 64, np.uint8, "tol"),  # converges with gap > 0
+    (lambda: cycle_net(8), 2, 0.25, 64, np.uint8, "fixed"),
+    (lambda: cycle_net(8), 2, 0.25, 3, np.uint8, "N_max"),
+    (ball_net, 2, 0.25, 64, np.uint16, "fixed"),
+    (ball_net, 2, 0.5, 4, np.uint16, "N_max"),
+])
+def test_rank_limit_equals_float_loop(monkeypatch, make_net, k, t, N_max, dtype, stop):
+    net = make_net()
+    ref = float_limit(net, k, t, 1e-9, N_max)
+    dtypes = []
+    sweep = solver._sweep
+
+    def recorded(V, *args):
+        dtypes.append(V.dtype)
+        return sweep(V, *args)
+
+    monkeypatch.setattr(solver, "_sweep", recorded)
+    res = limit_value(net, k, Agility.uniform(t), 1e-9, N_max)
+    assert set(dtypes) == {np.dtype(dtype)}
+    assert res.values.dtype == np.float64
+    assert np.array_equal(res.values.view(np.int64), ref.values.view(np.int64))
+    assert (res.achieved_N, res.gap, res.converged, res.log) == \
+        (ref.achieved_N, ref.gap, ref.converged, ref.log)
+    assert res.converged is (stop != "N_max")
+    assert (res.gap == 0.0) is (stop == "fixed")
+
+
 def test_standard_and_cop_number_match_resolving_doubling():
     net = theta_net()
     family = [Agility.uniform(0.25), Agility.uniform(0.5)]
@@ -748,6 +825,29 @@ def test_reach_filter_spans_blocks_on_every_axis(mode, want_arg):
     for layer in (V.astype(float), V.T.astype(float)):
         for axis in range(k + 1):
             assert_same_filter(layer, rs, axis, mode, want_arg)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+@pytest.mark.parametrize("mode", ["min", "max"])
+@pytest.mark.parametrize("want_arg", [False, True])
+def test_reach_filter_on_ranks_matches_float_filter(dtype, mode, want_arg):
+    net = build_net(make_star(3), 0.08)  # 40 points: every axis spans blocks
+    rs = reach_set(net, 0.2)
+    rng = np.random.default_rng(5)
+    L = min(np.iinfo(dtype).max + 1, 70_000)
+    levels = np.cumsum(rng.random(L) + 0.01)  # strictly increasing floats
+    # four ranks, the dtype's extremes among them, so most reach lists tie
+    R = rng.choice([0, 1, L // 2, L - 1], size=(net.size,) * 3).astype(dtype)
+    for layer in (R, R.T):
+        for axis in range(3):
+            got = reach_filter(layer, rs.indptr, rs.indices, axis, mode, want_arg,
+                               rows=rs.rows)
+            want = row_filter(levels[layer], rs.indptr, rs.indices, axis, mode, want_arg)
+            if want_arg:
+                (got, arg), (want, want_idx) = got, want
+                assert np.array_equal(arg, want_idx)
+            assert got.dtype == dtype
+            assert levels[got].tobytes() == want.tobytes()
 
 
 @st.composite

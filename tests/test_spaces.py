@@ -105,6 +105,50 @@ def test_public_queries_check_points_and_budget(name, rng):
             space.step_toward(*args, 0.5)
 
 
+_NON_NUMBERS = [math.nan, math.inf, -math.inf, True, np.True_, "x", None]
+
+
+def with_non_number(p, bad):
+    """``p`` with one number replaced by ``bad``: the first coordinate of a
+    ball or sphere point, a graph point's offset, a product point's fiber."""
+    if isinstance(p, np.ndarray):
+        return [bad, *p[1:].tolist()]
+    return (p[0], bad)
+
+
+@pytest.mark.parametrize("name", ALL_SPACES)
+@pytest.mark.parametrize("bad", _NON_NUMBERS, ids=repr)
+def test_points_reject_non_numbers(name, bad, rng):
+    # ball and sphere coordinates once went through np.asarray(p, float),
+    # which read True as 1.0 and let NaN through to a NaN distance
+    space = space_by_name(name)
+    p, q = space.random_point(rng), space.random_point(rng)
+    malformed = with_non_number(p, bad)
+    for args in ((malformed, q), (q, malformed)):
+        with pytest.raises(MalformedPointError):
+            space.distance(*args)
+        with pytest.raises(MalformedPointError):
+            space.step_toward(*args, 0.5)
+
+
+@pytest.mark.parametrize("space, p, q, d", [
+    (BallSpace(2), [0.6, 0], (0, 0), 0.6),
+    (BallSpace(2), np.array([1, 0]), [0.0, np.float32(0.0)], 1.0),
+    (BallSpace(1), ["0.5"], np.array([-0.5]), 1.0),
+    (SphereSpace(1), [1, 0], np.array([-1, 0]), math.pi),
+])
+def test_vector_points_accept_numbers_of_any_type(space, p, q, d):
+    assert space.distance(p, q) == d
+    assert space.distance(np.array(p, dtype=float), np.array(q, dtype=float)) == d
+
+
+def test_vector_points_reject_boolean_arrays_and_bad_shapes():
+    ball = BallSpace(2)
+    for bad in (np.array([True, False]), np.zeros((1, 2)), 0.5, [[0.0, 0.0]], "ab"):
+        with pytest.raises(MalformedPointError):
+            ball.distance(bad, [0.0, 0.0])
+
+
 def test_vertex_alias_zero_distance():
     space = make_cycle(2.0)
     # offset 0 of edge 1 is vertex u, also addressed as offset 0 of edge 0
@@ -632,6 +676,36 @@ def test_net_index_lookup():
     assert net.points[i] == (0, 0.5)
     with pytest.raises(MalformedPointError):
         net.index_of((0, 0.3))
+
+
+@pytest.mark.parametrize("space, h", [
+    (make_star(3, 1.0), 0.125), (BallSpace(2), 0.3), (SphereSpace(2), 0.6),
+    (ProductSpace(make_cycle(2.0), fiber_length=1.0, p=2.0), 0.25),
+])
+def test_nearest_index_is_the_first_closest_point(space, h, rng):
+    net = build_net(space, h)
+    for _ in range(20):
+        p = space.random_point(rng)
+        d = [space.distance(p, q) for q in net.points]
+        assert net.nearest_index(p) == d.index(min(d))
+
+
+def test_graph_net_converts_its_points_once(monkeypatch, rng):
+    space = make_star(3, 1.0)
+    net = build_net(space, 0.125)
+    calls = []
+    exit_arrays = MetricGraphSpace._exit_arrays
+
+    def counted(self, points):
+        calls.append(len(points))
+        return exit_arrays(self, points)
+
+    monkeypatch.setattr(MetricGraphSpace, "_exit_arrays", counted)
+    for _ in range(5):
+        p = space.random_point(rng)
+        assert net.nearest_index(p) == int(np.argmin(space._distances(p, net.points)))
+    # one conversion of the net points, plus one per uncached reference call
+    assert calls == [net.size] * 6
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ Submodules:
 * :mod:`pursuit.cli`     -- ``pursuit`` command line entry point
 """
 
-from .arena import Strategy, builtin_strategies, get_strategy, run_game
+from .arena import builtin_strategies, get_strategy, run_game
 from .game import (
     Agility,
     Position,
@@ -20,7 +20,6 @@ from .game import (
     trajectory_value,
 )
 from .solver import (
-    Perturbation,
     ValueTable,
     cop_number_estimate,
     duration_value,
@@ -48,12 +47,10 @@ __all__ = [
     "LemmaReport",
     "MetricGraphSpace",
     "Net",
-    "Perturbation",
     "Position",
     "ProductSpace",
     "Space",
     "SphereSpace",
-    "Strategy",
     "Trajectory",
     "ValueTable",
     "agility_from_config",

@@ -1,10 +1,10 @@
 """Continuous strategies executed on the true space (not the net).
 
-A strategy is a step-length-dependent Markov rule: it sees the current
-position, the step duration and the step index, and returns destination
-point(s) within the travel budget.  ``run_game`` alternates moves with the
-robber first, revealing his destination before the cops move, and records
-the trajectory.
+A strategy is a move function, a step-length-dependent Markov rule: it
+sees the current position, the step duration and the step index, and
+returns destination point(s) within the travel budget.  ``run_game``
+alternates moves with the robber first, revealing his destination before
+the cops move, and records the trajectory.
 
 Built-in strategies keep a relative 1e-12 safety margin below the budget
 so that floating-point rounding can never trip the budget validator; a
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,20 +28,6 @@ from .spaces import BallSpace, ProductSpace, Space, SphereSpace
 
 BUDGET_TOL = 1e-9
 TRAVEL_GUARD = 1e-12
-
-
-@dataclass
-class Strategy:
-    """Named decision rule for one side.
-
-    ``move(position, t, n)`` returns the robber's destination point
-    (side ``"robber"``) or a tuple of k cop destinations (side ``"cops"``),
-    each within distance ``t`` of the mover (tolerance 1e-9).
-    """
-
-    name: str
-    side: str
-    move: object
 
 
 def _guarded(t: float) -> float:
@@ -235,28 +220,38 @@ def builtin_strategies() -> dict:
     }
 
 
-def get_strategy(space: Space, name: str, **params) -> Strategy:
-    """Instantiate a built-in strategy for one game."""
+def get_strategy(space: Space, name: str, **params):
+    """The move function of a built-in strategy, fresh for one game."""
     if name not in _CATALOG:
         raise UnknownStrategyError(
             f"unknown strategy {name!r}; valid names: {sorted(_CATALOG)}"
         )
-    side, make, _ = _CATALOG[name]
-    return Strategy(name, side, make(space, **params))
+    _, make, _ = _CATALOG[name]
+    return make(space, **params)
 
 
 # ---------------------------------------------------------------------------
 # game loop
 
 
-def run_game(space: Space, robber: Strategy, cops: Strategy, start: Position,
+def run_game(space: Space, robber, cops, start: Position,
              tau: Agility, N: int, kappa: float = 1e-9) -> Trajectory:
     """Play ``N`` steps on the true space: the robber moves, his destination
     is revealed, then each cop moves; stops early when some cop comes within
-    ``kappa`` of the robber.  Raises :class:`StrategyFaultError` when a move
-    exceeds its budget beyond the 1e-9 compliance tolerance."""
+    ``kappa`` of the robber.
+
+    ``robber`` and ``cops`` are move functions, such as :func:`get_strategy`
+    returns.  At step ``n`` of duration ``t``, ``robber(position, t, n)``
+    returns the robber's destination point, and ``cops(position, t, n)``,
+    given the position with the robber already moved, returns a sequence of
+    ``k`` cop destinations.  Each destination must lie within ``t`` of its
+    mover; a move beyond the 1e-9 compliance tolerance, or a wrong number of
+    cop moves, raises :class:`StrategyFaultError`.
+    """
     if N < 1:
         raise ValueError("need at least one step")
+    if not kappa >= 0:  # NaN too: no gap would ever count as a capture
+        raise ValueError(f"capture radius kappa must be >= 0, got {kappa}")
     traj = Trajectory(space)
     pos = start
     traj.append(pos, 0.0)
@@ -266,12 +261,12 @@ def run_game(space: Space, robber: Strategy, cops: Strategy, start: Position,
         return traj
     for n in range(1, N + 1):
         t = tau.tau(n)
-        r_new = robber.move(pos, t, n)
+        r_new = robber(pos, t, n)
         moved = space.distance(pos.robber, r_new)
         if moved > t + BUDGET_TOL:
             raise StrategyFaultError("robber", n, f"moved {moved} > budget {t}")
         revealed = Position(r_new, pos.cops)
-        c_new = tuple(cops.move(revealed, t, n))
+        c_new = tuple(cops(revealed, t, n))
         if len(c_new) != pos.k:
             raise StrategyFaultError("cops", n, "wrong number of cop moves")
         for c_old, c in zip(pos.cops, c_new):

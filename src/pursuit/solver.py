@@ -64,7 +64,7 @@ def reach_set(net, t: float) -> ReachSet:
 
 
 # ---------------------------------------------------------------------------
-# tables, perturbations
+# tables
 
 
 @dataclass
@@ -117,29 +117,13 @@ class ValueTable:
         return tuple(chosen)
 
 
-@dataclass
-class Perturbation:
-    """Adversary radii per completed step; ``delta(n)`` is the partial sum."""
-
-    eps: np.ndarray
-
-    def __init__(self, eps):
-        self.eps = np.asarray(list(eps), dtype=float)
-        if not ((self.eps >= 0) & (self.eps < math.inf)).all():
-            raise ConfigError("perturbation radii must be finite and nonnegative")
-
-    def delta(self, n: int) -> float:
-        return float(self.eps[: n + 1].sum())
-
-    def __len__(self) -> int:
-        return self.eps.size
-
-
 # ---------------------------------------------------------------------------
 # core solves
 
 
 def _check_state_budget(net, k: int) -> None:
+    if k < 1:
+        raise ConfigError("need at least one cop")
     states = net.size ** (k + 1)
     if states > DEFAULT_STATE_BUDGET:
         raise CapacityError("solver states", states, DEFAULT_STATE_BUDGET)
@@ -182,8 +166,6 @@ def solve_finite(net, k: int, taus, variant: str = "endpoint", *,
     """
     if variant not in ("endpoint", "intermediate"):
         raise ConfigError(f"unknown variant {variant!r}")
-    if k < 1:
-        raise ConfigError("need at least one cop")
     _check_state_budget(net, k)
     taus = np.asarray(list(taus), dtype=float)
     N = taus.size
@@ -204,26 +186,28 @@ def solve_finite(net, k: int, taus, variant: str = "endpoint", *,
     return table
 
 
-def solve_volatile(net, k: int, taus, perturbation: Perturbation,
-                   side: str) -> ValueTable:
+def solve_volatile(net, k: int, taus, eps, side: str) -> ValueTable:
     """Value of the net game when an adversary displaces every coordinate by
-    at most ``eps_n`` after step ``n``.
+    at most ``eps[n]`` after step ``n``.
 
-    ``side="cop_guarantee"`` lets the adversary help the cops (the base case
-    clamps ``max(d - 2*eps_N, 0)`` and each level takes the worst nearby
-    tuple); ``side="robber_guarantee"`` lets it help the robber.  With all
-    radii zero both sides coincide with the endpoint solve exactly.
+    ``eps`` holds at least ``N + 1`` finite nonnegative radii, one per
+    completed step with ``eps[0]`` acting on the start; radii past ``eps[N]``
+    are ignored.  ``side="cop_guarantee"`` lets the adversary help the cops
+    (the base case clamps ``max(d - 2*eps[N], 0)`` and each level takes the
+    worst nearby tuple); ``side="robber_guarantee"`` lets it help the
+    robber.  With all radii zero both sides coincide with the endpoint solve
+    exactly.
     """
     if side not in ("cop_guarantee", "robber_guarantee"):
         raise ConfigError(f"unknown side {side!r}")
     _check_state_budget(net, k)
     taus = np.asarray(list(taus), dtype=float)
     N = taus.size
-    if len(perturbation) < N + 1:
-        raise ConfigError(
-            f"perturbation needs {N + 1} radii, got {len(perturbation)}"
-        )
-    eps = perturbation.eps
+    eps = np.asarray(list(eps), dtype=float)
+    if not ((eps >= 0) & (eps < math.inf)).all():
+        raise ConfigError("perturbation radii must be finite and nonnegative")
+    if eps.size < N + 1:
+        raise ConfigError(f"perturbation needs {N + 1} radii, got {eps.size}")
     base = _base_layer(net.matrix, k)
     if side == "cop_guarantee":
         V = np.maximum(base - 2.0 * eps[N], 0.0) if eps[N] > 0 else base.copy()
@@ -262,7 +246,7 @@ def _doubling(top, N: int, N_max: int, tol: float) -> LimitResult:
     """Horizon doubling: compare ``top(N)``, the ``N``-step top layer, at
     N, 2N, 4N, ... (capped at ``N_max``) and stop once consecutive layers
     differ by less than ``tol`` in sup norm."""
-    if tol <= 0:
+    if not tol > 0:  # NaN too: it would never stop the doubling
         raise ConfigError("tolerance must be positive")
     if N_max < N:
         raise ConfigError(f"N_max must be at least {N}, got {N_max}")
@@ -301,8 +285,7 @@ def limit_value(net, k: int, agility: Agility, tol: float = 1e-9,
     checked layers to the same floats.  Finite and volatile solves stay on
     float64: they run once on a fresh net, where ranking costs more than it saves.
     """
-    if k < 1:
-        raise ConfigError("need at least one cop")
+    _check_state_budget(net, k)
     if agility.length is not None:  # an explicit schedule is probed whole
         N_max = min(N_max, agility.length)
         probe = N_max
@@ -310,7 +293,6 @@ def limit_value(net, k: int, agility: Agility, tol: float = 1e-9,
         probe = min(N_max, 16)
     if not (agility.is_uniform(probe) or agility.is_decreasing(probe)):
         raise ConfigError("limit_value needs a uniform or decreasing agility")
-    _check_state_budget(net, k)
 
     if agility.is_uniform(probe):
         # one operator iterated: extend the same layer instead of re-solving
@@ -417,7 +399,7 @@ def cop_number_estimate(net, k_max: int, theta: float | None = None,
     fam = _family_or_default(net, family)
     if theta is None:
         theta = 2.0 * net.h + max(ag.tau(1) for ag in fam)
-    if theta < 0:
+    if not theta >= 0:  # NaN too: no worst-start value would meet it
         raise ConfigError("threshold must be nonnegative")
     per_k = []
     estimate = None

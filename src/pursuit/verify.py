@@ -35,7 +35,6 @@ from .errors import CapacityError, ConfigError, MalformedPointError
 from .game import Agility, subdivide, trajectory_value
 from .solver import (
     REACH_SLACK,
-    Perturbation,
     ValueTable,
     policy_playout,
     reach_set,
@@ -271,17 +270,16 @@ def _violation_volatile(net, inst, plain, coarse) -> float:
     taus = inst["taus"]
     k = inst["k"]
     N = len(taus)
-    # zero perturbation must reproduce the plain solve exactly
-    zero = Perturbation([0.0] * (N + 1))
+    # zero radii must reproduce the plain solve exactly
     worst = 0.0
     for side in ("cop_guarantee", "robber_guarantee"):
-        vol = solve_volatile(net, k, taus, zero, side)
+        vol = solve_volatile(net, k, taus, [0.0] * (N + 1), side)
         worst = max(worst, float(np.abs(vol.top - plain.top).max()))
-    pert = Perturbation(inst["volatile_eps"])
-    lo = solve_volatile(net, k, taus, pert, "cop_guarantee")
-    hi = solve_volatile(net, k, taus, pert, "robber_guarantee")
-    d_n = pert.delta(N)
-    d_n1 = pert.delta(N - 1) if N >= 1 else 0.0
+    eps = np.asarray(inst["volatile_eps"], dtype=float)
+    lo = solve_volatile(net, k, taus, eps, "cop_guarantee")
+    hi = solve_volatile(net, k, taus, eps, "robber_guarantee")
+    d_n = float(eps[:N + 1].sum())
+    d_n1 = float(eps[:N].sum())
     worst = max(worst, float(((plain.top - 2.0 * d_n) - lo.top).max()))
     worst = max(worst, float((hi.top - (plain.top + 2.0 * d_n1)).max()))
     return max(0.0, worst)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pursuit.arena import (
-    Strategy,
     builtin_strategies,
     export_gaps_csv,
     export_trajectory_jsonl,
@@ -37,6 +36,17 @@ def test_stand_still_vs_follower_capture():
     assert traj.captured
     assert traj.capture_step == 4
     assert trajectory_value(traj) == 0.0
+
+
+@pytest.mark.parametrize("kappa", [math.nan, -0.1])
+def test_run_game_rejects_bad_capture_radius(kappa):
+    # a robber standing on its cop must not play on uncaptured
+    space = make_interval(1.0)
+    with pytest.raises(ValueError, match="kappa"):
+        run_game(space, get_strategy(space, "stand_still_robber"),
+                 get_strategy(space, "stand_still_cops"),
+                 interval_positions(space, 0.5, 0.5), Agility.uniform(0.25), 2,
+                 kappa=kappa)
 
 
 @pytest.mark.parametrize("name", ["cycle", "ball", "cylinder"])
@@ -80,7 +90,7 @@ def test_follower_closes_exactly(rng):
         pos = Position(space.random_point(rng), [space.random_point(rng)])
         t = float(rng.uniform(0.01, 0.4))
         old = space.distance(pos.robber, pos.cops[0])
-        (new_cop,) = cop.move(pos, t, 1)
+        (new_cop,) = cop(pos, t, 1)
         new = space.distance(pos.robber, new_cop)
         assert new == pytest.approx(max(0.0, old - t), abs=1e-9)
 
@@ -91,10 +101,9 @@ def test_budget_violation_raises():
     def cheat(pos, t, n):
         return (0, 1.0) if pos.robber[1] < 0.5 else (0, 0.0)
 
-    rob = Strategy("cheat", "robber", cheat)
     cop = get_strategy(space, "follower_cop")
     with pytest.raises(StrategyFaultError) as err:
-        run_game(space, rob, cop, interval_positions(space, 0.0, 0.5),
+        run_game(space, cheat, cop, interval_positions(space, 0.0, 0.5),
                  Agility.uniform(0.1), 3)
     assert err.value.side == "robber"
     assert err.value.step == 1
@@ -108,7 +117,7 @@ def test_cop_arity_fault():
 
     rob = get_strategy(space, "stand_still_robber")
     with pytest.raises(StrategyFaultError):
-        run_game(space, rob, Strategy("half", "cops", half_team),
+        run_game(space, rob, half_team,
                  Position((0, 1.0), [(0, 0.0), (0, 0.5)]),
                  Agility.uniform(0.1), 2)
 
@@ -129,7 +138,7 @@ def test_antipodal_exact_after_robber_move():
     rob = get_strategy(space, "antipodal_robber")
     cop_at = np.array([math.cos(0.3), math.sin(0.3)])
     pos = Position(-cop_at + 0.0, [cop_at])
-    out = rob.move(pos, 0.05, 1)
+    out = rob(pos, 0.05, 1)
     assert space.distance(out, cop_at) == math.pi
 
 
@@ -144,9 +153,8 @@ def test_radial_cop_trend_on_ball():
         return np.array([radius * math.cos(ang), radius * math.sin(ang)])
 
     start = Position(np.array([0.8, 0.0]), [np.array([-0.2, 0.1])])
-    rob = Strategy("circling", "robber", circling)
     cop = get_strategy(space, "radial_cop")
-    traj = run_game(space, rob, cop, start, Agility.uniform(0.05), 400, kappa=0.0)
+    traj = run_game(space, circling, cop, start, Agility.uniform(0.05), 400, kappa=0.0)
     gaps = traj.gaps()
     assert gaps[-1] < gaps[0]
     # trend check: quarter-window averages decrease along the realized play
@@ -161,7 +169,7 @@ def test_radial_cop_reaches_segment():
     space = BallSpace(2)
     cop = get_strategy(space, "radial_cop")
     pos = Position(np.array([0.5, 0.5]), [np.array([0.1, 0.0])])
-    (new,) = cop.move(pos, 0.2, 1)
+    (new,) = cop(pos, 0.2, 1)
     r = np.asarray(pos.robber)
     rhat = r / np.linalg.norm(r)
     s = float(np.dot(new, rhat))
@@ -196,7 +204,7 @@ def test_cylinder_lift_cop_closes_fiber():
     space = ProductSpace(make_cycle(2.0), fiber_length=1.0, p=2.0)
     cop = get_strategy(space, "cylinder_lift_cop", eps=0.1)
     pos = Position(((0, 0.5), 1.0), [((0, 0.5), 0.0)])
-    (new,) = cop.move(pos, 0.2, 1)
+    (new,) = cop(pos, 0.2, 1)
     assert 0.0 < new[1] <= 1.0
     assert space.distance(pos.cops[0], new) <= 0.2 + 1e-9
 
@@ -210,14 +218,15 @@ def test_cylinder_lift_cop_closes_fiber():
 ])
 def test_builtin_budget_feasible_randomized(name, space_maker, rng):
     space = space_maker()
-    strat = get_strategy(space, name)
+    move = get_strategy(space, name)
+    side = builtin_strategies()[name]["side"]
     for _ in range(1000 // 5):
         pos = Position(space.random_point(rng),
                        [space.random_point(rng), space.random_point(rng)])
         t = float(rng.uniform(0.01, 0.5))
-        out = strat.move(pos, t, 1)
-        moves = [out] if strat.side == "robber" else list(out)
-        anchors = [pos.robber] if strat.side == "robber" else list(pos.cops)
+        out = move(pos, t, 1)
+        moves = [out] if side == "robber" else list(out)
+        anchors = [pos.robber] if side == "robber" else list(pos.cops)
         for a, b in zip(anchors, moves):
             assert space.distance(a, b) <= t + 1e-9
 
@@ -260,10 +269,10 @@ def test_greedy_robber_equals_reference(name, seed, tmp_path):
     }[name]
     start = Position(robber, cop_starts)
     trajectories = []
-    for move in (get_strategy(space, "greedy_robber", seed=seed).move,
+    for move in (get_strategy(space, "greedy_robber", seed=seed),
                  reference_greedy_robber(space, seed=seed)):
-        traj = run_game(space, Strategy("greedy_robber", "robber", move),
-                        get_strategy(space, cops), start, Agility.uniform(t), 60)
+        traj = run_game(space, move, get_strategy(space, cops), start,
+                        Agility.uniform(t), 60)
         out = tmp_path / f"{len(trajectories)}.jsonl"
         export_trajectory_jsonl(space, traj, out)
         trajectories.append(out.read_bytes())
@@ -300,10 +309,9 @@ def test_run_game_reproduces_policy_playout():
             return tuple(net.points[j] for j in policy.cop_moves(m, r, cops))
         return move
 
-    rob = Strategy("policy_robber", "robber", point_moves("robber"))
-    cop = Strategy("policy_cops", "cops", point_moves("cops"))
     start = Position(net.points[0], [net.points[1]])
-    arena_traj = run_game(space, rob, cop, start, Agility.uniform(0.25), 4, kappa=0.0)
+    arena_traj = run_game(space, point_moves("robber"), point_moves("cops"), start,
+                          Agility.uniform(0.25), 4, kappa=0.0)
     assert arena_traj.captured == net_traj.captured
     assert len(arena_traj.positions) == len(net_traj.positions)
     for a, b in zip(arena_traj.positions, net_traj.positions):

@@ -4,7 +4,8 @@ from pursuit.spaces import MetricGraphSpace
 
 DELETED = ["Polyline", "polyline_length", "pos_metrics", "shift",
            "common_subdivision", "policy_strategy", "MalformedPathError",
-           "random_oracle_instances", "default_family", "Policy"]
+           "random_oracle_instances", "default_family", "Policy",
+           "Perturbation", "Strategy"]
 DELETED_ATTRS = [(verify, "random_oracle_instances"),
                  (verify, "_tuple_pos_distance"),
                  (solver, "default_family"),

@@ -11,8 +11,8 @@ from pursuit._kernels import BLOCK_ENTRIES, pad_reach, reach_filter
 from pursuit.errors import CapacityError, ConfigError, PlayoutError
 from pursuit.game import Agility, trajectory_value
 from pursuit.solver import (
-    Perturbation,
     cop_number_estimate,
+    duration_value,
     limit_value,
     policy_playout,
     reach_set,
@@ -351,29 +351,28 @@ def test_captured_playout_computes_no_gap(monkeypatch):
 def test_volatile_zero_perturbation_identical():
     net = cycle_net(8)
     taus = [0.25, 0.25]
-    pert = Perturbation([0.0, 0.0, 0.0])
     plain = solve_finite(net, 1, taus)
     for side in ("cop_guarantee", "robber_guarantee"):
-        vol = solve_volatile(net, 1, taus, pert, side)
+        vol = solve_volatile(net, 1, taus, [0.0, 0.0, 0.0], side)
         assert np.array_equal(vol.top, plain.top)
 
 
 def test_volatile_base_clamp():
     # one tuple at distance 1, radius 0.6: floor at max(1 - 1.2, 0) = 0
     net = interval_net3()
-    vol = solve_volatile(net, 1, [], Perturbation([0.6]), "cop_guarantee")
+    vol = solve_volatile(net, 1, [], [0.6], "cop_guarantee")
     r, c = net.index_of((0, 1.0)), net.index_of((0, 0.0))
     assert vol.top[r, c] == 0.0
-    rob = solve_volatile(net, 1, [], Perturbation([0.6]), "robber_guarantee")
+    rob = solve_volatile(net, 1, [], [0.6], "robber_guarantee")
     assert rob.top[r, c] == 1.0
 
 
 def test_volatile_sandwich_order():
     net = build_net(make_interval(1.0), 0.25)
     taus = [0.25]
-    pert = Perturbation([0.25, 0.0])
-    lo = solve_volatile(net, 1, taus, pert, "cop_guarantee")
-    hi = solve_volatile(net, 1, taus, pert, "robber_guarantee")
+    eps = [0.25, 0.0]
+    lo = solve_volatile(net, 1, taus, eps, "cop_guarantee")
+    hi = solve_volatile(net, 1, taus, eps, "robber_guarantee")
     mid = solve_finite(net, 1, taus)
     assert (lo.top <= mid.top).all()
     assert (mid.top <= hi.top).all()
@@ -382,7 +381,22 @@ def test_volatile_sandwich_order():
 def test_volatile_schedule_length_validation():
     net = interval_net3()
     with pytest.raises(ConfigError):
-        solve_volatile(net, 1, [0.5, 0.5], Perturbation([0.1]), "cop_guarantee")
+        solve_volatile(net, 1, [0.5, 0.5], [0.1], "cop_guarantee")
+
+
+@pytest.mark.parametrize("side", ["cop_guarantee", "robber_guarantee"])
+def test_volatile_rejects_negative_radius(side):
+    net = interval_net3()
+    with pytest.raises(ConfigError, match="nonnegative"):
+        solve_volatile(net, 1, [0.5], [0.5, -0.1], side)
+
+
+@pytest.mark.parametrize("side", ["cop_guarantee", "robber_guarantee"])
+@pytest.mark.parametrize("k", [0, -1])
+def test_volatile_needs_a_cop(k, side):
+    net = interval_net3()
+    with pytest.raises(ConfigError, match="need at least one cop"):
+        solve_volatile(net, k, [0.5], [0.0, 0.0], side)
 
 
 def brute_volatile(net, k, taus, eps, side, r, cops):
@@ -426,7 +440,7 @@ def test_volatile_matches_brute_recursion(side):
     net = cycle_net(4)
     taus = [0.5, 0.5]
     eps = [0.5, 0.0, 0.5]
-    vol = solve_volatile(net, 1, taus, Perturbation(eps), side)
+    vol = solve_volatile(net, 1, taus, eps, side)
     for tup in itertools.product(range(net.size), repeat=2):
         assert vol.top[tup] == brute_volatile(net, 1, taus, eps, side,
                                               tup[0], tup[1:])
@@ -437,7 +451,7 @@ def test_volatile_matches_brute_two_cops():
     taus = [0.5]
     eps = [0.5, 0.5]
     for side in ("cop_guarantee", "robber_guarantee"):
-        vol = solve_volatile(net, 2, taus, Perturbation(eps), side)
+        vol = solve_volatile(net, 2, taus, eps, side)
         for tup in itertools.product(range(net.size), repeat=3):
             assert vol.top[tup] == brute_volatile(net, 2, taus, eps, side,
                                                   tup[0], tup[1:])
@@ -507,6 +521,18 @@ def test_limit_value_nonconverged_flag():
     net = cycle_net(8)
     res = limit_value(net, 1, Agility.uniform(0.25), 1e-15, 1)
     assert not res.converged
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-9])
+def test_limit_value_rejects_bad_tolerance(tol):
+    with pytest.raises(ConfigError, match="tolerance"):
+        limit_value(cycle_net(8), 1, Agility.uniform(0.25), tol, 8)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-9])
+def test_duration_value_rejects_bad_tolerance(tol):
+    with pytest.raises(ConfigError, match="tolerance"):
+        duration_value(cycle_net(8), 1, 0.5, 1, tol, 8)
 
 
 def theta_net():
@@ -725,6 +751,13 @@ def test_cop_number_sentinel():
     res = cop_number_estimate(net, 1, theta=0.0, family=[Agility.uniform(0.25)])
     assert res.estimate is None
     assert res.label() == "> 1"
+
+
+@pytest.mark.parametrize("theta", [math.nan, -0.25])
+def test_cop_number_rejects_bad_threshold(theta):
+    with pytest.raises(ConfigError, match="threshold"):
+        cop_number_estimate(cycle_net(8), 1, theta=theta,
+                            family=[Agility.uniform(0.25)])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pursuit.errors import (
     ConfigError,
     MalformedPointError,
 )
-from pursuit.solver import Perturbation
+from pursuit.solver import solve_volatile
 from pursuit.spaces import (
     BallSpace,
     MetricGraphSpace,
@@ -792,7 +792,8 @@ def test_space_config_decimal_strings():
     lambda x: ProductSpace(make_cycle(2.0), x),
     lambda x: ProductSpace(make_cycle(2.0), 1.0, x),
     lambda x: build_net(make_interval(1.0), x),
-    lambda x: Perturbation([0.1, x]),
+    lambda x: solve_volatile(build_net(make_interval(1.0), 0.5), 1, [],
+                             [0.1, x], "cop_guarantee"),
 ], ids=["edge-length", "ball-radius", "fiber-length", "product-p", "net-h",
         "perturbation"])
 @pytest.mark.parametrize("x", [math.nan, math.inf])

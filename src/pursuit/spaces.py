@@ -35,7 +35,7 @@ from .errors import CapacityError, ConfigError, MalformedPointError
 NORM_TOL = 1e-9
 ANTIPODAL_NUDGE = 1e-9
 DEFAULT_POINT_BUDGET = 20_000
-_BLOCK_ENTRIES = 8192  # matrix entries per row block of a graph net build
+_BLOCK_ENTRIES = 8192  # matrix entries per row block of a net build
 
 
 class Space:
@@ -87,9 +87,29 @@ def _norm(v) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _check_budget(count: int, budget: int) -> None:
+def _check_budget(count, budget: int) -> None:
     if count > budget:
         raise CapacityError("net points", count, budget)
+
+
+def _ceil_div(a: float, b: float, slack: float = 0.0):
+    """``math.ceil(a / b - slack)`` for a count of net points or segments,
+    or ``inf`` when ``a / b`` is too large for a float (``b`` may even have
+    underflowed to 0), which the budget check then reports."""
+    x = a / b if b > 0 else math.inf
+    return math.ceil(x - slack) if x < math.inf else math.inf
+
+
+def _row_blocks(n: int, rows) -> np.ndarray:
+    """The ``n x n`` matrix whose rows ``r`` (a slice) are ``rows(r)``,
+    filled in blocks of about ``_BLOCK_ENTRIES`` entries so that no
+    temporary is matrix-sized."""
+    out = np.empty((n, n))
+    step = max(1, _BLOCK_ENTRIES // max(n, 1))
+    for lo in range(0, n, step):
+        r = slice(lo, lo + step)
+        out[r] = rows(r)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -242,61 +262,40 @@ class MetricGraphSpace(Space):
         ends = self._ends[edge]
         return edge, off, ((ends[:, 0], off), (ends[:, 1], self._lengths[edge] - off))
 
-    def _distances(self, p, qs, exits=None) -> np.ndarray:
-        """``_distance`` from ``p`` to each of ``qs``, bit for bit: as in
-        ``pairwise``, each route is summed from the lexicographically
-        smaller point's side.  ``exits`` is ``_exit_arrays(qs)`` if kept."""
-        ep, op_ = int(p[0]), float(p[1])
-        eq, oq, exits_q = exits or self._exit_arrays(qs)
-        swap = (eq < ep) | ((eq == ep) & (oq < op_))
-        best = np.where(eq == ep, np.abs(op_ - oq), np.inf)
-        for x, cx, _ in self._exits(ep, op_):
+    def _rows(self, ep, op_, exits_p, qs) -> np.ndarray:
+        """``_distance`` from points with edge ids ``ep``, offsets ``op_``
+        and ``(vertex, cost)`` exits ``exits_p`` to each of ``qs``
+        (``_exit_arrays``), bit for bit.  Scalars give one row; a block of
+        rows has columns, but 1-d exit vertices.  Each route is summed from
+        the lexicographically smaller point's side, as ``_distance`` sums it."""
+        eq, oq, exits_q = qs
+        fwd = np.where(eq == ep, np.abs(op_ - oq), np.inf)
+        bwd = fwd.copy()
+        for x, cx in exits_p:
+            vx = self.vdist[x]
             for y, cy in exits_q:
-                vd = self.vdist[x, y]
-                np.minimum(best, np.where(swap, (cy + vd) + cx, (cx + vd) + cy), out=best)
-        return best
+                vd = np.take(vx, y, axis=-1)
+                back = vd + cy  # (cy + vd) + cx
+                back += cx
+                vd += cx  # (cx + vd) + cy
+                vd += cy
+                np.minimum(fwd, vd, out=fwd)
+                np.minimum(bwd, back, out=bwd)
+        swap = (eq < ep) | ((eq == ep) & (oq < op_))
+        return np.where(swap, bwd, fwd)
+
+    def _distances(self, p, qs, exits=None) -> np.ndarray:
+        """``_distance`` from ``p`` to each of ``qs``; ``exits`` is
+        ``_exit_arrays(qs)`` if kept."""
+        ep, op_ = int(p[0]), float(p[1])
+        exits_p = [(x, cx) for x, cx, _ in self._exits(ep, op_)]
+        return self._rows(ep, op_, exits_p, exits or self._exit_arrays(qs))
 
     def pairwise(self, points) -> np.ndarray:
-        """Matrix of ``distance`` over ``points``, equal to it bit for bit.
-
-        Each entry is the minimum of the same-edge gap and the four endpoint
-        routes ``(cx + vdist[x, y]) + cy``, with ``cx`` taken from the
-        lexicographically smaller point as in ``distance``, so every float
-        sum is the one ``distance`` forms.  Rows are built in blocks of
-        about ``_BLOCK_ENTRIES`` entries, so no temporary is matrix-sized.
-        """
-        n = len(points)
-        edge, off, exits = self._exit_arrays(points)
-        # edge ids compared as floats (exact): int64 comparisons would page
-        # in numpy loops that nothing else in a run uses
-        e = edge.astype(float)
-        out = np.empty((n, n))
-        step = max(1, _BLOCK_ENTRIES // max(n, 1))
-        blocks = [slice(lo, lo + step) for lo in range(0, n, step)]
-        for rows in blocks:
-            blk = out[rows]
-            blk.fill(np.inf)
-            cand = np.empty_like(blk)
-            for x, cx in exits:
-                vrows = self.vdist[x[rows]]
-                for y, cy in exits:
-                    np.take(vrows, y, axis=1, out=cand)
-                    cand += cx[rows, None]
-                    cand += cy
-                    np.minimum(blk, cand, out=blk)
-            np.subtract(off[rows, None], off, out=cand)
-            np.abs(cand, out=cand)
-            np.minimum(blk, cand, out=blk, where=e[rows, None] == e)
-        # row i was summed from point i's side: give each pair the row of
-        # its lexicographically smaller (edge, offset) point; the entries
-        # read are never the ones written
-        for rows in blocks:
-            er, offr = e[rows, None], off[rows, None]
-            swap = (er > e) | ((er == e) & (offr > off))
-            blk = out[rows]
-            blk[swap] = out[:, rows].T[swap]
-        np.fill_diagonal(out, 0.0)
-        return out
+        """Matrix of ``distance`` over ``points``, equal to it bit for bit."""
+        edge, off, exits = qs = self._exit_arrays(points)
+        return _row_blocks(len(points), lambda r: self._rows(
+            edge[r, None], off[r, None], [(x[r], cx[r, None]) for x, cx in exits], qs))
 
     # -- geodesic routes
 
@@ -483,9 +482,11 @@ class BallSpace(_VectorSpace):
 
     def pairwise(self, points) -> np.ndarray:
         arr = np.asarray(points, float)
-        diff = arr[:, None, :] - arr[None, :, :]
-        out = np.sqrt((diff * diff).sum(axis=2))
-        return np.minimum(out, out.T)
+
+        def rows(r):
+            diff = arr[r, None, :] - arr[None, :, :]
+            return np.sqrt((diff * diff).sum(axis=2))
+        return _row_blocks(len(arr), rows)
 
 
 class SphereSpace(_VectorSpace):
@@ -578,10 +579,12 @@ class SphereSpace(_VectorSpace):
 
     def pairwise(self, points) -> np.ndarray:
         arr = np.asarray(points, float)
-        diff = np.linalg.norm(arr[:, None, :] - arr[None, :, :], axis=2)
-        summ = np.linalg.norm(arr[:, None, :] + arr[None, :, :], axis=2)
-        out = 2.0 * np.arctan2(diff, summ)
-        return np.minimum(out, out.T)
+
+        def rows(r):
+            diff = np.linalg.norm(arr[r, None, :] - arr[None, :, :], axis=2)
+            summ = np.linalg.norm(arr[r, None, :] + arr[None, :, :], axis=2)
+            return 2.0 * np.arctan2(diff, summ)
+        return _row_blocks(len(arr), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +736,7 @@ class Net:
 
 
 def _graph_net(space: MetricGraphSpace, h: float, budget: int):
-    nsegs = [max(1, math.ceil(length / h - 1e-12)) for _, _, length in space.edges]
+    nsegs = [max(1, _ceil_div(length, h, 1e-12)) for _, _, length in space.edges]
     _check_budget(len(space.vertex_ids) + sum(n - 1 for n in nsegs), budget)
     points = [space.vertex_point(v) for v in range(len(space.vertex_ids))]
     worst_spacing = 0.0
@@ -756,11 +759,14 @@ def _ball_pitch(n: int, h: float) -> float:
 def _ball_net(space: BallSpace, h: float, budget: int):
     n, radius = space.dimension, space.radius
     pitch = _ball_pitch(n, h)
-    half = math.ceil(radius / pitch)
-    if (2 * half + 1) ** n > 8 * budget:  # before the grid is allocated
-        raise CapacityError("net points", (2 * half + 1) ** n, budget)
+    half = _ceil_div(radius, pitch)
+    side = 2 * half + 1
+    # the grid's size, exact while it fits a float, so it is quick to form and print
+    grid = side ** n if n * math.log2(side) < 1000 else math.inf
+    if grid > 8 * budget:  # before the grid is allocated
+        raise CapacityError("net points", grid, budget)
     if n == 1:
-        m = max(1, math.ceil(2 * radius / pitch - 1e-12))
+        m = max(1, _ceil_div(2 * radius, pitch, 1e-12))
         _check_budget(m + 1, budget)
         xs = np.linspace(-radius, radius, m + 1)
         return [np.array([x]) for x in xs], (2 * radius / m) / 2.0
@@ -793,7 +799,7 @@ def _ball_net(space: BallSpace, h: float, budget: int):
 
 
 def _circle_net(h: float, budget: int):
-    m = max(3, math.ceil(2 * math.pi / h - 1e-12))
+    m = max(3, _ceil_div(2 * math.pi, h, 1e-12))
     _check_budget(m, budget)
     pts = [
         np.array([math.cos(2 * math.pi * j / m), math.sin(2 * math.pi * j / m)])
@@ -886,7 +892,8 @@ def build_net(space: Space, h: float, point_budget: int = DEFAULT_POINT_BUDGET) 
             )
     elif isinstance(space, ProductSpace):
         h_factor = h / 2.0 ** (1.0 / space.p)
-        nseg = max(1, math.ceil(space.fiber_length / h_factor - 1e-12))
+        nseg = max(1, _ceil_div(space.fiber_length, h_factor, 1e-12))
+        _check_budget(nseg + 1, point_budget)  # before the fiber is made
         fiber = [space.fiber_length * j / nseg for j in range(nseg + 1)]
         fiber_cover = (space.fiber_length / nseg) / 2.0
         # base * fiber <= budget exactly when base <= budget // fiber
@@ -896,21 +903,21 @@ def build_net(space: Space, h: float, point_budget: int = DEFAULT_POINT_BUDGET) 
             raise CapacityError("net points", exc.required * len(fiber),
                                 point_budget) from exc
         points = [(bp, s) for bp in base_net.points for s in fiber]
-        d_base = np.repeat(
-            np.repeat(base_net.matrix, len(fiber), axis=0), len(fiber), axis=1
-        )
+        base = np.repeat(np.arange(base_net.size), len(fiber))  # each point's base index
         svals = np.tile(np.asarray(fiber), base_net.size)
-        d_fib = np.abs(svals[:, None] - svals[None, :])
-        if space.p == 1.0:
-            matrix = d_base + d_fib
-        elif space.p == 2.0:
-            matrix = np.hypot(d_base, d_fib)
-        else:
-            matrix = (d_base**space.p + d_fib**space.p) ** (1.0 / space.p)
-            matrix = np.where(d_fib == 0.0, d_base, matrix)
-            matrix = np.where(d_base == 0.0, d_fib, matrix)
+
+        def rows(r):
+            d_base = np.take(base_net.matrix[base[r]], base, axis=1)
+            d_fib = np.abs(svals[r, None] - svals[None, :])
+            if space.p == 1.0:
+                return d_base + d_fib
+            if space.p == 2.0:
+                return np.hypot(d_base, d_fib)
+            out = (d_base**space.p + d_fib**space.p) ** (1.0 / space.p)
+            out = np.where(d_fib == 0.0, d_base, out)
+            return np.where(d_base == 0.0, d_fib, out)
         cover = space.combine(base_net.h, fiber_cover)
-        return Net(space, points, cover, matrix, requested_h=h)
+        return Net(space, points, cover, _row_blocks(len(points), rows), requested_h=h)
     else:
         raise ConfigError(f"no net construction for {type(space).__name__}")
     matrix = space.pairwise(points)
@@ -955,8 +962,12 @@ def space_from_config(cfg: dict) -> Space:
     kind = cfg["type"]
     try:
         if kind == "metric_graph":
-            edges = [(u, v, _num(w)) for u, v, w in cfg["edges"]]
-            return MetricGraphSpace(cfg["vertices"], edges)
+            vertices, edges = cfg["vertices"], cfg["edges"]
+            if not (isinstance(vertices, list) and isinstance(edges, list)
+                    and all(isinstance(e, list) and len(e) == 3 for e in edges)):
+                raise ConfigError("a metric graph needs a list of vertices and a "
+                                  "list of [u, v, length] edges")
+            return MetricGraphSpace(vertices, [(u, v, _num(w)) for u, v, w in edges])
         if kind == "ball":
             return BallSpace(_whole(cfg["dimension"]), _num(cfg.get("radius", 1.0)))
         if kind == "sphere":

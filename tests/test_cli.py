@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -195,6 +196,29 @@ def test_solve_rejects_non_finite_space_numbers(tmp_path, capsys, where, bad):
     assert run(tmp_path, "solve", cfg) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "finite" in err[0]
+
+
+@pytest.mark.parametrize("space, net_h", [
+    ({"type": "sphere", "dimension": 1}, 1e-320),
+    ({"type": "metric_graph", "vertices": ["u", "v"], "edges": [["u", "v", "1e300"]]},
+     1e-10),
+    ({"type": "ball", "dimension": 2, "radius": "1e300"}, 1e-10),
+    ({"type": "product", "base": INTERVAL, "fiber_length": "1e300"}, 1e-10),
+    ({"type": "ball", "dimension": 100_000}, 0.5),
+    ({"type": "ball", "dimension": 3_000_000}, 0.5),
+    # the covering radius of a factor, or the ball's grid pitch, underflows to 0
+    ({"type": "product", "base": INTERVAL, "p": 1}, 5e-324),
+    ({"type": "ball", "dimension": 4}, 5e-324),
+], ids=["circle", "edge", "ball-radius", "fiber", "ball-dim-1e5", "ball-dim-3e6",
+        "factor-h", "pitch"])
+def test_solve_rejects_nets_too_large_for_a_float(tmp_path, capsys, space, net_h):
+    cfg = {"space": space, "net_h": net_h, "k": 1, "mode": "finite",
+           "agility": {"kind": "uniform", "t": 0.5}, "horizon": {"N": 1}}
+    start = time.perf_counter()
+    assert run(tmp_path, "solve", cfg) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("capacity error: net points")
 
 
 _SOLVE = {"space": CYCLE, "net_h": 0.25, "k": 1, "mode": "limit",

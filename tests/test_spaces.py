@@ -18,6 +18,7 @@ from pursuit.spaces import (
     MetricGraphSpace,
     ProductSpace,
     SphereSpace,
+    _BLOCK_ENTRIES,
     _ball_net,
     _norm,
     build_net,
@@ -569,6 +570,82 @@ def test_graph_pairwise_equals_distance_loop_bitwise(graph, h, rng):
     assert graph.pairwise(points).tobytes() == _distance_loop(graph, points).tobytes()
 
 
+def _broadcast_ball(points):
+    """Ball ``pairwise`` as first written: one broadcast over all pairs."""
+    arr = np.asarray(points, float)
+    diff = arr[:, None, :] - arr[None, :, :]
+    out = np.sqrt((diff * diff).sum(axis=2))
+    return np.minimum(out, out.T)
+
+
+def _broadcast_sphere(points):
+    arr = np.asarray(points, float)
+    diff = np.linalg.norm(arr[:, None, :] - arr[None, :, :], axis=2)
+    summ = np.linalg.norm(arr[:, None, :] + arr[None, :, :], axis=2)
+    out = 2.0 * np.arctan2(diff, summ)
+    return np.minimum(out, out.T)
+
+
+def _broadcast_product(net):
+    """A product net's matrix as first written: the base matrix repeated
+    over the fiber, the fiber gaps broadcast, both combined at full size."""
+    space = net.space
+    base = build_net(space.base, net.requested_h / 2.0 ** (1.0 / space.p))
+    nf = net.size // base.size
+    d_base = np.repeat(np.repeat(base.matrix, nf, axis=0), nf, axis=1)
+    svals = np.array([s for _, s in net.points])
+    d_fib = np.abs(svals[:, None] - svals[None, :])
+    if space.p == 1.0:
+        return d_base + d_fib
+    if space.p == 2.0:
+        return np.hypot(d_base, d_fib)
+    matrix = (d_base**space.p + d_fib**space.p) ** (1.0 / space.p)
+    matrix = np.where(d_fib == 0.0, d_base, matrix)
+    return np.where(d_base == 0.0, d_fib, matrix)
+
+
+@pytest.mark.parametrize("space, h, reference", [
+    (BallSpace(1), 0.01, _broadcast_ball),
+    (BallSpace(2, 1.3), 0.07, _broadcast_ball),
+    (BallSpace(3), 0.4, _broadcast_ball),
+    (BallSpace(9), 30.0, _broadcast_ball),  # numpy's sum unrolls by 8 from 8 terms up
+    (SphereSpace(1), 0.01, _broadcast_sphere),
+    (SphereSpace(2), 0.4, _broadcast_sphere),
+    (SphereSpace(2), 0.2, _broadcast_sphere),
+    (ProductSpace(make_cycle(2.0), 1.0, 1.0), 0.15, _broadcast_product),
+    (ProductSpace(make_cycle(2 * math.pi), 1.0, 2.0), 0.3, _broadcast_product),
+    (ProductSpace(make_star(3, 0.7), 0.9, 3.0), 0.12, _broadcast_product),
+    (ProductSpace(ProductSpace(make_interval(1.0), 0.7, 2.0), 0.5, 3.0), 0.15,
+     _broadcast_product),
+])
+def test_net_matrix_equals_broadcast_formula_bitwise(space, h, reference):
+    net = build_net(space, h)
+    assert net.size > 2 * max(1, _BLOCK_ENTRIES // net.size)  # several row blocks
+    assert net.matrix.tobytes() == reference(net if reference is _broadcast_product
+                                             else net.points).tobytes()
+
+
+@pytest.mark.parametrize("space", [BallSpace(9), SphereSpace(9)])
+def test_pairwise_equals_broadcast_formula_on_random_points(space, rng):
+    points = [space.random_point(rng) for _ in range(400)]
+    want = (_broadcast_ball if isinstance(space, BallSpace) else _broadcast_sphere)(points)
+    assert space.pairwise(points).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("space, h", [
+    (BallSpace(2), 0.05), (SphereSpace(2), 0.2),
+    (ProductSpace(make_cycle(2 * math.pi), 1.0, 2.0), 0.1), (make_cycle(2.0), 0.003),
+], ids=["ball", "sphere", "product", "graph"])
+def test_net_build_allocates_little_beyond_its_matrix(space, h):
+    tracemalloc.start()
+    try:
+        net = build_net(space, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert net.size > 600 and peak <= net.matrix.nbytes + 2_000_000
+
+
 @pytest.mark.parametrize(
     "name,h",
     [("interval", 0.3), ("cycle", 0.25), ("star", 0.4), ("ball1", 0.3),
@@ -752,6 +829,20 @@ def test_product_net_budget_checked_before_base_matrix():
     assert err.value.required == 2222 * 355
 
 
+def test_product_net_budget_checked_before_fiber():
+    # 1 414 215 fiber points, 46 MB as a list of floats: the fiber alone is
+    # over budget, and is rejected before its list or the base net is made
+    space = ProductSpace(make_interval(1.0), fiber_length=1000.0, p=2.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError) as err:
+            build_net(space, 0.001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.required == 1414215 and peak < 1_000_000
+
+
 def test_product_net_budget_is_exact():
     space = ProductSpace(make_interval(1.0), fiber_length=1.0, p=2.0)
     size = build_net(space, 0.25).size
@@ -812,6 +903,15 @@ def test_space_config_errors():
             {"type": "metric_graph", "vertices": ["a", "b"],
              "edges": [["a", "b", "-1"]]}
         )
+    # a string of vertex names, an object of edges, an edge as a string
+    for vertices, edges in [("ab", [["a", "b", "1"]]),
+                            (["a", "b", "c"], {"ab1": 1, "bc1": 2}),
+                            (["a", "b"], ["ab1"]),
+                            (["a", "b"], [["a", "b", "1", "2"]]),
+                            (["a", "b"], [("a", "b", 1)])]:
+        with pytest.raises(ConfigError, match="list of vertices"):
+            space_from_config({"type": "metric_graph", "vertices": vertices,
+                               "edges": edges})
     with pytest.raises(ConfigError):
         # disconnected
         space_from_config(

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 
 import numpy as np
 
 from .errors import StrategyFaultError, UnknownStrategyError
 from .game import Agility, Position, Trajectory
-from .spaces import BallSpace, ProductSpace, Space, SphereSpace
+from .spaces import BallSpace, ProductSpace, Space, SphereSpace, _norm, lp_remainder
 
 BUDGET_TOL = 1e-9
 TRAVEL_GUARD = 1e-12
@@ -42,6 +43,15 @@ def _reach_or_step(space: Space, frm, target, t: float):
     return space._step(frm, target, _guarded(t))
 
 
+def _each_cop(chase):
+    """The cops' move function that moves each cop to ``chase(cop, robber, t)``."""
+
+    def move(pos: Position, t: float, n: int):
+        return tuple(chase(c, pos.robber, t) for c in pos.cops)
+
+    return move
+
+
 # ---------------------------------------------------------------------------
 # built-in strategies: each ``make_*`` returns the move callable, and
 # ``_CATALOG`` alone gives the strategy's name and side
@@ -50,22 +60,12 @@ def _reach_or_step(space: Space, frm, target, t: float):
 def make_follower_cop(space: Space):
     """Each cop moves straight toward the revealed robber position along a
     geodesic, covering min(t, distance); the gap never increases."""
-
-    def move(pos: Position, t: float, n: int):
-        return tuple(
-            _reach_or_step(space, c, pos.robber, t) for c in pos.cops
-        )
-
-    return move
+    return _each_cop(lambda c, robber, t: _reach_or_step(space, c, robber, t))
 
 
 def make_stand_still_cops(space: Space):
     """Cops that never move (baseline opponent)."""
-
-    def move(pos: Position, t: float, n: int):
-        return tuple(pos.cops)
-
-    return move
+    return _each_cop(lambda c, robber, t: c)
 
 
 def make_stand_still_robber(space: Space):
@@ -103,7 +103,7 @@ def make_radial_cop(space: Space):
         c = np.asarray(c, float)
         r = np.asarray(robber, float)
         t_eff = _guarded(t)
-        rn = float(np.linalg.norm(r))
+        rn = _norm(r)
         if rn == 0.0:
             target = np.zeros(space.dimension)
             return _reach_or_step(space, c, target, t)
@@ -117,10 +117,7 @@ def make_radial_cop(space: Space):
                 return hi * rhat
         return space._step(c, np.zeros(space.dimension), t_eff)
 
-    def move(pos: Position, t: float, n: int):
-        return tuple(chase_one(c, pos.robber, t) for c in pos.cops)
-
-    return move
+    return _each_cop(chase_one)
 
 
 def lift_slope(p: float, eps: float) -> float:
@@ -133,11 +130,13 @@ def lift_slope(p: float, eps: float) -> float:
         T = (1.0 + eps * eps) / (2.0 * eps)
     else:
         def slack(T):
-            return T - (T**p - 1.0) ** (1.0 / p)
+            return T - lp_remainder(p, T, 1.0)
 
         lo, hi = 1.0, 2.0
         while slack(hi) >= eps:
             hi *= 2.0
+        if slack(hi) == -math.inf:  # T^p passed the float range first
+            raise UnknownStrategyError(f"cylinder lift: eps {eps} is too small for p = {p}")
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if slack(mid) >= eps:
@@ -161,17 +160,10 @@ def make_cylinder_lift_cop(space: Space, eps: float = 0.1):
         fiber_gap = float(robber[1]) - float(c[1])
         climb = min(t_eff / slope, abs(fiber_gap))
         new_s = float(c[1]) + np.sign(fiber_gap) * climb
-        if space.p == 2.0:
-            base_budget = np.sqrt(max(0.0, t_eff * t_eff - climb * climb))
-        else:
-            base_budget = max(0.0, t_eff**space.p - climb**space.p) ** (1.0 / space.p)
-        new_base = space.base._step(c[0], robber[0], base_budget)
+        new_base = space.base._step(c[0], robber[0], lp_remainder(space.p, t_eff, climb))
         return (new_base, new_s)
 
-    def move(pos: Position, t: float, n: int):
-        return tuple(chase_one(c, pos.robber, t) for c in pos.cops)
-
-    return move
+    return _each_cop(chase_one)
 
 
 def make_greedy_robber(space: Space, samples: int = 32, seed: int = 0):
@@ -252,33 +244,29 @@ def run_game(space: Space, robber, cops, start: Position,
         raise ValueError("need at least one step")
     if not kappa >= 0:  # NaN too: no gap would ever count as a capture
         raise ValueError(f"capture radius kappa must be >= 0, got {kappa}")
-    traj = Trajectory(space)
-    pos = start
-    traj.append(pos, 0.0)
-    if traj.gap(-1) <= kappa:
-        traj.captured = True
-        traj.capture_step = 0
-        return traj
-    for n in range(1, N + 1):
-        t = tau.tau(n)
-        r_new = robber(pos, t, n)
-        moved = space.distance(pos.robber, r_new)
-        if moved > t + BUDGET_TOL:
-            raise StrategyFaultError("robber", n, f"moved {moved} > budget {t}")
-        revealed = Position(r_new, pos.cops)
-        c_new = tuple(cops(revealed, t, n))
-        if len(c_new) != pos.k:
-            raise StrategyFaultError("cops", n, "wrong number of cop moves")
-        for c_old, c in zip(pos.cops, c_new):
-            moved = space.distance(c_old, c)
+
+    def check(side, n, t, old, new):
+        for a, b in zip(old, new):
+            moved = space.distance(a, b)
             if moved > t + BUDGET_TOL:
-                raise StrategyFaultError("cops", n, f"moved {moved} > budget {t}")
-        pos = Position(r_new, c_new)
+                raise StrategyFaultError(side, n, f"moved {moved} > budget {t}")
+
+    traj = Trajectory(space)
+    pos, t = start, 0.0
+    for n in range(N + 1):  # n = 0 records the start
+        if n:
+            t = tau.tau(n)
+            r_new = robber(pos, t, n)
+            check("robber", n, t, [pos.robber], [r_new])
+            c_new = tuple(cops(Position(r_new, pos.cops), t, n))
+            if len(c_new) != pos.k:
+                raise StrategyFaultError("cops", n, "wrong number of cop moves")
+            check("cops", n, t, pos.cops, c_new)
+            pos = Position(r_new, c_new)
         traj.append(pos, t)
         if traj.gap(-1) <= kappa:
-            traj.captured = True
-            traj.capture_step = n
-            return traj
+            traj.captured, traj.capture_step = True, n
+            break
     return traj
 
 

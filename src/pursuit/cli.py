@@ -171,8 +171,15 @@ def _net_from_config(cfg: dict):
     return build_net(space, h, budget)
 
 
+def _enough_steps(agility, n: int, name: str) -> None:
+    """An explicit agility must provide the ``n`` steps that ``name`` asks for."""
+    if agility.length is not None and agility.length < n:
+        raise ConfigError(f"agility provides {agility.length} steps but {name} is {n}")
+
+
 def _horizon(cfg: dict):
-    """Returns (mode of horizon, N, T or None, agility or None)."""
+    """Returns ``(N, T or None, agility)``; with ``horizon.T`` the agility
+    is uniform at ``T / N``."""
     hz = _field(cfg, "horizon")
     n = _int(_field(hz, "N", "config.horizon"), "horizon.N")
     least = 1 if "T" in hz else 0  # T is split into N uniform steps
@@ -186,10 +193,7 @@ def _horizon(cfg: dict):
             raise ConfigError("horizon.T must be positive")
         return n, T, Agility.uniform(T / n)
     agility = agility_from_config(_field(cfg, "agility"))
-    if agility.length is not None and agility.length < n:
-        raise ConfigError(
-            f"agility provides {agility.length} steps but horizon.N is {n}"
-        )
+    _enough_steps(agility, n, "horizon.N")
     return n, None, agility
 
 
@@ -363,10 +367,7 @@ def cmd_play(args) -> int:
     n_steps = _int(_field(cfg, "N"), "N")
     if n_steps < 1:
         raise ConfigError("N must be at least 1")
-    if agility.length is not None and agility.length < n_steps:
-        raise ConfigError(
-            f"agility provides {agility.length} steps but N is {n_steps}"
-        )
+    _enough_steps(agility, n_steps, "N")
     kappa = _float(cfg.get("kappa", 1e-9), "kappa")
     if kappa < 0:
         raise ConfigError("kappa must be at least 0")

@@ -48,44 +48,62 @@ def robber_cop_distance(space, pos: Position) -> float:
 # Agility schedules
 
 
+def _step_list(value) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"steps must be a list, not {value!r}")
+    return [_num(v) for v in value]
+
+
+# each kind's fields, under their config names, with the parser of each
+_FIELDS = {
+    "explicit": {"steps": _step_list},
+    "uniform": {"t": _num},
+    "geometric": {"a": _num, "rho": _num},
+    "harmonic": {"a": _num},
+}
+
+
+def _kind_fields(kind) -> dict:
+    if not (isinstance(kind, str) and kind in _FIELDS):
+        raise AgilityError(f"unknown agility kind {kind!r}")
+    return _FIELDS[kind]
+
+
 class Agility:
     """Step-duration schedule with a 1-based accessor ``tau(n)``.
 
     Four kinds, each closed-form: ``explicit`` (finite list of nonnegative
-    steps), ``uniform(t)``, ``geometric(a, rho)`` with ``rho < 1``
+    ``steps``), ``uniform(t)``, ``geometric(a, rho)`` with ``rho < 1``
     (convergent sum, flagged as outside the standard set) and
-    ``harmonic(a)`` (``a/n``).
+    ``harmonic(a)`` (``a/n``).  ``Agility(kind, **fields)`` keeps the
+    kind's fields under their config names; a missing field is None.
     """
 
-    def __init__(self, kind, *, values=None, t=None, a=None, rho=None):
+    def __init__(self, kind, **fields):
         self.kind = kind
-        self._values = list(values) if values is not None else None
-        self._t = t
-        self._a = a
-        self._rho = rho
+        self._fields = f = {name: fields.get(name) for name in _kind_fields(kind)}
         if kind == "explicit":
-            if not self._values:
+            f["steps"] = steps = [] if f["steps"] is None else list(f["steps"])
+            if not steps:
                 raise AgilityError("explicit agility needs at least one step")
-            if any(not 0 <= v < math.inf for v in self._values):
+            if any(not 0 <= v < math.inf for v in steps):
                 raise AgilityError("step durations must be finite and nonnegative")
         elif kind == "uniform":
-            if t is None or not 0 < t < math.inf:
+            if f["t"] is None or not 0 < f["t"] < math.inf:
                 raise AgilityError("uniform agility needs a finite t > 0")
         elif kind == "geometric":
+            a, rho = f["a"], f["rho"]
             if a is None or not 0 < a < math.inf or rho is None or not 0 < rho < 1:
                 raise AgilityError(
                     "geometric agility needs a finite a > 0 and 0 < rho < 1")
-        elif kind == "harmonic":
-            if a is None or not 0 < a < math.inf:
-                raise AgilityError("harmonic agility needs a finite a > 0")
-        else:
-            raise AgilityError(f"unknown agility kind {kind!r}")
+        elif f["a"] is None or not 0 < f["a"] < math.inf:
+            raise AgilityError("harmonic agility needs a finite a > 0")
 
     # -- constructors
 
     @staticmethod
-    def explicit(values) -> "Agility":
-        return Agility("explicit", values=values)
+    def explicit(steps) -> "Agility":
+        return Agility("explicit", steps=steps)
 
     @staticmethod
     def uniform(t: float) -> "Agility":
@@ -104,15 +122,16 @@ class Agility:
     def tau(self, n: int) -> float:
         if n < 1:
             raise IndexError("agility steps are 1-based")
+        f = self._fields
         if self.kind == "explicit":
-            if n > len(self._values):
-                raise IndexError(f"explicit agility has {len(self._values)} steps")
-            return self._values[n - 1]
+            if n > len(f["steps"]):
+                raise IndexError(f"explicit agility has {len(f['steps'])} steps")
+            return f["steps"][n - 1]
         if self.kind == "uniform":
-            return self._t
+            return f["t"]
         if self.kind == "geometric":
-            return self._a * self._rho ** (n - 1)
-        return self._a / n
+            return f["a"] * f["rho"] ** (n - 1)
+        return f["a"] / n
 
     def prefix(self, n_steps: int) -> list:
         return [self.tau(n) for n in range(1, n_steps + 1)]
@@ -120,7 +139,7 @@ class Agility:
     @property
     def length(self):
         """Number of usable steps, or ``None`` when unbounded."""
-        return len(self._values) if self.kind == "explicit" else None
+        return len(self._fields["steps"]) if self.kind == "explicit" else None
 
     def is_decreasing(self, n_steps: int) -> bool:
         """True iff tau(n+1) < tau(n) over the tested prefix."""
@@ -143,13 +162,9 @@ class Agility:
         return self.kind in ("uniform", "harmonic")
 
     def describe(self) -> dict:
-        if self.kind == "explicit":
-            return {"kind": "explicit", "steps": list(self._values)}
-        if self.kind == "uniform":
-            return {"kind": "uniform", "t": self._t}
-        if self.kind == "geometric":
-            return {"kind": "geometric", "a": self._a, "rho": self._rho}
-        return {"kind": "harmonic", "a": self._a}
+        """The config object of this agility."""
+        return {"kind": self.kind, **{name: list(v) if name == "steps" else v
+                                      for name, v in self._fields.items()}}
 
     def __repr__(self):
         d = self.describe()
@@ -164,21 +179,14 @@ def agility_from_config(cfg: dict) -> Agility:
         raise AgilityError(f"agility must be an object, not {cfg!r}")
     kind = cfg.get("kind")
     try:
-        if kind == "uniform":
-            return Agility.uniform(_num(cfg["t"]))
-        if kind == "explicit":
-            return Agility.explicit([_num(v) for v in cfg["steps"]])
-        if kind == "harmonic":
-            return Agility.harmonic(_num(cfg["a"]))
-        if kind == "geometric":
-            return Agility.geometric(_num(cfg["a"]), _num(cfg["rho"]))
+        fields = {name: parse(cfg[name]) for name, parse in _kind_fields(kind).items()}
     except KeyError as exc:
         raise AgilityError(f"{kind} agility needs field {exc}") from exc
     except (TypeError, ValueError) as exc:
         if isinstance(exc, AgilityError):
             raise
         raise AgilityError(f"bad {kind} agility: {exc}") from exc
-    raise AgilityError(f"unknown agility kind {kind!r}")
+    return Agility(kind, **fields)
 
 
 def subdivide(tau: Agility, i: int, alpha: float) -> Agility:
@@ -195,7 +203,7 @@ def subdivide(tau: Agility, i: int, alpha: float) -> Agility:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if not 1 <= i <= tau.length:
         raise IndexError(f"step index {i} outside the usable range")
-    vals = list(tau._values)
+    vals = tau.prefix(tau.length)
     piece = vals[i - 1]
     out = vals[: i - 1] + [alpha * piece, (1 - alpha) * piece] + vals[i:]
     return Agility.explicit(out)

@@ -27,6 +27,7 @@ from .game import Agility, Position, Trajectory
 
 REACH_SLACK = 1e-12
 DEFAULT_STATE_BUDGET = 16_777_216
+MAX_AXES = 32  # the most array axes that every supported numpy allows
 
 
 # ---------------------------------------------------------------------------
@@ -40,9 +41,6 @@ class ReachSet:
     indptr: np.ndarray
     indices: np.ndarray
     rows: np.ndarray
-
-    def of(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
 
 def reach_set(net, t: float) -> ReachSet:
@@ -124,9 +122,12 @@ class ValueTable:
 def _check_state_budget(net, k: int) -> None:
     if k < 1:
         raise ConfigError("need at least one cop")
-    states = net.size ** (k + 1)
+    # exact while it fits a float, so it is quick to form and print
+    states = net.size ** (k + 1) if (k + 1) * math.log2(net.size) < 1000 else math.inf
     if states > DEFAULT_STATE_BUDGET:
         raise CapacityError("solver states", states, DEFAULT_STATE_BUDGET)
+    if k + 1 > MAX_AXES:  # a one-point net has one state for any k
+        raise CapacityError("solver layer axes", k + 1, MAX_AXES)
 
 
 def _base_layer(D, k: int) -> np.ndarray:

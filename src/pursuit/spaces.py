@@ -26,6 +26,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,6 +86,11 @@ def _norm(v) -> float:
     """``float(np.linalg.norm(v))`` for a 1-d float64 vector, bit for bit
     (numpy's norm takes ``sqrt(v.dot(v))`` there), without its dispatch."""
     return math.sqrt(v.dot(v))
+
+
+def _norms(x) -> np.ndarray:
+    """``np.linalg.norm(x, axis=-1)``, bit for bit."""
+    return np.sqrt((x * x).sum(axis=-1))
 
 
 def _check_budget(count, budget: int) -> None:
@@ -284,12 +290,10 @@ class MetricGraphSpace(Space):
         swap = (eq < ep) | ((eq == ep) & (oq < op_))
         return np.where(swap, bwd, fwd)
 
-    def _distances(self, p, qs, exits=None) -> np.ndarray:
-        """``_distance`` from ``p`` to each of ``qs``; ``exits`` is
-        ``_exit_arrays(qs)`` if kept."""
+    def _distances(self, p, qs) -> np.ndarray:
         ep, op_ = int(p[0]), float(p[1])
         exits_p = [(x, cx) for x, cx, _ in self._exits(ep, op_)]
-        return self._rows(ep, op_, exits_p, exits or self._exit_arrays(qs))
+        return self._rows(ep, op_, exits_p, self._exit_arrays(qs))
 
     def pairwise(self, points) -> np.ndarray:
         """Matrix of ``distance`` over ``points``, equal to it bit for bit."""
@@ -482,11 +486,7 @@ class BallSpace(_VectorSpace):
 
     def pairwise(self, points) -> np.ndarray:
         arr = np.asarray(points, float)
-
-        def rows(r):
-            diff = arr[r, None, :] - arr[None, :, :]
-            return np.sqrt((diff * diff).sum(axis=2))
-        return _row_blocks(len(arr), rows)
+        return _row_blocks(len(arr), lambda r: _norms(arr[r, None] - arr))
 
 
 class SphereSpace(_VectorSpace):
@@ -579,16 +579,23 @@ class SphereSpace(_VectorSpace):
 
     def pairwise(self, points) -> np.ndarray:
         arr = np.asarray(points, float)
-
-        def rows(r):
-            diff = np.linalg.norm(arr[r, None, :] - arr[None, :, :], axis=2)
-            summ = np.linalg.norm(arr[r, None, :] + arr[None, :, :], axis=2)
-            return 2.0 * np.arctan2(diff, summ)
-        return _row_blocks(len(arr), rows)
+        return _row_blocks(len(arr), lambda r: 2.0 * np.arctan2(
+            _norms(arr[r, None] - arr), _norms(arr[r, None] + arr)))
 
 
 # ---------------------------------------------------------------------------
 # l_p products with an interval fiber
+
+
+def lp_remainder(p: float, total: float, part: float) -> float:
+    """``(total^p - part^p)^(1/p)``, ``combine`` undone: 0 when ``part``
+    exceeds ``total``, ``inf`` when a power other than a square overflows."""
+    if p == 2.0:
+        return np.sqrt(max(0.0, total * total - part * part))
+    try:
+        return max(0.0, total**p - part**p) ** (1.0 / p)
+    except OverflowError:
+        return math.inf
 
 
 class ProductSpace(Space):
@@ -629,7 +636,10 @@ class ProductSpace(Space):
             return d_base + d_fiber
         if self.p == 2.0:
             return math.hypot(d_base, d_fiber)
-        return (d_base**self.p + d_fiber**self.p) ** (1.0 / self.p)
+        try:
+            return (d_base**self.p + d_fiber**self.p) ** (1.0 / self.p)
+        except OverflowError:  # a power past the float range
+            return math.inf
 
     def _distance(self, pt, qt) -> float:
         return self.combine(
@@ -706,7 +716,6 @@ class Net:
     matrix: np.ndarray
     requested_h: float = 0.0
     _reach_cache: dict = field(default_factory=dict, repr=False)
-    _point_arrays: tuple | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -714,10 +723,7 @@ class Net:
 
     def nearest_index(self, point) -> int:
         self.space.validate_point(point)
-        if self._point_arrays is None:  # a graph converts its points once
-            graph = isinstance(self.space, MetricGraphSpace)
-            self._point_arrays = (self.space._exit_arrays(self.points),) if graph else ()
-        return int(np.argmin(self.space._distances(point, self.points, *self._point_arrays)))
+        return int(np.argmin(self.space._distances(point, self.points)))
 
     def index_of(self, point) -> int:
         """Index of a net point coinciding with ``point`` (within 1e-9)."""
@@ -772,7 +778,7 @@ def _ball_net(space: BallSpace, h: float, budget: int):
         return [np.array([x]) for x in xs], (2 * radius / m) / 2.0
     axis = np.arange(-half, half + 1) * pitch
     mesh = np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1).reshape(-1, n)
-    norms = np.linalg.norm(mesh, axis=1)
+    norms = _norms(mesh)
     inside = mesh[norms <= radius + 1e-12]
     _check_budget(len(inside), budget)  # before the rim loops, which scan it
     points = list(inside)
@@ -781,7 +787,7 @@ def _ball_net(space: BallSpace, h: float, budget: int):
         for j in range(m_ring):
             ang = 2 * math.pi * j / m_ring
             pt = np.array([radius * math.cos(ang), radius * math.sin(ang)])
-            if (np.linalg.norm(pt - inside, axis=1) > 1e-12).all():
+            if (_norms(pt - inside) > 1e-12).all():
                 points.append(pt)
     else:
         # project near-miss grid points onto the boundary to patch the rim
@@ -789,8 +795,8 @@ def _ball_net(space: BallSpace, h: float, budget: int):
         kept = np.concatenate([inside, np.empty_like(shell)])  # points so far
         count = len(inside)
         for g in shell:
-            pt = g * (radius / np.linalg.norm(g))
-            if (np.linalg.norm(pt - kept[:count], axis=1) > 1e-9).all():
+            pt = g * (radius / _norm(g))
+            if (_norms(pt - kept[:count]) > 1e-9).all():
                 points.append(pt)
                 kept[count] = pt
                 count += 1
@@ -823,7 +829,7 @@ _ICOSA_FACES = [
 
 
 def _icosphere_net(space: SphereSpace, h: float, budget: int):
-    verts = [np.array(v) / np.linalg.norm(v) for v in _ICOSA_VERTS]
+    verts = [v / _norm(v) for v in np.array(_ICOSA_VERTS)]
     faces = list(_ICOSA_FACES)
     _check_budget(len(verts), budget)
 
@@ -843,7 +849,7 @@ def _icosphere_net(space: SphereSpace, h: float, budget: int):
             key = (min(i, j), max(i, j))
             if key not in cache:
                 m = verts[i] + verts[j]
-                verts.append(m / np.linalg.norm(m))
+                verts.append(m / _norm(m))
                 cache[key] = len(verts) - 1
             return cache[key]
 
@@ -856,7 +862,7 @@ def _icosphere_net(space: SphereSpace, h: float, budget: int):
     cover = 0.0
     for a, b, c in faces:
         normal = np.cross(verts[b] - verts[a], verts[c] - verts[a])
-        nn = np.linalg.norm(normal)
+        nn = _norm(normal)
         if nn == 0:
             continue
         center = normal / nn
@@ -902,6 +908,9 @@ def build_net(space: Space, h: float, point_budget: int = DEFAULT_POINT_BUDGET) 
         except CapacityError as exc:
             raise CapacityError("net points", exc.required * len(fiber),
                                 point_budget) from exc
+        # the largest distance, before any is formed: no entry may pass the float range
+        if space.combine(float(base_net.matrix.max()), space.fiber_length) == math.inf:
+            raise CapacityError("net distances", math.inf, sys.float_info.max)
         points = [(bp, s) for bp in base_net.points for s in fiber]
         base = np.repeat(np.arange(base_net.size), len(fiber))  # each point's base index
         svals = np.tile(np.asarray(fiber), base_net.size)

@@ -157,7 +157,8 @@ class _LiftedPolicy:
 
     def _advance(self, m: int, cur: int, target_fine: int) -> int:
         t = float(self.table.taus[self.N - m])
-        feasible = reach_set(self.net, t).of(cur)
+        # a pad repeats cur, which the row holds earlier: the same first minimum
+        feasible = reach_set(self.net, t).rows[cur]
         return int(feasible[np.argmin(self.net.matrix[feasible, target_fine])])
 
     def robber_move(self, m: int, tup) -> int:

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,6 +174,9 @@ def test_solve_config_errors(tmp_path, capsys):
     {"kind": "geometric", "a": 1.0},
     {"kind": "geometric", "a": "nan", "rho": 0.5},
     {"kind": "geometric", "a": 1.0, "rho": "nan"},
+    # steps must be a list, not a string of digits or an object's keys
+    {"kind": "explicit", "steps": "12"},
+    {"kind": "explicit", "steps": {"0.25": 1}},
 ])
 def test_solve_rejects_bad_agility(tmp_path, capsys, agility):
     cfg = {"space": CYCLE, "net_h": 0.25, "k": 1, "mode": "finite",
@@ -219,6 +226,77 @@ def test_solve_rejects_nets_too_large_for_a_float(tmp_path, capsys, space, net_h
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("capacity error: net points")
+
+
+_HUGE_PRODUCT = {"type": "product", "fiber_length": "1e150", "p": "3",
+                 "base": {"type": "metric_graph", "vertices": ["u", "v"],
+                          "edges": [["u", "v", "1e150"]]}}
+_CYLINDER_P3 = {"type": "product", "base": CYCLE, "fiber_length": "1", "p": "3"}
+
+
+def _lift_play(agility, params=None):
+    return {"space": _CYLINDER_P3, "robber": {"name": "stand_still_robber"},
+            "cops": {"name": "cylinder_lift_cop", "params": params or {}},
+            "start": {"robber": [[0, 0.5], 1.0], "cops": [[[0, 0.0], 0.0]]},
+            "agility": agility, "N": 2}
+
+
+@pytest.mark.parametrize("command, cfg, code, err_start", [
+    # a distance of the product net is past the float range
+    ("solve", {"space": _HUGE_PRODUCT, "net_h": 4e149, "k": 1, "mode": "finite",
+               "agility": {"kind": "uniform", "t": 1e149}, "horizon": {"N": 1}},
+     2, "capacity error: net distances"),
+    # the gap between the players is past it: inf
+    ("play", {"space": _HUGE_PRODUCT, "robber": {"name": "stand_still_robber"},
+              "cops": {"name": "follower_cop"},
+              "start": {"robber": [[0, 0.0], 0.0], "cops": [[[0, 1e150], 1e150]]},
+              "agility": {"kind": "uniform", "t": 1e149}, "N": 2}, 0, None),
+    # no slope within eps is found before T^p passes the float range
+    ("play", _lift_play({"kind": "uniform", "t": 0.25}, {"eps": 1e-300}),
+     2, "error: cylinder lift"),
+    # t^p of the step passes it: the base budget is inf
+    ("play", _lift_play({"kind": "uniform", "t": 1e200}), 0, None),
+], ids=["solve-product", "play-follower", "lift-eps", "lift-step"])
+def test_float_powers_past_the_range_end_without_a_traceback(tmp_path, capsys, command,
+                                                             cfg, code, err_start):
+    assert run(tmp_path, command, cfg) == code
+    err = capsys.readouterr().err.splitlines()
+    if err_start is None:
+        assert err == []
+    else:
+        assert len(err) == 1 and err[0].startswith(err_start)
+
+
+_TIMED_MAIN = """import sys, time
+from pursuit.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - start)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("space, net_h, k", [
+    (INTERVAL, 0.25, 10_000),
+    (INTERVAL, 0.25, 10**8),
+    # one net point: one state for any k, but more axes than numpy allows
+    ({"type": "metric_graph", "vertices": ["u"], "edges": [["u", "u", "1"]]}, 2, 100),
+], ids=["k-1e4", "k-1e8", "one-point-k-100"])
+def test_solve_rejects_large_cop_counts_quickly(tmp_path, space, net_h, k):
+    cfg = {"space": space, "net_h": net_h, "k": k, "mode": "finite",
+           "agility": {"kind": "uniform", "t": 0.5}, "horizon": {"N": 1}}
+    path = write_config(tmp_path, "solve.json", cfg)
+    # in a child process, so that an unbounded count times out instead of hanging
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TIMED_MAIN, "solve", "--config", path,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 2
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("capacity error: solver")
+    assert float(proc.stdout) < 1.0
 
 
 _SOLVE = {"space": CYCLE, "net_h": 0.25, "k": 1, "mode": "limit",

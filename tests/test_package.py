@@ -1,6 +1,6 @@
 import pursuit
 from pursuit import solver, verify
-from pursuit.spaces import MetricGraphSpace
+from pursuit.spaces import MetricGraphSpace, Net
 
 DELETED = ["Polyline", "polyline_length", "pos_metrics", "shift",
            "common_subdivision", "policy_strategy", "MalformedPathError",
@@ -9,7 +9,9 @@ DELETED = ["Polyline", "polyline_length", "pos_metrics", "shift",
 DELETED_ATTRS = [(verify, "random_oracle_instances"),
                  (verify, "_tuple_pos_distance"),
                  (solver, "default_family"),
-                 (MetricGraphSpace, "total_length")]
+                 (MetricGraphSpace, "total_length"),
+                 (solver.ReachSet, "of"),
+                 (Net, "_point_arrays")]
 
 
 def test_all_names_resolve():

@@ -77,19 +77,24 @@ def antipodal_pair(net):
 # reach sets
 
 
+def reach_list(rs, i):
+    """The CSR reach list of net point ``i``."""
+    return rs.indices[rs.indptr[i]:rs.indptr[i + 1]]
+
+
 def test_reach_contains_self_and_slack():
     net = interval_net3()
     rs0 = reach_set(net, 0.0)
     for i in range(net.size):
-        assert i in rs0.of(i)
+        assert i in reach_list(rs0, i)
     rs = reach_set(net, 0.5)  # step equal to spacing must admit neighbors
     left = net.index_of((0, 0.0))
     mid = net.index_of((0, 0.5))
-    assert sorted(rs.of(left)) == sorted([left, mid])
-    assert list(rs.of(mid)) == [0, 1, 2]
+    assert sorted(reach_list(rs, left)) == sorted([left, mid])
+    assert list(reach_list(rs, mid)) == [0, 1, 2]
     for i in range(net.size):
         for j in range(net.size):
-            assert (j in rs.of(i)) == (net.matrix[i, j] <= 0.5 + REACH_SLACK)
+            assert (j in reach_list(rs, i)) == (net.matrix[i, j] <= 0.5 + REACH_SLACK)
 
 
 def test_reach_cache_reused():
@@ -227,9 +232,9 @@ def test_policy_moves_are_reachable():
         for r in range(net.size):
             for c in range(net.size):
                 rm = policy.robber_move(m, (r, c))
-                assert rm in rs.of(r)
+                assert rm in reach_list(rs, r)
                 (cm,) = policy.cop_moves(m, rm, (c,))
-                assert cm in rs.of(c)
+                assert cm in reach_list(rs, c)
 
 
 def test_playout_optimal_vs_optimal_attains_table_value():
@@ -772,7 +777,7 @@ def loop_filter(values, rs, axis, mode):
     arg = np.empty(moved.shape, dtype=np.int64)
     extreme = min if mode == "min" else max
     for i in range(moved.shape[0]):
-        reach = [int(j) for j in rs.of(i)]
+        reach = [int(j) for j in reach_list(rs, i)]
         for rest in np.ndindex(moved.shape[1:]):
             vals = [moved[(j,) + rest] for j in reach]
             best = extreme(vals)

@@ -765,24 +765,7 @@ def test_nearest_index_is_the_first_closest_point(space, h, rng):
         p = space.random_point(rng)
         d = [space.distance(p, q) for q in net.points]
         assert net.nearest_index(p) == d.index(min(d))
-
-
-def test_graph_net_converts_its_points_once(monkeypatch, rng):
-    space = make_star(3, 1.0)
-    net = build_net(space, 0.125)
-    calls = []
-    exit_arrays = MetricGraphSpace._exit_arrays
-
-    def counted(self, points):
-        calls.append(len(points))
-        return exit_arrays(self, points)
-
-    monkeypatch.setattr(MetricGraphSpace, "_exit_arrays", counted)
-    for _ in range(5):
-        p = space.random_point(rng)
         assert net.nearest_index(p) == int(np.argmin(space._distances(p, net.points)))
-    # one conversion of the net points, plus one per uncached reference call
-    assert calls == [net.size] * 6
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from pursuit import verify
 from pursuit.errors import CapacityError, ConfigError
 from pursuit.game import Agility
-from pursuit.solver import solve_finite
+from pursuit.solver import reach_set, solve_finite
 from pursuit.spaces import BallSpace, Net, build_net, space_from_config
 from pursuit.verify import (
     LEMMA_IDS,
@@ -263,6 +263,22 @@ def test_probe_playouts_stay_on_net_indices(monkeypatch):
     assert len(calls) == coarse.size
     assert np.array_equal(got.upper, want.upper)
     assert np.array_equal(got.lower, want.lower)
+
+
+def test_lifted_moves_take_the_first_closest_point_of_the_reach_list():
+    # on a cycle of length 4 a point and its antipode tie at every target
+    net = build_net(make_cycle(4.0), 0.25)
+    fine_of = sorted(verify._coarse_to_fine(net, build_net(net.space, 0.5)))
+    taus = [0.5, 0.25, 1.0]
+    table = solve_finite(verify._subnet(net, fine_of), 1, taus, store_policy=True)
+    lifted = verify._LiftedPolicy(net, fine_of, table)
+    for m in range(1, len(taus) + 1):
+        rs = reach_set(net, taus[len(taus) - m])
+        for cur in range(net.size):
+            reach = rs.indices[rs.indptr[cur]:rs.indptr[cur + 1]]
+            for target in range(net.size):
+                want = int(reach[np.argmin(net.matrix[reach, target])])
+                assert lifted._advance(m, cur, target) == want
 
 
 def _half_units(values):

@@ -77,32 +77,18 @@ def _int(value, name: str) -> int:
         raise ConfigError(f"bad {name}: {exc}") from exc
 
 
-_DUMP_CHUNK = 4096  # array entries rendered per write by _dump
+_DUMP_CHUNK = 16384  # array entries coded and written per step by _dump
 
 
 def _dump(obj, path: Path) -> None:
     """Write ``obj`` as the bytes of ``json.dump(obj, fh, sort_keys=True,
     indent=1, default=np.ndarray.tolist)`` plus a newline, streaming to the
-    file as it goes."""
+    file as it goes; a 1-d float64 or integer array is coded and written
+    ``_DUMP_CHUNK`` entries at a time (see ``_write_json``)."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         _write_json(fh.write, obj, "\n")
         fh.write("\n")
-
-
-class _Text(dict):
-    """JSON text of array entries, each distinct key formatted once."""
-
-    def __init__(self, fmt):
-        self.fmt = fmt
-
-    def __missing__(self, key):
-        text = self[key] = self.fmt(key)
-        return text
-
-
-def _float_text(bits: int) -> str:
-    return json.dumps(float(np.uint64(bits).view(np.float64)))
 
 
 def _write_json(write, obj, newline: str) -> None:
@@ -110,9 +96,14 @@ def _write_json(write, obj, newline: str) -> None:
     ``indent=1`` and ``default=np.ndarray.tolist``; ``newline`` is a line
     break plus the indent of ``obj``.
 
-    A 1-d float64 or integer array is written from a table of the text of
-    each distinct entry; floats are keyed by their bit pattern, so ``0.0``
-    and ``-0.0`` stay apart.  Any other array goes through ``tolist()``.
+    A 1-d float64 or integer array is written chunk by chunk as
+    ``table[codes]``, an object array of texts gathered by numpy.  An integer
+    array whose entries lie in ``[0, size)`` (a policy table) is its own
+    code, and its table is the text of ``0..max``.  Any other array is coded
+    per chunk by ``np.unique``, floats by their bit pattern so that ``0.0``
+    and ``-0.0`` stay apart; each distinct key is formatted once per array,
+    by ``json.dumps`` of its Python value.  Other arrays go through
+    ``tolist()``.
     """
     inner = newline + " "
     if isinstance(obj, dict):
@@ -130,15 +121,22 @@ def _write_json(write, obj, newline: str) -> None:
                 or not (obj.dtype == np.float64 or obj.dtype.kind in "iu")):
             _write_json(write, obj.tolist(), newline)
         else:
-            keys, text = ((obj.view(np.uint64), _Text(_float_text))
-                          if obj.dtype == np.float64 else (obj, _Text(repr)))
+            keys = obj.view(np.uint64) if obj.dtype == np.float64 else obj
+            table, memo = None, {}
+            if obj.dtype.kind in "iu" and obj.min() >= 0 and obj.max() < obj.size:
+                table = np.array(list(map(repr, range(int(obj.max()) + 1))), dtype=object)
             sep = "," + inner
             write("[" + inner)
             for start in range(0, obj.size, _DUMP_CHUNK):
                 if start:
                     write(sep)
-                chunk = keys[start:start + _DUMP_CHUNK].tolist()
-                write(sep.join(map(text.__getitem__, chunk)))
+                codes, texts = keys[start:start + _DUMP_CHUNK], table
+                if table is None:
+                    uniq, codes = np.unique(codes, return_inverse=True)
+                    pairs = zip(uniq.tolist(), uniq.view(obj.dtype).tolist())
+                    texts = np.array([memo[k] if k in memo else memo.setdefault(k, json.dumps(v))
+                                      for k, v in pairs], dtype=object)
+                write(sep.join(texts[codes].tolist()))
             write(newline + "]")
     elif isinstance(obj, (list, tuple)):
         if not obj:

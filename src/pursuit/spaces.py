@@ -187,8 +187,17 @@ class MetricGraphSpace(Space):
                     elif nd == dist[s, v] and pred[s][v] is not None:
                         if (u, ei) < pred[s][v]:
                             pred[s][v] = (u, ei)
-        if not np.isfinite(dist).all():
-            raise ConfigError("metric graph is not connected")
+        if not np.isfinite(dist).all():  # no path, or every path's length overflows
+            seen, todo = {0}, [0]
+            while todo:
+                for v, _, _ in adj[todo.pop()]:
+                    if v not in seen:
+                        seen.add(v)
+                        todo.append(v)
+            if len(seen) < nv:
+                raise ConfigError("metric graph is not connected")
+            raise ConfigError("metric graph distances pass the float range "
+                              f"(largest float {sys.float_info.max!r})")
         # enforce exact symmetry regardless of per-source rounding
         self.vdist = np.minimum(dist, dist.T)
         self._pred = pred
@@ -771,6 +780,9 @@ def _ball_net(space: BallSpace, h: float, budget: int):
     grid = side ** n if n * math.log2(side) < 1000 else math.inf
     if grid > 8 * budget:  # before the grid is allocated
         raise CapacityError("net points", grid, budget)
+    # _norms sums n squares of coordinate differences, each at most (2 r)^2
+    if (2 * radius) * (2 * radius) * n == math.inf:
+        raise CapacityError("net distances", math.inf, sys.float_info.max)
     if n == 1:
         m = max(1, _ceil_div(2 * radius, pitch, 1e-12))
         _check_budget(m + 1, budget)

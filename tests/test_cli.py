@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +232,8 @@ def test_solve_rejects_nets_too_large_for_a_float(tmp_path, capsys, space, net_h
 _HUGE_PRODUCT = {"type": "product", "fiber_length": "1e150", "p": "3",
                  "base": {"type": "metric_graph", "vertices": ["u", "v"],
                           "edges": [["u", "v", "1e150"]]}}
+_HUGE_PATH = {"type": "metric_graph", "vertices": ["u", "v", "w"],
+              "edges": [["u", "v", "1e308"], ["v", "w", "1e308"]]}
 _CYLINDER_P3 = {"type": "product", "base": CYCLE, "fiber_length": "1", "p": "3"}
 
 
@@ -256,7 +259,18 @@ def _lift_play(agility, params=None):
      2, "error: cylinder lift"),
     # t^p of the step passes it: the base budget is inf
     ("play", _lift_play({"kind": "uniform", "t": 1e200}), 0, None),
-], ids=["solve-product", "play-follower", "lift-eps", "lift-step"])
+    # the u-w distance, the sum of two edges, passes it: connected all the same
+    ("solve", {"space": _HUGE_PATH, "net_h": 5e307, "k": 1, "mode": "finite",
+               "agility": {"kind": "uniform", "t": 1e307}, "horizon": {"N": 1}},
+     2, "error: metric graph distances pass the float range"),
+    # the square of a net distance passes it (a play on that ball needs no squares)
+    ("solve", {"space": {"type": "ball", "dimension": 2, "radius": "1e200"},
+               "net_h": 5e199, "k": 1, "mode": "limit",
+               "agility": {"kind": "uniform", "t": 1e199}, "horizon": {"N": 4}},
+     2, "capacity error: net distances"),
+], ids=["solve-product", "play-follower", "lift-eps", "lift-step", "graph-sum",
+        "ball-square"])
+@pytest.mark.filterwarnings("error")
 def test_float_powers_past_the_range_end_without_a_traceback(tmp_path, capsys, command,
                                                              cfg, code, err_start):
     assert run(tmp_path, command, cfg) == code
@@ -518,6 +532,11 @@ _arrays = st.one_of(
         lambda xs: np.array(xs, dtype=np.int64)),
     st.lists(st.integers(0, 2**64 - 1)).map(lambda xs: np.array(xs, dtype=np.uint64)),
     st.sampled_from([np.float64, np.int64, np.int32]).map(lambda t: np.empty(0, t)),
+    # entries in [0, size), as in a policy table: the array is its own code
+    st.integers(1, 40).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+        st.sampled_from([np.int64, np.int32, np.uint16, ">i8"]))).map(
+        lambda xs_dtype: np.array(*xs_dtype)),
 )
 _json_like = st.recursive(
     st.one_of(_scalars, _leaf_lists, _arrays),
@@ -560,6 +579,70 @@ def test_dump_array_across_chunks(tmp_path):
                                          "nested": [floats, [ints], {}, []]})
     text = (tmp_path / "dump.json").read_text()
     assert "NaN" in text and "-0.0" in text
+
+
+def _count_unique_calls(monkeypatch):
+    calls = []
+    real_unique = np.unique
+
+    def counting_unique(*args, **kwargs):
+        calls.append(len(args[0]))
+        return real_unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting_unique)
+    return calls
+
+
+@pytest.mark.parametrize("array", [
+    np.arange(2 * cli._DUMP_CHUNK + 3)[::-1] % 300,
+    np.array([3, 0, 2, 2, 1], dtype=np.int32),
+    np.array([255, 0, 7] + [1] * 300, dtype=np.uint8),
+    np.array([2, 0, 1, 1], dtype=">i8"),
+    (np.arange(12) % 4)[::3],
+    np.array([4, 0, 4, 1, 3]),  # max == size - 1
+], ids=["int64", "int32", "uint8", "big-endian", "strided", "max-is-size-1"])
+def test_dump_writes_in_range_ints_from_their_own_table(tmp_path, monkeypatch, array):
+    calls = _count_unique_calls(monkeypatch)
+    _assert_dump_matches_json(tmp_path, {"a": array, "in": [array]})
+    assert calls == []  # the entries index their texts: nothing is sorted
+
+
+@pytest.mark.parametrize("array", [
+    np.array([5, 0, 4, 1, 3]),  # max == size
+    np.array([3, -1, 2, 0]),
+    np.array([-2**63, 2**63 - 1, -1, 0, -1]),
+    np.array([2**64 - 1, 2**63, 2**63 + 1, 0, 1], dtype=np.uint64),
+], ids=["max-is-size", "negative", "int64-extremes", "uint64-above-2**63"])
+def test_dump_codes_other_ints_per_chunk(tmp_path, monkeypatch, array):
+    calls = _count_unique_calls(monkeypatch)
+    _assert_dump_matches_json(tmp_path, {"a": array})
+    assert calls == [array.size]
+
+
+def test_dump_codes_floats_per_chunk_by_bit_pattern(tmp_path, monkeypatch):
+    chunk = cli._DUMP_CHUNK
+    floats = np.arange(2 * chunk + 9) / 7  # more distinct values than one chunk
+    floats[-1] = floats[3]  # a value of the first chunk recurs in the last
+    floats[1], floats[chunk + 2], floats[2 * chunk + 2] = 0.0, -0.0, 0.0
+    floats[[5, chunk + 3, 2 * chunk + 4]] = _floats_from_bits(
+        [_NAN_PAYLOAD, int(np.float64("nan").view(np.uint64)), 0xFFF8_0000_0000_0000])
+    calls = _count_unique_calls(monkeypatch)
+    _assert_dump_matches_json(tmp_path, {"floats": floats})
+    assert calls == [chunk, chunk, 9]
+    lines = (tmp_path / "dump.json").read_text().splitlines()
+    assert [lines[2 + i].strip(" ,") for i in (1, chunk + 2, 2 * chunk + 2)] == [
+        "0.0", "-0.0", "0.0"]
+
+
+def test_dump_of_a_long_float_array_peaks_far_below_its_size():
+    floats = np.arange(2_000_000) % 1000 / 7  # 16 MB, 1000 distinct values
+    tracemalloc.start()
+    try:
+        cli._dump({"a": floats}, Path(os.devnull))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("array", [

@@ -1,5 +1,5 @@
 import pursuit
-from pursuit import solver, verify
+from pursuit import cli, solver, verify
 from pursuit.spaces import MetricGraphSpace, Net
 
 DELETED = ["Polyline", "polyline_length", "pos_metrics", "shift",
@@ -11,7 +11,9 @@ DELETED_ATTRS = [(verify, "random_oracle_instances"),
                  (solver, "default_family"),
                  (MetricGraphSpace, "total_length"),
                  (solver.ReachSet, "of"),
-                 (Net, "_point_arrays")]
+                 (Net, "_point_arrays"),
+                 (cli, "_Text"),
+                 (cli, "_float_text")]
 
 
 def test_all_names_resolve():

@@ -895,9 +895,9 @@ def test_space_config_errors():
         with pytest.raises(ConfigError, match="list of vertices"):
             space_from_config({"type": "metric_graph", "vertices": vertices,
                                "edges": edges})
-    with pytest.raises(ConfigError):
-        # disconnected
-        space_from_config(
-            {"type": "metric_graph", "vertices": ["a", "b", "c", "d"],
-             "edges": [["a", "b", "1"], ["c", "d", "1"]]}
-        )
+    # disconnected, the second also with a distance past the float range
+    for edges in ([["a", "b", "1"], ["c", "d", "1"]],
+                  [["a", "b", "1e308"], ["b", "c", "1e308"]]):
+        with pytest.raises(ConfigError, match="not connected"):
+            space_from_config({"type": "metric_graph",
+                               "vertices": ["a", "b", "c", "d"], "edges": edges})

@@ -179,7 +179,7 @@ def make_greedy_robber(space: Space, samples: int = 32, seed: int = 0):
 
     def move(pos: Position, t: float, n: int):
         # stepping draws nothing, so drawing every target first keeps the stream
-        targets = [space.random_point(rng) for _ in range(samples)]
+        targets = space.random_points(rng, samples)
         candidates = [pos.robber] + space._steps(pos.robber, targets,
                                                  [_guarded(t)] * samples)
         scores = np.min([space._distances(c, candidates) for c in pos.cops], axis=0)

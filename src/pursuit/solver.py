@@ -78,7 +78,8 @@ class ValueTable:
     ``moves[m]``, filled by a solve with ``store_policy``, lists the arg
     table of every axis: ``moves[m][0][r, c1..ck]`` is the robber's move
     and ``moves[m][j][r', c1..ck]`` is cop ``j``'s move given the robber
-    already moved to ``r'``.  Ties resolve to the lowest net index for the
+    already moved to ``r'`` (``robber_move`` and ``cop_moves`` read them for
+    ints or index arrays).  Ties resolve to the lowest net index for the
     robber and the lexicographically smallest cop tuple.
     """
 
@@ -101,17 +102,17 @@ class ValueTable:
             )
         return self.layers[m]
 
-    def robber_move(self, m: int, tup) -> int:
+    def robber_move(self, m: int, tup):
         if m not in self.moves:
             raise PlayoutError(tuple(tup), m, "no robber policy layer")
-        return int(self.moves[m][0][tuple(tup)])
+        return self.moves[m][0][tuple(tup)]
 
-    def cop_moves(self, m: int, robber_new: int, cops: tuple) -> tuple:
+    def cop_moves(self, m: int, robber_new, cops: tuple) -> tuple:
         if m not in self.moves:
             raise PlayoutError((robber_new, *cops), m, "no cop policy layer")
         chosen = []
         for j, arg in enumerate(self.moves[m][1:]):  # cop j's argmin table
-            chosen.append(int(arg[(robber_new, *chosen, *cops[j:])]))
+            chosen.append(arg[(robber_new, *chosen, *cops[j:])])
         return tuple(chosen)
 
 

@@ -23,7 +23,6 @@ and antipodal sphere targets are nudged by a 1e-9 rotation before stepping.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 import sys
@@ -49,9 +48,10 @@ class Space:
     negative budget, and then the subclass's ``_distance(p, q)`` or
     ``_step(p, q, t)`` answers.  Code that already holds valid points, such
     as net points or a product's factors, calls those two directly.  A
-    subclass also defines ``random_point``, ``describe`` and the JSON codec
-    ``point_to_json`` / ``point_from_json``; ``point_from_json`` takes a
-    JSON list and parses its numbers as config numbers are parsed.
+    subclass also defines ``describe`` and the JSON codec ``point_to_json``
+    / ``point_from_json`` (which parses a JSON list's numbers as config
+    numbers are parsed).  ``random_points(rng, n)`` draws as ``n`` calls of
+    ``random_point`` do, in one block of ``_doubles`` per point if set.
 
     Two batch hooks answer many queries from one valid origin:
     ``_distances(p, qs)`` is the float array of ``_distance(p, q)`` over
@@ -80,6 +80,16 @@ class Space:
 
     def _steps(self, p, qs, ts) -> list:
         return [self._step(p, q, t) for q, t in zip(qs, ts)]
+
+    _doubles = None  # doubles per random point, when that count is fixed
+
+    def random_point(self, rng: np.random.Generator):
+        return self.random_points(rng, 1)[0]
+
+    def random_points(self, rng: np.random.Generator, n: int) -> list:
+        if self._doubles is None:
+            return [self.random_point(rng) for _ in range(n)]
+        return self._points_from(rng.random((n, self._doubles)))
 
 
 def _norm(v) -> float:
@@ -153,9 +163,9 @@ class MetricGraphSpace(Space):
         self._ends = np.array([(u, v) for u, v, _ in self.edges], dtype=np.intp)
         self._lengths = lengths = np.array([w for _, _, w in self.edges])
         # the CDF that Generator.choice builds from p = lengths / sum
-        cdf = (lengths / lengths.sum()).cumsum()
-        cdf /= cdf[-1]
-        self._cdf = cdf.tolist()
+        self._cdf = (lengths / lengths.sum()).cumsum()
+        self._cdf /= self._cdf[-1]
+        self._doubles = 2  # an edge's and an offset's
 
     # -- construction helpers
 
@@ -277,6 +287,7 @@ class MetricGraphSpace(Space):
         ends = self._ends[edge]
         return edge, off, ((ends[:, 0], off), (ends[:, 1], self._lengths[edge] - off))
 
+    @np.errstate(over="ignore")  # a route past the float range is inf, as in _distance
     def _rows(self, ep, op_, exits_p, qs) -> np.ndarray:
         """``_distance`` from points with edge ids ``ep``, offsets ``op_``
         and ``(vertex, cost)`` exits ``exits_p`` to each of ``qs``
@@ -411,14 +422,13 @@ class MetricGraphSpace(Space):
                 out.append(self._step(p, q, ti))
         return out
 
-    def random_point(self, rng: np.random.Generator):
-        """Uniform point by length.  The draw equals
-        ``rng.choice(len(edges), p=lengths / lengths.sum())`` followed by
-        ``rng.uniform(0, lengths[e])``, bit for bit: the edge is the
-        ``side="right"`` insertion point of one ``rng.random()`` in
+    def _points_from(self, u) -> list:
+        """Uniform points by length, each ``rng.choice(len(edges), p=lengths /
+        lengths.sum())`` then ``rng.uniform(0, lengths[e])`` bit for bit: the
+        edge is the ``side="right"`` insertion point of one double in
         ``choice``'s CDF, and ``uniform(0, L)`` is ``0 + L * rng.random()``."""
-        e = bisect.bisect_right(self._cdf, rng.random())
-        return (e, self.edges[e][2] * rng.random())
+        e = np.searchsorted(self._cdf, u[:, 0], side="right")
+        return list(zip(e.tolist(), (self._lengths[e] * u[:, 1]).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +632,7 @@ class ProductSpace(Space):
         self.base = base
         self.fiber_length = float(fiber_length)
         self.p = float(p)
+        self._doubles = None if base._doubles is None else base._doubles + 1
 
     def validate_point(self, pt) -> None:
         try:
@@ -690,7 +701,12 @@ class ProductSpace(Space):
         return out
 
     def random_point(self, rng: np.random.Generator):
-        return (self.base.random_point(rng), float(rng.uniform(0.0, self.fiber_length)))
+        base = self.base.random_point(rng)  # then the fiber's double
+        return self._points_from(np.array([[rng.random()]]), [base])[0]
+
+    def _points_from(self, u, bases=None) -> list:  # fibers: uniform(0, L) is 0 + L * u
+        bases = self.base._points_from(u[:, :-1]) if bases is None else bases
+        return list(zip(bases, (self.fiber_length * u[:, -1]).tolist()))
 
     def describe(self) -> dict:
         return {
@@ -788,6 +804,8 @@ def _ball_net(space: BallSpace, h: float, budget: int):
         _check_budget(m + 1, budget)
         xs = np.linspace(-radius, radius, m + 1)
         return [np.array([x]) for x in xs], (2 * radius / m) / 2.0
+    if (half * pitch) * (half * pitch) * n == math.inf:  # the grid's squared norms
+        raise CapacityError("net grid norms", math.inf, sys.float_info.max)
     axis = np.arange(-half, half + 1) * pitch
     mesh = np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1).reshape(-1, n)
     norms = _norms(mesh)

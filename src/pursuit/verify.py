@@ -3,7 +3,7 @@
 Each check solves tiny net games exhaustively and measures the worst
 violation of one inequality.  The checks of an instance share one plain
 (endpoint) solve of its game, with every layer kept, and no check holds an
-array larger than one value layer:
+array larger than one value layer (or, on a smaller layer, 8192 entries):
 
 * ``L1-equality``        endpoint and running-minimum recursions coincide
 * ``step-monotone``      values never increase when the horizon grows
@@ -31,12 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, MalformedPointError
-from .game import Agility, subdivide, trajectory_value
+from .errors import CapacityError, ConfigError, MalformedPointError, PlayoutError
+from .game import Agility, subdivide
 from .solver import (
     REACH_SLACK,
     ValueTable,
-    policy_playout,
     reach_set,
     solve_finite,
     solve_volatile,
@@ -48,6 +47,7 @@ SUITE_K_LIMIT = 2
 SUITE_N_LIMIT = 6
 SUITE_ORACLE_NODE_LIMIT = 1_000_000
 CONTINUITY_TOL = 1e-9
+POS_BLOCK_ENTRIES = 8192  # entries per block of pos-continuity pairs
 
 
 @dataclass
@@ -75,28 +75,33 @@ class LemmaReport:
 # independent oracle
 
 
-def exhaustive_value(net: Net, k: int, taus, r: int, cops) -> float:
+def _oracle_lists(net: Net, taus) -> tuple:
+    """``net.matrix`` as lists and each step's reach lists, not from ``reach_set``."""
+    D = net.matrix.tolist()
+    return D, [[[j for j, d in enumerate(row) if d <= t + 1e-12] for row in D] for t in taus]
+
+
+def exhaustive_value(net: Net, k: int, taus, r: int, cops, *, lists=None) -> float:
     """Memoization-free alpha-beta minimax over the net game tree, scoring
     the final distance; min and max are exact, so the root, searched with
     the window (-inf, inf), gets the full tree's value bit for bit.
 
-    Kept deliberately independent of the layered solver: plain recursion
-    over reach lists recomputed from the distance matrix.
+    Kept deliberately independent of the layered solver: plain recursion over
+    ``lists = _oracle_lists(net, taus)``, built here unless a caller passes them.
     """
     P = net.size
     start = (int(r), *(int(c) for c in cops))
     if len(start) != k + 1 or not all(0 <= i < P for i in start):
         raise ValueError(f"want a robber and k={k} cops in [0, {P}), got {start}")
-    D = net.matrix.tolist()
-    taus = list(taus)
-    slack = 1e-12
-    reach = [[[j for j, d in enumerate(row) if d <= t + slack] for row in D]
-             for t in taus]
+    D, reach = _oracle_lists(net, taus) if lists is None else lists
 
     def rec(r, cops, m, alpha, beta):
         if m == 0:
             return min(D[r][c] for c in cops)
-        step = reach[len(taus) - m]
+        step = reach[-m]
+        if m == 1:  # a min over cop tuples of each tuple's min is one over their union
+            near = [c for cop in cops for c in step[cop]]
+            return max(min(map(D[rn].__getitem__, near)) for rn in step[r])
         best = -math.inf
         for rn in step[r]:
             lo = max(alpha, best)
@@ -113,7 +118,7 @@ def exhaustive_value(net: Net, k: int, taus, r: int, cops) -> float:
                     break
         return best
 
-    return rec(start[0], start[1:], len(taus), -math.inf, math.inf)
+    return rec(start[0], start[1:], len(reach), -math.inf, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -139,37 +144,56 @@ def _subnet(net: Net, indices) -> Net:
 
 @dataclass
 class _LiftedPolicy:
-    """Coarse-net policy replayed on the fine net, in fine-net indices:
-    positions round to the nearest coarse member, moves head for the coarse
-    target within the step's budget."""
+    """Coarse-net policy replayed on the fine net, in fine-net indices (ints or
+    index arrays): positions round to the nearest coarse member, moves head
+    for the coarse target within the step's budget."""
 
     net: Net
-    fine_of: list  # coarse index -> fine index, sorted without repeats
+    fine_of: np.ndarray  # coarse index -> fine index, ascending
     table: ValueTable  # the coarse solve, with its moves
 
     def __post_init__(self):
         # fine -> coarse index of the nearest coarse member (lowest on ties)
-        self.to_coarse = np.argmin(self.net.matrix[:, self.fine_of], axis=1).tolist()
+        self.to_coarse = np.argmin(self.net.matrix[:, self.fine_of], axis=1)
 
     @property
     def N(self) -> int:
         return self.table.N
 
-    def _advance(self, m: int, cur: int, target_fine: int) -> int:
-        t = float(self.table.taus[self.N - m])
+    def _advance(self, m: int, cur, target_fine):
         # a pad repeats cur, which the row holds earlier: the same first minimum
-        feasible = reach_set(self.net, t).rows[cur]
-        return int(feasible[np.argmin(self.net.matrix[feasible, target_fine])])
+        rows = reach_set(self.net, float(self.table.taus[self.N - m])).rows[cur]
+        best = np.argmin(self.net.matrix[rows, np.expand_dims(target_fine, -1)], axis=-1)
+        return np.take_along_axis(rows, best[..., None], axis=-1)[..., 0]
 
-    def robber_move(self, m: int, tup) -> int:
+    def robber_move(self, m: int, tup):
         target = self.table.robber_move(m, tuple(self.to_coarse[i] for i in tup))
         return self._advance(m, tup[0], self.fine_of[target])
 
-    def cop_moves(self, m: int, robber_new: int, cops: tuple) -> tuple:
+    def cop_moves(self, m: int, robber_new, cops: tuple) -> tuple:
         moves = self.table.cop_moves(
             m, self.to_coarse[robber_new], tuple(self.to_coarse[c] for c in cops))
         return tuple(self._advance(m, c, self.fine_of[j])
                      for c, j in zip(cops, moves))
+
+
+def _playout_values(net: Net, robber_source, cop_source, k: int, taus, gaps):
+    """``trajectory_value(policy_playout(...))`` of every start tuple at once:
+    0.0 once captured (on ``net.matrix``), else the running minimum of ``gaps``."""
+    D, N = net.matrix, len(taus)
+    r, *cops = np.indices((net.size,) * (k + 1)).reshape(k + 1, -1)
+    value, free = gaps[r, cops].min(axis=0), D[r, cops].min(axis=0) > 0.0
+    for n, t in enumerate(taus, 1):
+        r_new = robber_source.robber_move(N - n + 1, (r, *cops))
+        cops_new = cop_source.cop_moves(N - n + 1, r_new, tuple(cops))
+        over = free & (D[(r, *cops), (r_new, *cops_new)] > t + REACH_SLACK).any(axis=0)
+        if over.any():  # a move is checked until its play is captured
+            raise PlayoutError(tuple(int(x[over.argmax()]) for x in (r, *cops)), n,
+                               "move exceeds the step budget")
+        r, cops = r_new, cops_new
+        value = np.minimum(value, gaps[r, cops].min(axis=0))
+        free &= D[r, cops].min(axis=0) > 0.0
+    return np.where(free, value, 0.0).reshape((net.size,) * (k + 1))
 
 
 @dataclass
@@ -191,28 +215,21 @@ def minmax_gap_probe(net: Net, k: int, tau: Agility, eps: float, N: int,
     nearest coarse point; it is reported, not checked.  ``upper`` plays the
     fine-optimal robber against the lifted cops, ``lower`` the lifted robber
     against the fine-optimal cops, over the first ``N`` steps of ``tau``;
-    the reported gap is the worst ``upper - lower`` over all start tuples.
-    Contract: the gap stays within 4x ``eps`` plus fine-net slack.
+    the reported gap is the worst ``upper - lower`` over all start tuples,
+    all played at once.  Contract: the gap stays within 4x ``eps`` plus fine-net slack.
     """
     taus = tau.prefix(N)
     eps = float(eps)
-    fine_of = sorted(_coarse_to_fine(net, coarse))
+    fine_of = np.array(sorted(_coarse_to_fine(net, coarse)))
 
     fine_policy = solve_finite(net, k, taus, store_policy=True)
     coarse_policy = solve_finite(_subnet(net, fine_of), k, taus,
                                  store_policy=True)
     lifted = _LiftedPolicy(net, fine_of, coarse_policy)
+    gaps = np.array([net.space._distances(p, net.points) for p in net.points])
 
-    shape = (net.size,) * (k + 1)
-    upper = np.empty(shape)
-    lower = np.empty(shape)
-    for tup in itertools.product(range(net.size), repeat=k + 1):
-        upper[tup] = trajectory_value(
-            policy_playout(net, fine_policy, lifted, tup, taus)
-        )
-        lower[tup] = trajectory_value(
-            policy_playout(net, lifted, fine_policy, tup, taus)
-        )
+    upper = _playout_values(net, fine_policy, lifted, k, taus, gaps)
+    lower = _playout_values(net, lifted, fine_policy, k, taus, gaps)
     return ProbeResult(float((upper - lower).max()), eps, upper, lower)
 
 
@@ -240,14 +257,17 @@ def _violation_step_monotone(net, inst, plain, coarse) -> float:
 
 def _violation_pos_continuity(net, inst, plain, coarse) -> float:
     """Worst |V(a) - V(b)| - 2 * d(a, b) over tuple pairs, where d is the
-    largest coordinate distance; one start tuple ``a`` at a time."""
+    largest coordinate distance; ``max(layer, POS_BLOCK_ENTRIES)`` pairs at a time."""
     V, D = plain.top, net.matrix
     along = [tuple(-1 if j == i else 1 for j in range(V.ndim)) for i in range(V.ndim)]
+    per = max(1, POS_BLOCK_ENTRIES // V.size)
     worst = 0.0
-    for a in np.ndindex(V.shape):
-        dpos = functools.reduce(
-            np.maximum, (D[ai].reshape(shape) for ai, shape in zip(a, along)))
-        worst = max(worst, float((np.abs(V - V[a]) - 2.0 * dpos).max()))
+    for lo in range(0, V.size, per):
+        a = np.unravel_index(np.arange(lo, min(lo + per, V.size)), V.shape)
+        dpos = functools.reduce(np.maximum, (
+            D[ai].reshape(len(ai), *shape) for ai, shape in zip(a, along)))
+        va = V[a].reshape(-1, *(1,) * V.ndim)  # the block's tuples on a new first axis
+        worst = max(worst, float((np.abs(V - va) - 2.0 * dpos).max()))
     return worst
 
 
@@ -299,9 +319,10 @@ def _violation_oracle(net, inst, plain, coarse) -> float:
     n_oracle = inst["oracle_N"]
     taus = inst["taus"][:n_oracle]
     table = plain if len(taus) == len(inst["taus"]) else solve_finite(net, inst["k"], taus)
+    lists = _oracle_lists(net, taus)
     worst = 0.0
     for tup in itertools.product(range(net.size), repeat=inst["k"] + 1):
-        expected = exhaustive_value(net, inst["k"], taus, tup[0], tup[1:])
+        expected = exhaustive_value(net, inst["k"], taus, tup[0], tup[1:], lists=lists)
         worst = max(worst, abs(float(table.top[tup]) - expected))
     return worst
 

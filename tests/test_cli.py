@@ -235,6 +235,9 @@ _HUGE_PRODUCT = {"type": "product", "fiber_length": "1e150", "p": "3",
 _HUGE_PATH = {"type": "metric_graph", "vertices": ["u", "v", "w"],
               "edges": [["u", "v", "1e308"], ["v", "w", "1e308"]]}
 _CYLINDER_P3 = {"type": "product", "base": CYCLE, "fiber_length": "1", "p": "3"}
+# u-w is 1.6e308: every vertex distance fits a float, a few net route sums do not
+_LONG_PATH = {"type": "metric_graph", "vertices": ["u", "v", "w"],
+              "edges": [["u", "v", "8e307"], ["v", "w", "8e307"]]}
 
 
 def _lift_play(agility, params=None):
@@ -268,8 +271,13 @@ def _lift_play(agility, params=None):
                "net_h": 5e199, "k": 1, "mode": "limit",
                "agility": {"kind": "uniform", "t": 1e199}, "horizon": {"N": 4}},
      2, "capacity error: net distances"),
+    # the grid of a coarse net on a small ball: its squared norms pass it
+    ("solve", {"space": {"type": "ball", "dimension": 2, "radius": 1}, "net_h": 1e300,
+               "k": 1, "mode": "finite", "agility": {"kind": "uniform", "t": 1},
+               "horizon": {"N": 1}},
+     2, "capacity error: net grid norms"),
 ], ids=["solve-product", "play-follower", "lift-eps", "lift-step", "graph-sum",
-        "ball-square"])
+        "ball-square", "ball-grid"])
 @pytest.mark.filterwarnings("error")
 def test_float_powers_past_the_range_end_without_a_traceback(tmp_path, capsys, command,
                                                              cfg, code, err_start):
@@ -279,6 +287,16 @@ def test_float_powers_past_the_range_end_without_a_traceback(tmp_path, capsys, c
         assert err == []
     else:
         assert len(err) == 1 and err[0].startswith(err_start)
+
+
+@pytest.mark.filterwarnings("error")
+def test_graph_route_sums_past_the_range_keep_the_worst_start_value(tmp_path, capsys):
+    cfg = {"space": _LONG_PATH, "net_h": 4e307, "k": 1, "mode": "finite",
+           "agility": {"kind": "uniform", "t": 4e307}, "horizon": {"N": 1}}
+    assert run(tmp_path, "solve", cfg) == 0
+    out, err = capsys.readouterr()
+    # the value printed when the overflow warned, before the sums were guarded
+    assert err == "" and "worst-start value: 1.1999999999999999e+308" in out
 
 
 _TIMED_MAIN = """import sys, time

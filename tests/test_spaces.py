@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,52 @@ def test_graph_random_point_equals_choice_then_uniform(lengths, seed):
         got = space.random_point(rng)
         assert got == expected and type(got[0]) is int and type(got[1]) is float
     assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def _reference_draw(space, rng):
+    """One point by the scalar draw rules: ``choice`` then ``uniform`` on a
+    metric graph, the base point then ``uniform`` on a product."""
+    if isinstance(space, ProductSpace):
+        return (_reference_draw(space.base, rng),
+                float(rng.uniform(0.0, space.fiber_length)))
+    if isinstance(space, MetricGraphSpace):
+        lengths = np.array([w for _, _, w in space.edges])
+        e = int(rng.choice(len(lengths), p=lengths / lengths.sum()))
+        return (e, float(rng.uniform(0.0, lengths[e])))
+    return space.random_point(rng)
+
+
+def _same_point(a, b):
+    """Equal values of equal Python types, arrays compared by dtype and bits."""
+    if isinstance(a, np.ndarray):
+        return type(b) is np.ndarray and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if isinstance(a, tuple):
+        return (type(b) is tuple and len(a) == len(b)
+                and all(_same_point(x, y) for x, y in zip(a, b)))
+    return type(a) is type(b) and a == b
+
+
+_THETA = MetricGraphSpace(["a", "b"], [("a", "b", 1.0), ("a", "b", 1.5), ("a", "b", 2.0)])
+
+
+@pytest.mark.parametrize("space", [
+    _THETA,
+    ProductSpace(_THETA, fiber_length=0.7),
+    ProductSpace(ProductSpace(make_star(3, 0.5), fiber_length=2.0), fiber_length=0.3, p=1.0),
+    ProductSpace(BallSpace(2), fiber_length=1.5),
+    BallSpace(3, 0.5),
+], ids=["graph", "product", "product-of-product", "product-of-ball", "ball"])
+@pytest.mark.parametrize("n", [0, 1, 5, 64])
+def test_random_points_equal_calls_of_random_point(space, n):
+    rngs = [np.random.default_rng(20240817) for _ in range(3)]
+    batch = space.random_points(rngs[0], n)
+    calls = [space.random_point(rngs[1]) for _ in range(n)]
+    reference = [_reference_draw(space, rngs[2]) for _ in range(n)]
+    assert type(batch) is list and len(batch) == n
+    assert all(_same_point(a, b) and _same_point(a, c)
+               for a, b, c in zip(batch, calls, reference))
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    assert rngs[0].bit_generator.state == rngs[2].bit_generator.state
 
 
 @given(st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=4))
@@ -730,6 +777,27 @@ def test_ball_net_equals_reference_construction(dim, radius, h):
     want = _reference_ball_net(space, h)
     assert cover == h
     assert np.array(points).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_coarse_ball_nets_build_or_fail_without_overflow(dim):
+    # from the diameter up: a grid whose squared norms pass the float range
+    # is a capacity error, and every other net is the first construction's
+    space = BallSpace(dim, 1.0)
+    h = 2.0
+    while h < 1e308:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                points, _ = _ball_net(space, h, 10**6)
+            except CapacityError as err:
+                assert dim >= 2 and h > 1e150 and err.required == math.inf
+            else:
+                assert dim == 1 or h < 1e160
+                if dim >= 2:
+                    want = _reference_ball_net(space, h)
+                    assert np.array(points).tobytes() == np.array(want).tobytes()
+        h *= 16
 
 
 @pytest.mark.parametrize("h, budget", [(0.03, 1000), (0.0071, 20_000)])

@@ -10,10 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pursuit import verify
-from pursuit.errors import CapacityError, ConfigError
-from pursuit.game import Agility
-from pursuit.solver import reach_set, solve_finite
-from pursuit.spaces import BallSpace, Net, build_net, space_from_config
+from pursuit.errors import CapacityError, ConfigError, PlayoutError
+from pursuit.game import Agility, trajectory_value
+from pursuit.solver import policy_playout, reach_set, solve_finite
+from pursuit.spaces import (
+    BallSpace,
+    Net,
+    ProductSpace,
+    SphereSpace,
+    build_net,
+    space_from_config,
+)
 from pursuit.verify import (
     LEMMA_IDS,
     default_pack,
@@ -205,6 +212,19 @@ def test_pos_continuity_equals_pairwise_matrix(case):
     assert pos_continuity(D, V) == pairwise_pos_continuity(D, V)
 
 
+def test_blocked_pos_continuity_equals_pairwise_matrix_at_k2():
+    # a 1728-entry layer: blocks of 4 start tuples, so the block cap applies
+    net = build_net(make_cycle(3.0), 0.25)
+    assert net.size == 12
+    plain = solve_finite(net, 2, [0.25, 0.5])
+    per = verify.POS_BLOCK_ENTRIES // plain.top.size
+    assert 1 < per < plain.top.size
+    noisy = plain.top + np.random.default_rng(0).uniform(-0.5, 0.5, plain.top.shape)
+    for V in (plain.top, noisy):
+        assert pos_continuity(net.matrix, V) == pairwise_pos_continuity(net.matrix, V)
+    assert pos_continuity(net.matrix, noisy) > 0.0
+
+
 def test_pos_continuity_reports_a_positive_violation():
     D = np.array([[0.0, 0.25], [0.25, 0.0]])
     V = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -272,13 +292,14 @@ def test_lifted_moves_take_the_first_closest_point_of_the_reach_list():
     taus = [0.5, 0.25, 1.0]
     table = solve_finite(verify._subnet(net, fine_of), 1, taus, store_policy=True)
     lifted = verify._LiftedPolicy(net, fine_of, table)
+    curs, targets = np.indices((net.size, net.size)).reshape(2, -1)
     for m in range(1, len(taus) + 1):
         rs = reach_set(net, taus[len(taus) - m])
-        for cur in range(net.size):
+        got = lifted._advance(m, curs, targets)
+        for cur, target, move in zip(curs, targets, got):
             reach = rs.indices[rs.indptr[cur]:rs.indptr[cur + 1]]
-            for target in range(net.size):
-                want = int(reach[np.argmin(net.matrix[reach, target])])
-                assert lifted._advance(m, cur, target) == want
+            want = int(reach[np.argmin(net.matrix[reach, target])])
+            assert move == want
 
 
 def _half_units(values):
@@ -319,6 +340,73 @@ def test_probe_lifts_two_cops(taus, upper, lower, gap):
     assert _half_units(res.upper) == upper
     assert _half_units(res.lower) == lower
     assert res.gap == gap and res.eps == 0.5
+
+
+def per_tuple_probe(net, k, taus, coarse):
+    """``upper`` and ``lower`` as the probe first computed them: one
+    ``policy_playout`` per start tuple and side, scored by ``trajectory_value``."""
+    fine_of = sorted(verify._coarse_to_fine(net, coarse))
+    fine = solve_finite(net, k, taus, store_policy=True)
+    lifted = verify._LiftedPolicy(
+        net, fine_of, solve_finite(verify._subnet(net, fine_of), k, taus, store_policy=True))
+    upper, lower = np.empty((net.size,) * (k + 1)), np.empty((net.size,) * (k + 1))
+    for tup in itertools.product(range(net.size), repeat=k + 1):
+        upper[tup] = trajectory_value(policy_playout(net, fine, lifted, tup, taus))
+        lower[tup] = trajectory_value(policy_playout(net, lifted, fine, tup, taus))
+    return upper, lower
+
+
+@pytest.mark.parametrize("space,h,coarse_h,k,taus", [
+    (make_cycle(4.0), 0.25, 0.5, 1, [0.5, 0.25, 0.5]),
+    (make_cycle(2.0), 0.25, 0.5, 2, [0.5, 0.25, 0.5]),
+    (make_interval(2.0), 0.5, 1.0, 2, [1.0, 0.5, 0.5]),
+    (BallSpace(2), 0.9, 0.9, 1, [0.9, 0.9, 0.9]),
+], ids=["cycle-k1", "cycle-k2", "interval-k2", "ball"])
+def test_batched_probe_equals_per_tuple_playouts(space, h, coarse_h, k, taus):
+    net = build_net(space, h)
+    coarse = net if coarse_h == h else build_net(space, coarse_h)
+    res = minmax_gap_probe(net, k, Agility.explicit(taus), 0.5, len(taus), coarse=coarse)
+    upper, lower = per_tuple_probe(net, k, taus, coarse)
+    assert np.array_equal(res.upper, upper) and np.array_equal(res.lower, lower)
+    # some plays end in a capture from a start that is not one
+    start = solve_finite(net, k, []).top
+    assert ((upper == 0.0) & (start > 0.0)).any() or ((lower == 0.0) & (start > 0.0)).any()
+
+
+def test_ball_probe_values_are_distances_not_matrix_entries():
+    net = build_net(BallSpace(2), 0.9)
+    pairs = [(i, j) for i in range(net.size) for j in range(net.size)
+             if net.matrix[i, j] != net.space.distance(net.points[i], net.points[j])]
+    assert pairs  # the two formulas round apart on this net
+    res = minmax_gap_probe(net, 1, Agility.explicit([0.0]), 0.0, 1, coarse=net)
+    for i, j in pairs:  # zero steps: each play stays at its start
+        assert res.upper[i, j] == net.space.distance(net.points[i], net.points[j])
+
+
+class _Teleporter:
+    """A robber source in index arrays that jumps to the antipode of a
+    cycle net from the starts ``where(robber, cops)`` picks, else stays."""
+
+    def __init__(self, size, where):
+        self.N, self.size, self.where = 2, size, where
+
+    def robber_move(self, m, tup):
+        return np.where(self.where(tup[0], tup[1]), (tup[0] + self.size // 2) % self.size, tup[0])
+
+
+def test_batched_playout_rejects_teleports_from_uncaptured_starts():
+    net = build_net(make_cycle(2.0), 0.25)
+    taus = [0.25, 0.25]
+    table = solve_finite(net, 1, taus, store_policy=True)
+    gaps = net.matrix.copy()
+    # jumps from captured starts only: those plays ended, so no move is checked
+    captured = _Teleporter(net.size, lambda r, c: r == c)
+    values = verify._playout_values(net, captured, table, 1, taus, gaps)
+    assert (values.reshape(net.size, net.size).diagonal() == 0.0).all()
+    with pytest.raises(PlayoutError, match="budget") as err:
+        verify._playout_values(net, _Teleporter(net.size, lambda r, c: r == 3),
+                               table, 1, taus, gaps)
+    assert err.value.position[0] == 3 and err.value.step == 1
 
 
 def test_probe_rejects_foreign_coarse():
@@ -415,6 +503,24 @@ def tied_oracle_games(draw):
 def test_pruned_oracle_equals_reference_on_tied_matrices(game):
     net, k, taus, tup = game
     assert_oracle_equals_reference(net, k, taus, [tup])
+
+
+@pytest.mark.parametrize("space,h,k,taus", [
+    (BallSpace(2), 0.9, 1, [0.9, 0.9]),
+    (SphereSpace(2), 1.2, 1, [1.2, 1.2]),
+    (ProductSpace(make_interval(1.0), 0.5), 0.5, 1, [0.5, 0.5]),
+    (make_cycle(2.0), 0.5, 2, [0.5, 0.5]),
+], ids=["ball", "icosphere", "product", "cycle-k2"])
+def test_oracle_with_passed_lists_equals_oracle_without_and_reference(space, h, k, taus):
+    net = build_net(space, h)
+    assert net.size <= 12
+    lists = verify._oracle_lists(net, taus)
+    for tup in itertools.product(range(net.size), repeat=k + 1):
+        want = reference_exhaustive_value(net, k, taus, tup[0], tup[1:])
+        alone = exhaustive_value(net, k, taus, tup[0], tup[1:])
+        passed = exhaustive_value(net, k, taus, tup[0], tup[1:], lists=lists)
+        for got in (alone, passed):
+            assert got == want and np.signbit(got) == np.signbit(want), (tup, got, want)
 
 
 @pytest.mark.parametrize("k,r,cops", [

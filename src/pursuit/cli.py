@@ -411,9 +411,8 @@ def cmd_copnumber(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = {"pack": "default"} if args.config == "default" else _load_config(args.config)
-    default = isinstance(cfg, dict) and cfg.get("pack") == "default"
-    reports = run_suite(None if default else _field(cfg, "instances"))
+    default = args.config == "default"
+    reports = run_suite(None if default else _field(_load_config(args.config), "instances"))
     for r in reports:
         flag = "PASS" if r.passed else "FAIL"
         print(f"{flag}  {r.lemma:22s} {r.instance}  "

@@ -217,32 +217,29 @@ def subdivide(tau: Agility, i: int, alpha: float) -> Agility:
 class Trajectory:
     """Recorded play: the initial position plus the position after the cops'
     move of every completed step, with the step durations used and each
-    position's gap (``robber_cop_distance``)."""
+    position's gap (``robber_cop_distance``), taken by ``append``."""
 
     space: object
     positions: list = field(default_factory=list)
     taus: list = field(default_factory=list)
     captured: bool = False
     capture_step: int | None = None
-    _gaps: list = field(default_factory=list, repr=False)  # None until read
+    _gaps: list = field(default_factory=list, repr=False)
 
     def append(self, position: Position, t: float) -> None:
         self.positions.append(position)
         self.taus.append(t)
-        self._gaps.append(None)
+        self._gaps.append(robber_cop_distance(self.space, position))
 
     @property
     def steps(self) -> int:
         return len(self.positions) - 1
 
     def gap(self, n: int) -> float:
-        """Gap of position ``n``, computed on its first read, once."""
-        if self._gaps[n] is None:
-            self._gaps[n] = robber_cop_distance(self.space, self.positions[n])
         return self._gaps[n]
 
     def gaps(self) -> list:
-        return [self.gap(n) for n in range(len(self.positions))]
+        return list(self._gaps)
 
 
 def trajectory_value(traj: Trajectory) -> float:

@@ -72,8 +72,10 @@ class ValueTable:
 
     ``layers[m]`` holds the value with ``m`` remaining steps as a dense
     array indexed ``[robber, cop_1, ..., cop_k]``.  Layer 0 is the
-    robber-to-cops distance; layer ``N`` is the full-horizon value.  Only
-    layers 0 and ``N`` are retained unless the solve stored all of them.
+    robber-to-cops distance ``d`` (``solve_volatile``'s ``cop_guarantee``
+    stores ``max(d - 2*eps[N], 0)`` there); layer ``N`` is the full-horizon
+    value.  Only layers 0 and ``N`` are retained unless the solve stored all
+    of them.
 
     ``moves[m]``, filled by a solve with ``store_policy``, lists the arg
     table of every axis: ``moves[m][0][r, c1..ck]`` is the robber's move

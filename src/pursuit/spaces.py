@@ -265,6 +265,7 @@ class MetricGraphSpace(Space):
         u, v, length = self.edges[e]
         return (u, off, 0.0), (v, length - off, length)
 
+    @np.errstate(over="ignore")  # a route past the float range is inf
     def _distance(self, p, q) -> float:
         # canonical argument order makes symmetry exact
         p, q = sorted([(int(p[0]), float(p[1])), (int(q[0]), float(q[1]))])
@@ -355,6 +356,7 @@ class MetricGraphSpace(Space):
             segs.append((eq, off_y, oq))
         return segs
 
+    @np.errstate(over="ignore")  # a route past the float range is inf
     def _step(self, p, q, t: float):
         """Walk ``t`` along the shortest route; among routes of equal length
         the one with the smallest edge-id sequence wins (the first candidate
@@ -385,6 +387,7 @@ class MetricGraphSpace(Space):
             remaining -= seg_len
         return (eq, oq)
 
+    @np.errstate(over="ignore")  # a route past the float range is inf
     def _steps(self, p, qs, ts) -> list:
         """``_step`` from ``p`` toward each of ``qs`` with budgets ``ts``,
         bit for bit.  The five route lengths are summed in ``_step``'s order;
@@ -700,13 +703,12 @@ class ProductSpace(Space):
             out[i] = (b, plans[i][0])
         return out
 
-    def random_point(self, rng: np.random.Generator):
-        base = self.base.random_point(rng)  # then the fiber's double
-        return self._points_from(np.array([[rng.random()]]), [base])[0]
+    def random_point(self, rng: np.random.Generator):  # the base, then the fiber's double
+        return (self.base.random_point(rng), self.fiber_length * rng.random())
 
-    def _points_from(self, u, bases=None) -> list:  # fibers: uniform(0, L) is 0 + L * u
-        bases = self.base._points_from(u[:, :-1]) if bases is None else bases
-        return list(zip(bases, (self.fiber_length * u[:, -1]).tolist()))
+    def _points_from(self, u) -> list:  # fibers: uniform(0, L) is 0 + L * u
+        return list(zip(self.base._points_from(u[:, :-1]),
+                        (self.fiber_length * u[:, -1]).tolist()))
 
     def describe(self) -> dict:
         return {

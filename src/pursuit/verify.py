@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -62,13 +62,7 @@ class LemmaReport:
         return self.violation <= self.tolerance
 
     def to_json(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "instance": self.instance,
-            "violation": self.violation,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return asdict(self) | {"passed": self.passed}
 
 
 # ---------------------------------------------------------------------------
@@ -81,18 +75,19 @@ def _oracle_lists(net: Net, taus) -> tuple:
     return D, [[[j for j, d in enumerate(row) if d <= t + 1e-12] for row in D] for t in taus]
 
 
-def exhaustive_value(net: Net, k: int, taus, r: int, cops, *, lists=None) -> float:
-    """Memoization-free alpha-beta minimax over the net game tree, scoring
-    the final distance; min and max are exact, so the root, searched with
-    the window (-inf, inf), gets the full tree's value bit for bit.
+def exhaustive_value(net: Net, taus, r: int, cops, *, lists=None) -> float:
+    """Memoization-free alpha-beta minimax over the net game tree from the
+    robber at ``r`` and one cop at each index of ``cops`` (at least one),
+    scoring the final distance; min and max are exact, so the root, searched
+    with the window (-inf, inf), gets the full tree's value bit for bit.
 
     Kept deliberately independent of the layered solver: plain recursion over
     ``lists = _oracle_lists(net, taus)``, built here unless a caller passes them.
     """
     P = net.size
     start = (int(r), *(int(c) for c in cops))
-    if len(start) != k + 1 or not all(0 <= i < P for i in start):
-        raise ValueError(f"want a robber and k={k} cops in [0, {P}), got {start}")
+    if len(start) < 2 or not all(0 <= i < P for i in start):
+        raise ValueError(f"want a robber and at least one cop in [0, {P}), got {start}")
     D, reach = _oracle_lists(net, taus) if lists is None else lists
 
     def rec(r, cops, m, alpha, beta):
@@ -199,27 +194,22 @@ def _playout_values(net: Net, robber_source, cop_source, k: int, taus, gaps):
 @dataclass
 class ProbeResult:
     gap: float
-    eps: float
     upper: np.ndarray
     lower: np.ndarray
 
 
-def minmax_gap_probe(net: Net, k: int, tau: Agility, eps: float, N: int,
-                     coarse: Net) -> ProbeResult:
+def minmax_gap_probe(net: Net, k: int, taus, coarse: Net) -> ProbeResult:
     """Cross-evaluate optimal fine-net policies against policies solved on a
-    coarse net and lifted back onto the fine net.
+    coarse net and lifted back onto the fine net, over the steps ``taus``.
 
     ``coarse`` must lie in the space of ``net``, and each of its points must
     be a point of ``net`` (within 1e-9), else :class:`ConfigError` is raised.
-    ``eps`` is the caller's bound on the distance from a fine point to its
-    nearest coarse point; it is reported, not checked.  ``upper`` plays the
-    fine-optimal robber against the lifted cops, ``lower`` the lifted robber
-    against the fine-optimal cops, over the first ``N`` steps of ``tau``;
-    the reported gap is the worst ``upper - lower`` over all start tuples,
-    all played at once.  Contract: the gap stays within 4x ``eps`` plus fine-net slack.
+    ``upper`` plays the fine-optimal robber against the lifted cops,
+    ``lower`` the lifted robber against the fine-optimal cops; the reported
+    gap is the worst ``upper - lower`` over all start tuples, all played at
+    once.  Contract: the gap stays within 4x the distance from a fine point
+    to its nearest coarse point, plus fine-net slack; the caller checks it.
     """
-    taus = tau.prefix(N)
-    eps = float(eps)
     fine_of = np.array(sorted(_coarse_to_fine(net, coarse)))
 
     fine_policy = solve_finite(net, k, taus, store_policy=True)
@@ -230,7 +220,7 @@ def minmax_gap_probe(net: Net, k: int, tau: Agility, eps: float, N: int,
 
     upper = _playout_values(net, fine_policy, lifted, k, taus, gaps)
     lower = _playout_values(net, lifted, fine_policy, k, taus, gaps)
-    return ProbeResult(float((upper - lower).max()), eps, upper, lower)
+    return ProbeResult(float((upper - lower).max()), upper, lower)
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +298,7 @@ def _violation_volatile(net, inst, plain, coarse) -> float:
 
 def _violation_minmax_gap(net, inst, plain, coarse) -> float:
     cfg = inst["minmax"]
-    res = minmax_gap_probe(
-        net, inst["k"], Agility.explicit(cfg["taus"]), cfg["eps"],
-        len(cfg["taus"]), coarse=coarse,
-    )
+    res = minmax_gap_probe(net, inst["k"], cfg["taus"], coarse)
     return max(0.0, res.gap - 4.0 * cfg["eps"])
 
 
@@ -322,7 +309,7 @@ def _violation_oracle(net, inst, plain, coarse) -> float:
     lists = _oracle_lists(net, taus)
     worst = 0.0
     for tup in itertools.product(range(net.size), repeat=inst["k"] + 1):
-        expected = exhaustive_value(net, inst["k"], taus, tup[0], tup[1:], lists=lists)
+        expected = exhaustive_value(net, taus, tup[0], tup[1:], lists=lists)
         worst = max(worst, abs(float(table.top[tup]) - expected))
     return worst
 

@@ -140,7 +140,7 @@ def test_criterion_6_oracle_equivalence():
     for net, k, taus in instances:
         table = solve_finite(net, k, taus)
         for tup in np.ndindex(*table.top.shape):
-            expected = exhaustive_value(net, k, taus, tup[0], tup[1:])
+            expected = exhaustive_value(net, taus, tup[0], tup[1:])
             worst = max(worst, abs(float(table.top[tup]) - expected))
             checked += 1
     elapsed = time.monotonic() - t0
@@ -158,8 +158,7 @@ def test_criterion_7_minmax_gap():
     coarse = build_net(space, 2 * math.pi / 8)
     assert fine.size == 16 and coarse.size == 8
     eps = (2 * math.pi / 8) / 2  # half the coarse spacing
-    probe = minmax_gap_probe(fine, 1, Agility.uniform(math.pi / 4), eps, 8,
-                             coarse=coarse)
+    probe = minmax_gap_probe(fine, 1, [math.pi / 4] * 8, coarse=coarse)
     elapsed = time.monotonic() - t0
     report(
         7, "min-max gap",

@@ -177,6 +177,16 @@ def test_radial_cop_reaches_segment():
     assert space.distance(pos.cops[0], new) <= 0.2 + 1e-9
 
 
+def test_radial_cop_heads_for_a_robber_at_the_center():
+    space = BallSpace(2)
+    cop = get_strategy(space, "radial_cop")
+    pos = Position(np.zeros(2), [np.array([0.5, 0.0])])
+    (near,) = cop(pos, 0.2, 1)  # the center is out of reach: a step toward it
+    assert near[1] == 0.0 and near[0] == pytest.approx(0.3, abs=1e-9)
+    (there,) = cop(pos, 0.5, 1)  # within reach: the center itself
+    assert np.array_equal(there, np.zeros(2))
+
+
 # ---------------------------------------------------------------------------
 # catalog
 

@@ -299,6 +299,21 @@ def test_graph_route_sums_past_the_range_keep_the_worst_start_value(tmp_path, ca
     assert err == "" and "worst-start value: 1.1999999999999999e+308" in out
 
 
+@pytest.mark.parametrize("robber, value", [
+    ("stand_still_robber", "1.1999116680942081e+296"),
+    ("greedy_robber", "8.6777891578376635e+306"),
+], ids=["stand-still", "greedy"])
+@pytest.mark.filterwarnings("error")
+def test_graph_plays_past_the_range_keep_their_value(tmp_path, capsys, robber, value):
+    cfg = _PLAY | {"space": _LONG_PATH, "robber": {"name": robber},
+                   "start": {"robber": [0, 1e307], "cops": [[1, 5e307]]},
+                   "agility": {"kind": "uniform", "t": 4e307}, "N": 3}
+    assert run(tmp_path, "play", cfg) == 0
+    out, err = capsys.readouterr()
+    # the value printed when the overflow warned, before the scalar routes were guarded
+    assert err == "" and f"trajectory value: {value}" in out
+
+
 _TIMED_MAIN = """import sys, time
 from pursuit.cli import main
 start = time.perf_counter()
@@ -339,6 +354,14 @@ _PLAY = {"space": INTERVAL, "robber": {"name": "stand_still_robber"},
          "cops": {"name": "follower_cop"},
          "start": {"robber": [0, 1.0], "cops": [[0, 0.0]]},
          "agility": {"kind": "uniform", "t": 0.25}, "N": 2}
+
+_PACK_INSTANCE = {
+    "name": "cycle-4", "space": CYCLE, "h": 0.5, "k": 1,
+    "taus": [0.5, 0.5], "taus_perturbed": [1.0, 0.5],
+    "subdivide": [1, 0.5], "volatile_eps": [0.5, 0.0, 0.0],
+    "oracle_N": 2,
+    "minmax": {"coarse_h": 1.0, "eps": 0.5, "taus": [0.5, 0.5]},
+}
 
 
 _BAD_NUMBERS = [
@@ -462,6 +485,37 @@ _BAD_INPUTS = [
     ("play", _start(_BALL_PLAY, robber=[True, 0.0]), "start"),
     ("play", _start(_PRODUCT_PLAY, cop=[[0, 0.0], True]), "start"),
     ("play", _start(_BALL1_PLAY, robber="0"), "start"),
+    # solve configs
+    ("solve", {k: v for k, v in _SOLVE.items() if k != "agility"}
+     | {"horizon": {"N": 1, "T": 0}}, "horizon.T"),
+    ("solve", _SOLVE | {"mode": "finite", "starts": [[0]]}, "start"),
+    ("solve", _SOLVE | {"mode": "finite", "starts": [[0, 99]]}, "out-of-range"),
+    ("solve", _SOLVE | {"mode": "finite", "starts": []}, "empty"),
+    ("solve", _SOLVE | {"mode": "bogus"}, "mode"),
+    ("solve", _SOLVE | {"mode": "finite", "variant": "bogus"}, "variant"),
+    # spaces and agilities
+    ("solve", _SOLVE | {"space": {"type": "metric_graph", "vertices": ["u", "u"],
+                                  "edges": [["u", "u", "1"]]}}, "duplicate"),
+    ("solve", _SOLVE | {"space": INTERVAL | {"edges": [["a", "x", "1"]]}}, "unknown"),
+    ("solve", _SOLVE | {"space": 5}, "object"),
+    ("solve", _SOLVE | {"space": {"type": "ball", "dimension": 0}}, "ball"),
+    ("solve", _SOLVE | {"space": {"type": "sphere", "dimension": 0}}, "sphere"),
+    ("solve", _SOLVE | {"agility": {"kind": "explicit", "steps": [-0.25]}}, "nonnegative"),
+    ("solve", _SOLVE | {"agility": {"kind": "harmonic", "a": 0}}, "harmonic"),
+    ("copnumber", _COPNUMBER | {"k_max": 0}, "k_max"),
+    # verify packs past the suite's limits
+    ("verify", {"instances": [_PACK_INSTANCE | {"k": 3}]}, "cop"),
+    ("verify", {"instances": [_PACK_INSTANCE | {
+        "taus": [0.5] * 7, "taus_perturbed": [0.5] * 7, "volatile_eps": [0.0] * 8}]},
+     "horizon"),
+    # the cylinder lift needs p > 1, eps > 0 and a product space
+    ("play", _lift_play(_PLAY["agility"]) | {"space": _CYLINDER_P3 | {"p": "1"}},
+     "exponent"),
+    ("play", _lift_play(_PLAY["agility"], {"eps": 0}), "eps"),
+    ("play", _lift_play(_PLAY["agility"]) | {
+        "space": CYCLE, "start": {"robber": [0, 0.5], "cops": [[0, 0.0]]}}, "product"),
+    # the default pack is asked for by name, not by a file
+    ("verify", {"pack": "default"}, "instances"),
 ]
 
 
@@ -470,6 +524,17 @@ _BAD_INPUTS = [
 ])
 def test_rejects_malformed_inputs(tmp_path, capsys, command, cfg, needle):
     assert run(tmp_path, command, cfg) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and needle in err[0]
+
+
+@pytest.mark.parametrize("text, needle", [(None, "not found"), ("{", "not valid JSON")],
+                         ids=["missing", "not-json"])
+def test_rejects_unreadable_config_files(tmp_path, capsys, text, needle):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and needle in err[0]
 
@@ -865,13 +930,6 @@ def test_verify_empty_pack(tmp_path, capsys):
     assert "no instances" in capsys.readouterr().err
 
 
-_PACK_INSTANCE = {
-    "name": "cycle-4", "space": CYCLE, "h": 0.5, "k": 1,
-    "taus": [0.5, 0.5], "taus_perturbed": [1.0, 0.5],
-    "subdivide": [1, 0.5], "volatile_eps": [0.5, 0.0, 0.0],
-    "oracle_N": 2,
-    "minmax": {"coarse_h": 1.0, "eps": 0.5, "taus": [0.5, 0.5]},
-}
 _BAD_PACKS = [
     5,
     [5],

@@ -328,25 +328,17 @@ def test_playout_budget_violation_error():
         policy_playout(net, teleporter, policy, (2, 0), taus)
 
 
-def test_captured_playout_computes_no_gap(monkeypatch):
+def test_captured_playout_is_worth_zero():
     net = cycle_net(8)
     taus = [0.25] * 3
     policy = solve_finite(net, 2, taus, store_policy=True)
-    calls = []
-    distance = net.space.distance
-    monkeypatch.setattr(net.space, "distance",
-                        lambda *a: calls.append(a) or distance(*a))
     late = 0
     for start in itertools.product(range(net.size), repeat=3):
         traj = policy_playout(net, policy, policy, start, taus)
         if traj.captured:
             late += traj.capture_step > 0
             assert trajectory_value(traj) == 0.0
-    assert late and not calls
-    # gaps are still there when read, and each is computed once
-    first = traj.gaps()
-    read = len(calls)
-    assert read and traj.gaps() == first and len(calls) == read
+    assert late
 
 
 # ---------------------------------------------------------------------------

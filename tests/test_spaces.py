@@ -241,6 +241,18 @@ def test_sphere_antipodal_step_deterministic():
     assert sph.distance(p, r1) == pytest.approx(0.3, abs=1e-9)
 
 
+def test_sphere_antipodal_step_off_the_nudge_plane():
+    # (1, 0, 0) is fixed by the nudge's rotation of the (x2, x3) plane, so the
+    # tangent falls back to the most orthogonal coordinate axis
+    sph = SphereSpace(2)
+    p = np.array([1.0, 0.0, 0.0])
+    q = -p
+    out = sph.step_toward(p, q, 0.5)
+    assert np.array_equal(out, sph.step_toward(p, q, 0.5))
+    sph.validate_point(out)
+    assert sph.distance(p, out) == pytest.approx(0.5, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # fast paths equal the plain forms they replace
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from pursuit import verify
 from pursuit.errors import CapacityError, ConfigError, PlayoutError
-from pursuit.game import Agility, trajectory_value
+from pursuit.game import trajectory_value
 from pursuit.solver import policy_playout, reach_set, solve_finite
 from pursuit.spaces import (
     BallSpace,
@@ -242,14 +242,14 @@ def test_empty_pack_error():
 
 def test_probe_identity_coarse_gap_zero():
     net = build_net(make_cycle(2.0), 0.25)
-    res = minmax_gap_probe(net, 1, Agility.uniform(0.25), 0.0, 4, coarse=net)
+    res = minmax_gap_probe(net, 1, [0.25] * 4, coarse=net)
     assert res.gap == 0.0
 
 
 def test_probe_interval_everything_captured():
     net = build_net(make_interval(1.0), 0.25)
     coarse = build_net(make_interval(1.0), 0.5)
-    res = minmax_gap_probe(net, 1, Agility.uniform(0.5), 0.25, 4, coarse=coarse)
+    res = minmax_gap_probe(net, 1, [0.5] * 4, coarse=coarse)
     assert res.gap == 0.0
     assert res.upper.max() == 0.0
 
@@ -259,7 +259,7 @@ def test_probe_cycle_gap_within_bound():
     fine = build_net(space, 0.25)
     coarse = build_net(space, 0.5)
     eps = 0.25
-    res = minmax_gap_probe(fine, 1, Agility.uniform(0.5), eps, 8, coarse=coarse)
+    res = minmax_gap_probe(fine, 1, [0.5] * 8, coarse=coarse)
     assert 0.0 <= res.gap <= 4 * eps
     assert (res.upper >= res.lower - 1e-12).all()
 
@@ -268,7 +268,7 @@ def test_probe_playouts_stay_on_net_indices(monkeypatch):
     space = make_cycle(4.0)
     fine = build_net(space, 0.25)
     coarse = build_net(space, 0.5)
-    want = minmax_gap_probe(fine, 1, Agility.uniform(0.5), 0.25, 8, coarse=coarse)
+    want = minmax_gap_probe(fine, 1, [0.5] * 8, coarse=coarse)
     calls = []
     nearest_index = Net.nearest_index
 
@@ -277,7 +277,7 @@ def test_probe_playouts_stay_on_net_indices(monkeypatch):
         return nearest_index(self, point)
 
     monkeypatch.setattr(Net, "nearest_index", counted)
-    got = minmax_gap_probe(fine, 1, Agility.uniform(0.5), 0.25, 8, coarse=coarse)
+    got = minmax_gap_probe(fine, 1, [0.5] * 8, coarse=coarse)
     # one call per coarse point, to map the coarse net onto the fine one;
     # the playouts never snap a point to the net
     assert len(calls) == coarse.size
@@ -336,10 +336,10 @@ def test_probe_lifts_two_cops(taus, upper, lower, gap):
     # interval of length 2 at spacing 0.5, lifted from its 3-point 1.0-net
     fine = build_net(make_interval(2.0), 0.5)
     coarse = build_net(make_interval(2.0), 1.0)
-    res = minmax_gap_probe(fine, 2, Agility.explicit(taus), 0.5, 3, coarse=coarse)
+    res = minmax_gap_probe(fine, 2, taus, coarse=coarse)
     assert _half_units(res.upper) == upper
     assert _half_units(res.lower) == lower
-    assert res.gap == gap and res.eps == 0.5
+    assert res.gap == gap
 
 
 def per_tuple_probe(net, k, taus, coarse):
@@ -365,7 +365,7 @@ def per_tuple_probe(net, k, taus, coarse):
 def test_batched_probe_equals_per_tuple_playouts(space, h, coarse_h, k, taus):
     net = build_net(space, h)
     coarse = net if coarse_h == h else build_net(space, coarse_h)
-    res = minmax_gap_probe(net, k, Agility.explicit(taus), 0.5, len(taus), coarse=coarse)
+    res = minmax_gap_probe(net, k, taus, coarse=coarse)
     upper, lower = per_tuple_probe(net, k, taus, coarse)
     assert np.array_equal(res.upper, upper) and np.array_equal(res.lower, lower)
     # some plays end in a capture from a start that is not one
@@ -378,7 +378,7 @@ def test_ball_probe_values_are_distances_not_matrix_entries():
     pairs = [(i, j) for i in range(net.size) for j in range(net.size)
              if net.matrix[i, j] != net.space.distance(net.points[i], net.points[j])]
     assert pairs  # the two formulas round apart on this net
-    res = minmax_gap_probe(net, 1, Agility.explicit([0.0]), 0.0, 1, coarse=net)
+    res = minmax_gap_probe(net, 1, [0.0], coarse=net)
     for i, j in pairs:  # zero steps: each play stays at its start
         assert res.upper[i, j] == net.space.distance(net.points[i], net.points[j])
 
@@ -413,7 +413,7 @@ def test_probe_rejects_foreign_coarse():
     fine = build_net(make_cycle(2.0), 0.25)
     alien = build_net(make_cycle(2.0), 0.35)  # 1/3 offsets, not on the fine grid
     with pytest.raises(ConfigError):
-        minmax_gap_probe(fine, 1, Agility.uniform(0.5), 0.25, 2, coarse=alien)
+        minmax_gap_probe(fine, 1, [0.5] * 2, coarse=alien)
 
 
 def test_probe_rejects_coarse_net_of_another_space():
@@ -422,7 +422,7 @@ def test_probe_rejects_coarse_net_of_another_space():
     other = build_net(make_interval(1.0), 0.5)
     assert (fine.size, other.size) == (25, 3)
     with pytest.raises(ConfigError, match="another space"):
-        minmax_gap_probe(fine, 1, Agility.uniform(0.5), 0.5, 2, coarse=other)
+        minmax_gap_probe(fine, 1, [0.5] * 2, coarse=other)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +460,7 @@ def reference_exhaustive_value(net, k, taus, r, cops):
 def assert_oracle_equals_reference(net, k, taus, tuples):
     for tup in tuples:
         want = reference_exhaustive_value(net, k, taus, tup[0], tup[1:])
-        got = exhaustive_value(net, k, taus, tup[0], tup[1:])
+        got = exhaustive_value(net, taus, tup[0], tup[1:])
         assert got == want and np.signbit(got) == np.signbit(want), (tup, got, want)
 
 
@@ -517,30 +517,37 @@ def test_oracle_with_passed_lists_equals_oracle_without_and_reference(space, h, 
     lists = verify._oracle_lists(net, taus)
     for tup in itertools.product(range(net.size), repeat=k + 1):
         want = reference_exhaustive_value(net, k, taus, tup[0], tup[1:])
-        alone = exhaustive_value(net, k, taus, tup[0], tup[1:])
-        passed = exhaustive_value(net, k, taus, tup[0], tup[1:], lists=lists)
+        alone = exhaustive_value(net, taus, tup[0], tup[1:])
+        passed = exhaustive_value(net, taus, tup[0], tup[1:], lists=lists)
         for got in (alone, passed):
             assert got == want and np.signbit(got) == np.signbit(want), (tup, got, want)
 
 
-@pytest.mark.parametrize("k,r,cops", [
-    (2, 0, (0,)),     # one cop for two
-    (1, 0, (0, 2)),   # two cops for one
-    (1, -1, (0,)),    # a negative robber index
-    (1, 0, (3,)),     # a cop index past the net
-])
-def test_exhaustive_value_rejects_bad_arguments(k, r, cops):
+@pytest.mark.parametrize("r,cops", [
+    (-1, (0,)),  # a negative robber index
+    (0, (3,)),   # a cop index past the net
+    (0, ()),     # no cop
+], ids=["negative-robber", "cop-past-the-net", "no-cop"])
+def test_exhaustive_value_rejects_bad_arguments(r, cops):
     net = build_net(make_interval(1.0), 0.5)
     assert net.size == 3
     with pytest.raises(ValueError):
-        exhaustive_value(net, k, [0.5], r, cops)
+        exhaustive_value(net, [0.5], r, cops)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_oracle_without_steps_is_the_start_distance(k):
+    net = build_net(make_cycle(2.0), 0.5)
+    start = solve_finite(net, k, []).top
+    for tup in itertools.product(range(net.size), repeat=k + 1):
+        assert exhaustive_value(net, [], tup[0], tup[1:]) == start[tup]
 
 
 def test_exhaustive_matches_solver_on_randomized_instances():
     for net, k, taus in random_oracle_instances(5, seed=11):
         table = solve_finite(net, k, taus)
         for tup in np.ndindex(*table.top.shape):
-            assert table.top[tup] == exhaustive_value(net, k, taus, tup[0], tup[1:])
+            assert table.top[tup] == exhaustive_value(net, taus, tup[0], tup[1:])
 
 
 def test_random_instances_respect_caps():

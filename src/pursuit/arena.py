@@ -264,7 +264,7 @@ def run_game(space: Space, robber, cops, start: Position,
             check("cops", n, t, pos.cops, c_new)
             pos = Position(r_new, c_new)
         traj.append(pos, t)
-        if traj.gap(-1) <= kappa:
+        if traj.gaps[-1] <= kappa:
             traj.captured, traj.capture_step = True, n
             break
     return traj
@@ -274,10 +274,11 @@ def run_game(space: Space, robber, cops, start: Position,
 # trajectory export
 
 
-def export_trajectory_jsonl(space: Space, traj: Trajectory, path) -> None:
+def export_trajectory_jsonl(traj: Trajectory, path) -> None:
     """One JSON record per recorded step: index, duration, coordinates, gap."""
+    space = traj.space
     with open(path, "w") as fh:
-        for n, (pos, t, gap) in enumerate(zip(traj.positions, traj.taus, traj.gaps())):
+        for n, (pos, t, gap) in enumerate(zip(traj.positions, traj.taus, traj.gaps)):
             rec = {
                 "n": n,
                 "t": t,
@@ -293,5 +294,5 @@ def export_gaps_csv(traj: Trajectory, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "t", "gap"])
-        for n, (t, gap) in enumerate(zip(traj.taus, traj.gaps())):
+        for n, (t, gap) in enumerate(zip(traj.taus, traj.gaps)):
             writer.writerow([n, repr(t), repr(gap)])

@@ -372,7 +372,7 @@ def cmd_play(args) -> int:
     traj = run_game(space, robber, cops, start, agility, n_steps, kappa)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    export_trajectory_jsonl(space, traj, out / "trajectory.jsonl")
+    export_trajectory_jsonl(traj, out / "trajectory.jsonl")
     export_gaps_csv(traj, out / "gaps.csv")
     value = trajectory_value(traj)
     print(f"steps played: {traj.steps}")

@@ -147,8 +147,6 @@ class Agility:
         return all(b < a for a, b in zip(vals[:-1], vals[1:]))
 
     def is_uniform(self, n_steps: int = 2) -> bool:
-        if self.kind == "uniform":
-            return True
         vals = self.prefix(min(n_steps, self.length or n_steps))
         return all(v == vals[0] for v in vals)
 
@@ -217,29 +215,24 @@ def subdivide(tau: Agility, i: int, alpha: float) -> Agility:
 class Trajectory:
     """Recorded play: the initial position plus the position after the cops'
     move of every completed step, with the step durations used and each
-    position's gap (``robber_cop_distance``), taken by ``append``."""
+    position's gap (``robber_cop_distance``), all three lists filled by
+    ``append``."""
 
     space: object
     positions: list = field(default_factory=list)
     taus: list = field(default_factory=list)
     captured: bool = False
     capture_step: int | None = None
-    _gaps: list = field(default_factory=list, repr=False)
+    gaps: list = field(default_factory=list)
 
     def append(self, position: Position, t: float) -> None:
         self.positions.append(position)
         self.taus.append(t)
-        self._gaps.append(robber_cop_distance(self.space, position))
+        self.gaps.append(robber_cop_distance(self.space, position))
 
     @property
     def steps(self) -> int:
         return len(self.positions) - 1
-
-    def gap(self, n: int) -> float:
-        return self._gaps[n]
-
-    def gaps(self) -> list:
-        return list(self._gaps)
 
 
 def trajectory_value(traj: Trajectory) -> float:
@@ -249,4 +242,4 @@ def trajectory_value(traj: Trajectory) -> float:
         raise ValueError("empty trajectory")
     if traj.captured:
         return 0.0
-    return min(traj.gaps())
+    return min(traj.gaps)

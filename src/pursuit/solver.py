@@ -27,6 +27,7 @@ from .game import Agility, Position, Trajectory
 
 REACH_SLACK = 1e-12
 DEFAULT_STATE_BUDGET = 16_777_216
+STORED_BYTES_BUDGET = 2**30  # the arg tables and extra layers one finite solve keeps
 MAX_AXES = 32  # the most array axes that every supported numpy allows
 
 
@@ -166,13 +167,19 @@ def solve_finite(net, k: int, taus, variant: str = "endpoint", *,
     ``variant="endpoint"`` scores the final distance only; ``"intermediate"``
     additionally takes the running minimum with the current distance at
     every level.  Returns the :class:`ValueTable`; with ``store_policy``
-    it also answers ``robber_move`` and ``cop_moves``.
+    it also answers ``robber_move`` and ``cop_moves``.  Raises
+    :class:`CapacityError` when the tables it would keep besides layers 0
+    and ``N`` pass ``STORED_BYTES_BUDGET``.
     """
     if variant not in ("endpoint", "intermediate"):
         raise ConfigError(f"unknown variant {variant!r}")
     _check_state_budget(net, k)
     taus = np.asarray(list(taus), dtype=float)
     N = taus.size
+    # k + 1 int64 arg tables and one float64 layer per step, each P^(k+1) entries
+    stored = 8 * net.size ** (k + 1) * N * ((k + 1) * store_policy + store_layers)
+    if stored > STORED_BYTES_BUDGET:
+        raise CapacityError("stored table bytes", stored, STORED_BYTES_BUDGET)
     base = _base_layer(net.matrix, k)
     table = ValueTable(taus, {0: base})
     V = base
@@ -212,13 +219,10 @@ def solve_volatile(net, k: int, taus, eps, side: str) -> ValueTable:
         raise ConfigError("perturbation radii must be finite and nonnegative")
     if eps.size < N + 1:
         raise ConfigError(f"perturbation needs {N + 1} radii, got {eps.size}")
-    base = _base_layer(net.matrix, k)
+    V = _base_layer(net.matrix, k)  # every entry >= +0.0, so eps[N] == 0 keeps its bits
     if side == "cop_guarantee":
-        V = np.maximum(base - 2.0 * eps[N], 0.0) if eps[N] > 0 else base.copy()
-        adv_mode = "min"
-    else:
-        V = base.copy()
-        adv_mode = "max"
+        V = np.maximum(V - 2.0 * eps[N], 0.0)
+    adv_mode = "min" if side == "cop_guarantee" else "max"
     layers = {0: V}
     for m in range(1, N + 1):
         t = float(taus[N - m])
@@ -275,11 +279,13 @@ def limit_value(net, k: int, agility: Agility, tol: float = 1e-9,
     """Long-horizon value for a fixed agility, by horizon doubling.
 
     Solves at N = 1, 2, 4, ... and stops when consecutive tables differ by
-    less than ``tol`` in sup norm or ``N_max`` is reached.  The returned
-    table upper-bounds the infinite-horizon net-game value; ``converged``
-    is False when the last decrement still exceeded ``tol``.  The agility
-    must be uniform or strictly decreasing; an explicit schedule is checked
-    over all its steps and caps ``N_max`` at its length.
+    less than ``tol`` in sup norm or ``N_max`` is reached; ``converged``
+    is False when the last decrement still exceeded ``tol``.  The returned
+    table upper-bounds the infinite-horizon net-game value only on nets
+    where the value does not rise with the horizon (step-monotone, checked
+    on metric graphs only); a sweep can raise it on ball and sphere nets.
+    The agility must be uniform or strictly decreasing; an explicit
+    schedule is checked over all its steps and caps ``N_max`` at its length.
 
     With a uniform agility one operator is iterated, extending a single
     layer; once a sweep returns its input unchanged, every later layer is
@@ -322,9 +328,11 @@ def duration_value(net, k: int, T: float, N_start: int = 1,
                    tol: float = 1e-9, N_max: int = 64) -> LimitResult:
     """Fixed total duration ``T`` split into ever more uniform steps.
 
-    Doubling ``N`` with ``tau = T/N`` walks a subdivision chain, so values
-    are pointwise nondecreasing; stops when the increment drops below
-    ``tol``.  The result lower-bounds the fixed-duration net-game value.
+    Doubling ``N`` with ``tau = T/N`` walks a subdivision chain and stops
+    when the increment drops below ``tol``.  Where subdivision-monotone
+    holds (checked on metric graphs only; it can fail on ball nets), values
+    are pointwise nondecreasing along the chain and the result lower-bounds
+    the fixed-duration net-game value.
     """
     if T <= 0:
         raise ConfigError("duration T must be positive")

@@ -266,17 +266,26 @@ class MetricGraphSpace(Space):
         return (u, off, 0.0), (v, length - off, length)
 
     @np.errstate(over="ignore")  # a route past the float range is inf
-    def _distance(self, p, q) -> float:
-        # canonical argument order makes symmetry exact
-        p, q = sorted([(int(p[0]), float(p[1])), (int(q[0]), float(q[1]))])
-        (ep, op_), (eq, oq) = p, q
-        best = abs(op_ - oq) if ep == eq else math.inf
+    def _routes(self, ep: int, op_: float, eq: int, oq: float) -> list:
+        """``(length, exits)`` of each candidate route from ``(ep, op_)`` to
+        ``(eq, oq)``: the shared edge (``exits`` None) if any, then each pair
+        of exits ``(x, cx, off_x)``, ``(y, cy, off_y)`` (see ``_exits``)
+        joined by the chosen vertex path, summed ``(cx + vdist[x, y]) + cy``."""
+        routes = [(abs(op_ - oq), None)] if ep == eq else []
         exits_q = self._exits(eq, oq)
-        for x, cx, _ in self._exits(ep, op_):
-            for y, cy, _ in exits_q:
-                cand = cx + self.vdist[x, y] + cy
-                if cand < best:
-                    best = cand
+        for ex in self._exits(ep, op_):
+            for ey in exits_q:
+                routes.append((ex[1] + self.vdist[ex[0], ey[0]] + ey[1], (ex, ey)))
+        return routes
+
+    def _distance(self, p, q) -> float:
+        # canonical argument order makes symmetry exact; the strict running
+        # minimum keeps the type of the first shortest length (Python inf if none)
+        p, q = sorted([(int(p[0]), float(p[1])), (int(q[0]), float(q[1]))])
+        best = math.inf
+        for length, _ in self._routes(*p, *q):
+            if length < best:
+                best = length
         return best
 
     def _exit_arrays(self, points):
@@ -324,23 +333,16 @@ class MetricGraphSpace(Space):
 
     # -- geodesic routes
 
-    def _vertex_path(self, x: int, y: int):
-        """Edge hops of the chosen shortest path x -> y as
-        ``(edge, from_vertex, to_vertex)`` triples."""
-        hops = []
-        cur = y
-        while cur != x:
-            prev, ei = self._pred[x][cur]
-            hops.append((ei, prev, cur))
-            cur = prev
-        hops.reverse()
-        return hops
-
-    def _hop_segment(self, ei, vfrom, vto):
-        u, v, length = self.edges[ei]
-        if vfrom == u and vto == v:
-            return (ei, 0.0, length)
-        return (ei, length, 0.0)
+    def _path_segments(self, x: int, y: int) -> list:
+        """Segments ``(edge, off_from, off_to)`` of the chosen shortest path
+        from vertex ``x`` to vertex ``y``."""
+        segs = []
+        while y != x:
+            prev, ei = self._pred[x][y]
+            u, _, length = self.edges[ei]
+            segs.append((ei, 0.0, length) if prev == u else (ei, length, 0.0))
+            y = prev
+        return segs[::-1]
 
     def _route_segments(self, ep, op_, eq, oq, exits):
         """Segments ``(edge, off_from, off_to)`` of one candidate route from
@@ -351,37 +353,31 @@ class MetricGraphSpace(Space):
             return [(ep, op_, oq)]
         (x, cx, off_x), (y, cy, off_y) = exits
         segs = [(ep, op_, off_x)] if cx > 0 else []
-        segs.extend(self._hop_segment(*hop) for hop in self._vertex_path(x, y))
+        segs += self._path_segments(x, y)
         if cy > 0:
             segs.append((eq, off_y, oq))
         return segs
 
-    @np.errstate(over="ignore")  # a route past the float range is inf
     def _step(self, p, q, t: float):
         """Walk ``t`` along the shortest route; among routes of equal length
         the one with the smallest edge-id sequence wins (the first candidate
-        on a tie), and only tied routes have their segments built."""
+        on a tie), and only tied routes have their segments built.  Every
+        segment has positive length."""
         ep, op_ = int(p[0]), float(p[1])
         eq, oq = int(q[0]), float(q[1])
         if t == 0.0:
             return (ep, op_)
-        cands = [(abs(oq - op_), None)] if ep == eq else []
-        exits_q = self._exits(eq, oq)
-        for ex in self._exits(ep, op_):
-            for ey in exits_q:
-                cands.append((ex[1] + self.vdist[ex[0], ey[0]] + ey[1], (ex, ey)))
-        total = min(c[0] for c in cands)
+        routes = self._routes(ep, op_, eq, oq)
+        total = min(length for length, _ in routes)
         if t >= total:
             return (eq, oq)
-        routes = [self._route_segments(ep, op_, eq, oq, exits)
-                  for length, exits in cands if length == total]
-        segs = min(routes, key=lambda r: tuple(s[0] for s in r))
+        segs = min((self._route_segments(ep, op_, eq, oq, exits)
+                    for length, exits in routes if length == total),
+                   key=lambda r: tuple(s[0] for s in r))
         remaining = t
         for ei, a, b in segs:
             seg_len = abs(b - a)
             if remaining <= seg_len:
-                if seg_len == 0:
-                    continue
                 direction = 1.0 if b > a else -1.0
                 return (ei, float(a + direction * remaining))
             remaining -= seg_len
@@ -390,10 +386,10 @@ class MetricGraphSpace(Space):
     @np.errstate(over="ignore")  # a route past the float range is inf
     def _steps(self, p, qs, ts) -> list:
         """``_step`` from ``p`` toward each of ``qs`` with budgets ``ts``,
-        bit for bit.  The five route lengths are summed in ``_step``'s order;
-        a target within its budget is returned, and a step that stays inside
-        the first segment of the one shortest route, on the origin's own
-        edge, is ``op_ +- t``.  Every other target (tied routes, ``t == 0``,
+        bit for bit.  The five route lengths are summed as ``_routes`` sums
+        them; a target within its budget is returned, and a step that stays
+        inside the first segment of the one shortest route, on the origin's
+        own edge, is ``op_ +- t``.  Every other target (tied routes, ``t == 0``,
         a step that leaves the edge) goes through ``_step``."""
         ep, op_ = int(p[0]), float(p[1])
         eq, oq, exits_q = self._exit_arrays(qs)
@@ -589,8 +585,7 @@ class SphereSpace(_VectorSpace):
         return out / _norm(out)
 
     def random_point(self, rng: np.random.Generator):
-        v = rng.normal(size=self.ambient)
-        n = _norm(v)
+        n = 0.0
         while n == 0:
             v = rng.normal(size=self.ambient)
             n = _norm(v)
@@ -891,16 +886,12 @@ def _icosphere_net(space: SphereSpace, h: float, budget: int):
             new_faces += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
         faces = new_faces
 
+    # _ICOSA_FACES wind outward and the four-way split keeps that winding,
+    # so every face normal is nonzero and points away from the origin
     cover = 0.0
     for a, b, c in faces:
         normal = np.cross(verts[b] - verts[a], verts[c] - verts[a])
-        nn = _norm(normal)
-        if nn == 0:
-            continue
-        center = normal / nn
-        if np.dot(center, verts[a] + verts[b] + verts[c]) < 0:
-            center = -center
-        cover = max(cover, space._distance(center, verts[a]))
+        cover = max(cover, space._distance(normal / _norm(normal), verts[a]))
     return verts, cover
 
 
@@ -911,10 +902,14 @@ def build_net(space: Space, h: float, point_budget: int = DEFAULT_POINT_BUDGET) 
     edge; balls an axis-aligned grid plus a boundary layer; the circle a
     uniform angular grid; the 2-sphere a subdivided icosphere; products the
     Cartesian product of factor nets.  Raises :class:`CapacityError` when the
-    construction would exceed ``point_budget`` points.
+    construction would exceed ``point_budget`` points, which must lie in
+    ``[1, DEFAULT_POINT_BUDGET]``: a matrix of more points is out of scope.
     """
     if not 0 < h < math.inf:
         raise ConfigError(f"target covering radius must be finite and positive, got {h}")
+    if not 1 <= point_budget <= DEFAULT_POINT_BUDGET:
+        raise ConfigError(f"point_budget must lie in [1, {DEFAULT_POINT_BUDGET}], "
+                          f"got {point_budget}")
     if isinstance(space, MetricGraphSpace):
         points, cover = _graph_net(space, h, point_budget)
     elif isinstance(space, BallSpace):

@@ -174,7 +174,7 @@ def test_criterion_8_arena_fidelity():
     robber = get_strategy(space, "antipodal_robber")
     cops = get_strategy(space, "follower_cop")
     traj = run_game(space, robber, cops, start, Agility.uniform(0.05), 1000)
-    min_gap = min(traj.gaps())
+    min_gap = min(traj.gaps)
     ok = (not traj.captured) and min_gap >= math.pi - 0.05
     elapsed = time.monotonic() - t0
     report(

@@ -60,7 +60,7 @@ def test_stored_gaps_equal_recomputed_distances(name, rng):
     traj = run_game(space, get_strategy(space, "greedy_robber", samples=4, seed=5),
                     get_strategy(space, cops), start, Agility.uniform(0.05), 30,
                     kappa=0.0)
-    gaps = traj.gaps()
+    gaps = traj.gaps
     want = [robber_cop_distance(space, pos) for pos in traj.positions]
     assert len(gaps) == traj.steps + 1
     assert gaps == want and [type(g) for g in gaps] == [type(g) for g in want]
@@ -72,7 +72,7 @@ def test_follower_gap_nonincreasing(rng):
     cop = get_strategy(space, "follower_cop")
     start = Position(space.random_point(rng), [space.random_point(rng)])
     traj = run_game(space, rob, cop, start, Agility.uniform(0.1), 50, kappa=0.0)
-    gaps = traj.gaps()
+    gaps = traj.gaps
     # compare gap after the cops' move with the pre-move gap each step
     for prev, cur, t in zip(gaps[:-1], gaps[1:], traj.taus[1:]):
         assert cur <= prev + t + 1e-9
@@ -130,7 +130,7 @@ def test_antipodal_robber_holds_distance():
     eps = 0.05
     traj = run_game(space, rob, cop, start, Agility.uniform(eps), 200)
     assert not traj.captured
-    assert min(traj.gaps()) >= math.pi - eps
+    assert min(traj.gaps) >= math.pi - eps
 
 
 def test_antipodal_exact_after_robber_move():
@@ -155,7 +155,7 @@ def test_radial_cop_trend_on_ball():
     start = Position(np.array([0.8, 0.0]), [np.array([-0.2, 0.1])])
     cop = get_strategy(space, "radial_cop")
     traj = run_game(space, circling, cop, start, Agility.uniform(0.05), 400, kappa=0.0)
-    gaps = traj.gaps()
+    gaps = traj.gaps
     assert gaps[-1] < gaps[0]
     # trend check: quarter-window averages decrease along the realized play
     # (a predictable orbiter is eventually pinned by the segment pursuer)
@@ -284,7 +284,7 @@ def test_greedy_robber_equals_reference(name, seed, tmp_path):
         traj = run_game(space, move, get_strategy(space, cops), start,
                         Agility.uniform(t), 60)
         out = tmp_path / f"{len(trajectories)}.jsonl"
-        export_trajectory_jsonl(space, traj, out)
+        export_trajectory_jsonl(traj, out)
         trajectories.append(out.read_bytes())
     assert trajectories[0] == trajectories[1]
 
@@ -342,7 +342,7 @@ def test_trajectory_exports(tmp_path):
                     Agility.uniform(0.25), 4)
     jl = tmp_path / "traj.jsonl"
     cs = tmp_path / "gaps.csv"
-    export_trajectory_jsonl(space, traj, jl)
+    export_trajectory_jsonl(traj, jl)
     export_gaps_csv(traj, cs)
     lines = jl.read_text().strip().splitlines()
     assert len(lines) == len(traj.positions)

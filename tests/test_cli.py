@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -5,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -410,6 +413,10 @@ _BAD_NUMBERS = [
     ("solve", {"agility": {"kind": "uniform", "t": True}}, "agility"),
     ("copnumber", {"k_max": True}, "k_max"),
     ("play", {"N": True}, "N"),
+    # a point budget below 1 or past the default of 20 000
+    ("solve", {"point_budget": 0}, "point_budget"),
+    ("solve", {"point_budget": -3}, "point_budget"),
+    ("solve", {"point_budget": 20_001}, "point_budget"),
 ]
 
 
@@ -537,6 +544,77 @@ def test_rejects_unreadable_config_files(tmp_path, capsys, text, needle):
     assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and needle in err[0]
+
+
+# small valid configs of every command, with most optional fields set
+_VALID_CONFIGS = [
+    ("solve", _SOLVE),
+    ("solve", _SOLVE | {"mode": "finite", "variant": "intermediate", "store_policy": True,
+                        "starts": [[0, 1]], "point_budget": 100}),
+    ("solve", {k: v for k, v in _SOLVE.items() if k != "agility"}
+     | {"horizon": {"N": 2, "T": 1}, "tol": 1e-6, "N_max": 4}),
+    ("solve", _SOLVE | {"mode": "standard", "N_max": 4,
+                        "family": [{"kind": "harmonic", "a": 0.5}]}),
+    ("play", _PLAY),
+    ("play", _BALL_PLAY | {"robber": {"name": "greedy_robber",
+                                      "params": {"samples": 2, "seed": 1}},
+                           "cops": {"name": "radial_cop"}, "kappa": 0.01}),
+    ("play", _PRODUCT_PLAY | {"cops": {"name": "cylinder_lift_cop",
+                                       "params": {"eps": 0.5}}}),
+    ("copnumber", _COPNUMBER | {"theta": 0.5, "tol": 1e-6, "N_max": 4}),
+    ("verify", {"instances": [_PACK_INSTANCE]}),
+]
+# what a mutation puts in place of a value; no number grows
+_REPLACEMENTS = ["x", [1], {"a": 1}, True, False, None, math.nan, math.inf, -math.inf]
+
+
+def _mutation_sites(obj, path=()):
+    """Paths to every value nested in ``obj``, the root excluded."""
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _mutation_sites(value, path + (key,))
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A valid config with one or two values dropped or replaced."""
+    command, cfg = draw(st.sampled_from(_VALID_CONFIGS))
+    cfg = json.loads(json.dumps(cfg))
+    for _ in range(draw(st.integers(1, 2))):
+        sites = list(_mutation_sites(cfg))
+        if not sites:
+            break
+        *path, key = draw(st.sampled_from(sites))
+        parent = cfg
+        for step in path:
+            parent = parent[step]
+        replacement = draw(st.sampled_from(["drop", *_REPLACEMENTS]))
+        if replacement == "drop":
+            del parent[key]
+        else:
+            parent[key] = json.loads(json.dumps(replacement))
+    return command, cfg
+
+
+def test_valid_configs_run(tmp_path):
+    for i, (command, cfg) in enumerate(_VALID_CONFIGS):
+        assert run(tmp_path, command, cfg, out=str(i)) == 0, (command, cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_mutated_configs())
+def test_mutated_configs_run_or_fail_in_one_line(tmp_path_factory, case):
+    command, cfg = case
+    where = tmp_path_factory.mktemp("mutant")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(where, command, cfg)
+    lines = err.getvalue().splitlines()
+    assert code == 0 or (code == 2 and len(lines) == 1), (code, lines)
 
 
 @pytest.mark.parametrize("tail", [1.0, 0.0])

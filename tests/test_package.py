@@ -1,5 +1,6 @@
 import pursuit
 from pursuit import cli, solver, verify
+from pursuit.game import Trajectory
 from pursuit.spaces import MetricGraphSpace, Net
 
 DELETED = ["Polyline", "polyline_length", "pos_metrics", "shift",
@@ -13,7 +14,10 @@ DELETED_ATTRS = [(verify, "random_oracle_instances"),
                  (solver.ReachSet, "of"),
                  (Net, "_point_arrays"),
                  (cli, "_Text"),
-                 (cli, "_float_text")]
+                 (cli, "_float_text"),
+                 (MetricGraphSpace, "_vertex_path"),
+                 (MetricGraphSpace, "_hop_segment"),
+                 (Trajectory, "gap")]
 
 
 def test_all_names_resolve():

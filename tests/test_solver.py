@@ -218,6 +218,29 @@ def test_state_budget_capacity_error(monkeypatch):
     assert err.value.available == 100
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_stored_tables_must_fit_the_byte_budget(monkeypatch, k):
+    # per step, k + 1 arg tables and one layer of 8**(k + 1) 8-byte entries
+    net, N = cycle_net(8), 3
+    policy, layers = 8 * 8 ** (k + 1) * N * (k + 1), 8 * 8 ** (k + 1) * N
+    monkeypatch.setattr(solver, "STORED_BYTES_BUDGET", policy + layers)
+    table = solve_finite(net, k, [0.25] * N, store_policy=True, store_layers=True)
+    assert len(table.moves) == N and len(table.layers) == N + 1
+    monkeypatch.setattr(solver, "STORED_BYTES_BUDGET", 0)
+    solve_finite(net, k, [0.25] * N)  # layers 0 and N are the state budget's
+
+    def no_sweep(*args):
+        raise AssertionError("swept before the byte check")
+    monkeypatch.setattr(solver, "_sweep", no_sweep)
+    for budget, flags in [(policy + layers - 1, {"store_policy": True, "store_layers": True}),
+                          (policy - 1, {"store_policy": True}),
+                          (layers - 1, {"store_layers": True})]:
+        monkeypatch.setattr(solver, "STORED_BYTES_BUDGET", budget)
+        with pytest.raises(CapacityError) as err:
+            solve_finite(net, k, [0.25] * N, **flags)
+        assert err.value.required == budget + 1 and err.value.available == budget
+
+
 # ---------------------------------------------------------------------------
 # policies
 

@@ -20,6 +20,8 @@ from pursuit.spaces import (
     ProductSpace,
     SphereSpace,
     _BLOCK_ENTRIES,
+    _ICOSA_FACES,
+    _ICOSA_VERTS,
     _ball_net,
     _norm,
     build_net,
@@ -341,7 +343,7 @@ def _reference_step(space, p, q, t):
         for y, cy, off_y in [(u_q, oq, 0.0), (v_q, len_q - oq, len_q)]:
             total = cx + space.vdist[x, y] + cy
             segs = [(ep, op_, off_x)] if cx > 0 else []
-            segs.extend(space._hop_segment(*hop) for hop in space._vertex_path(x, y))
+            segs.extend(space._path_segments(x, y))
             if cy > 0:
                 segs.append((eq, off_y, oq))
             routes.append((total, segs))
@@ -729,6 +731,44 @@ def test_icosphere_net_covering(rng):
         x = space.random_point(rng)
         worst = max(worst, min(space.distance(x, p) for p in net.points))
     assert worst <= net.h + 1e-9
+
+
+@pytest.mark.parametrize("budget", [0, 20_001])
+def test_net_budget_outside_its_range_is_a_config_error(budget):
+    # checked first: a budget past DEFAULT_POINT_BUDGET would admit a matrix
+    # too large to allocate, and one below 1 is no budget
+    with pytest.raises(ConfigError, match="point_budget"):
+        build_net(make_interval(1.0), 0.5, point_budget=budget)
+
+
+def test_icosphere_faces_wind_outward():
+    # the icosphere cover takes each face's normal as it comes: at every
+    # level up to 642 points no face is degenerate or winds inward
+    space = SphereSpace(2)
+    verts = [v / _norm(v) for v in np.array(_ICOSA_VERTS)]
+    faces = list(_ICOSA_FACES)
+    for size in (12, 42, 162, 642):
+        h = max(space._distance(verts[i], verts[j])
+                for a, b, c in faces for i, j in ((a, b), (b, c), (c, a)))
+        net = build_net(space, h)  # stops subdividing at this level
+        assert net.size == len(verts) == size
+        assert np.array(net.points).tobytes() == np.array(verts).tobytes()
+        for a, b, c in faces:
+            normal = np.cross(verts[b] - verts[a], verts[c] - verts[a])
+            assert _norm(normal) > 0 and np.dot(normal, verts[a] + verts[b] + verts[c]) > 0
+        cache, subdivided = {}, []
+
+        def midpoint(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in cache:
+                m = verts[i] + verts[j]
+                verts.append(m / _norm(m))
+                cache[key] = len(verts) - 1
+            return cache[key]
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            subdivided += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+        faces = subdivided
 
 
 def test_net_budget_capacity_error():

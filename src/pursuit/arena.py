@@ -12,12 +12,13 @@ move that should exactly reach a target still snaps onto it whenever the
 measured distance is within the documented 1e-9 compliance tolerance.
 ``run_game`` validates the start (through its first gap) and every move
 (through its budget check), so built-in strategies query the space with
-``_distance``/``_step`` and the batch hooks, which skip validation.
+``_distance``/``_step`` and the batch queries, which skip validation.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 
@@ -178,12 +179,14 @@ def make_greedy_robber(space: Space, samples: int = 32, seed: int = 0):
     rng = np.random.default_rng(seed)
 
     def move(pos: Position, t: float, n: int):
-        # stepping draws nothing, so drawing every target first keeps the stream
+        # stepping draws nothing, so drawing every target first keeps the stream;
+        # the candidates are staying put, then each step in one batch
         targets = space.random_points(rng, samples)
-        candidates = [pos.robber] + space._steps(pos.robber, targets,
-                                                 [_guarded(t)] * samples)
-        scores = np.min([space._distances(c, candidates) for c in pos.cops], axis=0)
-        return candidates[int(np.argmax(scores))]
+        steps = space._steps(pos.robber, targets, np.full(samples, _guarded(t)))
+        stay = min(space._distance(c, pos.robber) for c in pos.cops)
+        scores = functools.reduce(np.minimum, [space._distances(c, steps) for c in pos.cops])
+        best = int(np.argmax(np.concatenate(([stay], scores))))
+        return pos.robber if best == 0 else space._point(steps, best - 1)
 
     return move
 

@@ -36,8 +36,10 @@ from .solver import (
     cop_number_estimate,
     duration_value,
     limit_value,
+    max_net_points,
     solve_finite,
     standard_value,
+    _states_error,
 )
 from .spaces import DEFAULT_POINT_BUDGET, _num, _whole, build_net, space_from_config
 from .verify import run_suite, suite_passed
@@ -162,11 +164,25 @@ def _json_key(key) -> str:
     return json.dumps(key)
 
 
-def _net_from_config(cfg: dict):
+def _net_from_config(cfg: dict, k: int):
+    """The config's net, for a solve with ``k`` cops.  A net of more than
+    ``max_net_points(k)`` points has more states than the solver takes, so
+    that many is the build's budget when it is the smaller: such a net fails
+    before its matrix is built, with the solver-state error."""
     space = space_from_config(_field(cfg, "space"))
     h = _float(_field(cfg, "net_h"), "net_h")
     budget = _int(cfg.get("point_budget", DEFAULT_POINT_BUDGET), "point_budget")
-    return build_net(space, h, budget)
+    cap = max_net_points(k)
+    if not cap < budget <= DEFAULT_POINT_BUDGET:  # build_net rejects a budget out of range
+        return build_net(space, h, budget)
+    try:
+        return build_net(space, h, cap)
+    except CapacityError as exc:
+        if exc.what != "net points":
+            raise
+        if exc.required > budget:  # past the point budget too
+            raise CapacityError("net points", exc.required, budget) from exc
+        raise _states_error(exc.required, k) from exc
 
 
 def _enough_steps(agility, n: int, name: str) -> None:
@@ -241,8 +257,8 @@ def _values_block(values: np.ndarray, mode, tuples):
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args.config)
-    net = _net_from_config(cfg)
     k = _int(_field(cfg, "k"), "k")
+    net = _net_from_config(cfg, k)
     mode = cfg.get("mode", "finite")
     tol = _float(cfg.get("tol", 1e-9), "tol")
     n_max = _int(cfg.get("N_max", 64), "N_max")
@@ -384,7 +400,7 @@ def cmd_play(args) -> int:
 
 def cmd_copnumber(args) -> int:
     cfg = _load_config(args.config)
-    net = _net_from_config(cfg)
+    net = _net_from_config(cfg, 1)  # the first cop count it solves
     k_max = _int(_field(cfg, "k_max"), "k_max")
     theta = cfg.get("theta")
     res = cop_number_estimate(

@@ -123,13 +123,32 @@ class ValueTable:
 # core solves
 
 
-def _check_state_budget(net, k: int) -> None:
+def max_net_points(k: int) -> int:
+    """The largest net size ``P`` whose ``P ** (k + 1)`` states fit the state
+    budget, found in integers (a float root can land an ulp low)."""
     if k < 1:
         raise ConfigError("need at least one cop")
+    budget = DEFAULT_STATE_BUDGET
+    if k + 1 >= budget.bit_length():  # 2 ** (k + 1) > budget
+        return 1
+    P = int(budget ** (1.0 / (k + 1)))
+    while P ** (k + 1) > budget:
+        P -= 1
+    while (P + 1) ** (k + 1) <= budget:
+        P += 1
+    return P
+
+
+def _states_error(P: int, k: int) -> CapacityError:
+    """The error for a net of ``P`` points with ``k`` cops past the state budget."""
     # exact while it fits a float, so it is quick to form and print
-    states = net.size ** (k + 1) if (k + 1) * math.log2(net.size) < 1000 else math.inf
-    if states > DEFAULT_STATE_BUDGET:
-        raise CapacityError("solver states", states, DEFAULT_STATE_BUDGET)
+    states = P ** (k + 1) if (k + 1) * math.log2(P) < 1000 else math.inf
+    return CapacityError("solver states", states, DEFAULT_STATE_BUDGET)
+
+
+def _check_state_budget(net, k: int) -> None:
+    if net.size > max_net_points(k):
+        raise _states_error(net.size, k)
     if k + 1 > MAX_AXES:  # a one-point net has one state for any k
         raise CapacityError("solver layer axes", k + 1, MAX_AXES)
 

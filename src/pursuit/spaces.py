@@ -50,15 +50,20 @@ class Space:
     as net points or a product's factors, calls those two directly.  A
     subclass also defines ``describe`` and the JSON codec ``point_to_json``
     / ``point_from_json`` (which parses a JSON list's numbers as config
-    numbers are parsed).  ``random_points(rng, n)`` draws as ``n`` calls of
-    ``random_point`` do, in one block of ``_doubles`` per point if set.
+    numbers are parsed).
 
-    Two batch hooks answer many queries from one valid origin:
-    ``_distances(p, qs)`` is the float array of ``_distance(p, q)`` over
-    ``qs``, and ``_steps(p, qs, ts)`` the list of ``_step(p, q, t)`` over
-    paired targets and budgets.  By default each is a plain loop over the
-    scalar form; a subclass may override them with array code that gives
-    the same values bit for bit (metric graphs and products do).
+    A batch is a space's array form of a list of points: edge-id and offset
+    arrays on metric graphs, an ``(n, d)`` array of rows on balls and
+    spheres, and a base batch with an array of fiber coordinates on
+    products.  ``_batch(points)`` builds one, and ``_point(batch, i)`` is its
+    ``i``-th point with the Python types of the scalar queries.  Three
+    queries pass batches, bit for bit as their scalar forms:
+    ``random_points(rng, n)`` draws as ``n`` calls of ``random_point`` do,
+    in one block of ``_doubles`` per point if set; ``_distances(p, qs)`` is
+    the float array of ``_distance(p, q)`` over the batch ``qs``; and
+    ``_steps(p, qs, ts)`` the batch of ``_step(p, q, t)`` over paired targets
+    and budgets.  Every space answers them with array code, except that
+    sphere steps loop over ``_step`` (the default ``_steps``).
     """
 
     def distance(self, p, q) -> float:
@@ -75,20 +80,18 @@ class Space:
             raise ValueError("negative travel budget")
         return self._step(p, q, t)
 
-    def _distances(self, p, qs) -> np.ndarray:
-        return np.array([self._distance(p, q) for q in qs], dtype=float)
-
-    def _steps(self, p, qs, ts) -> list:
-        return [self._step(p, q, t) for q, t in zip(qs, ts)]
+    def _steps(self, p, qs, ts):
+        return self._batch([self._step(p, self._point(qs, i), t)
+                            for i, t in enumerate(np.asarray(ts, dtype=float).tolist())])
 
     _doubles = None  # doubles per random point, when that count is fixed
 
     def random_point(self, rng: np.random.Generator):
-        return self.random_points(rng, 1)[0]
+        return self._point(self.random_points(rng, 1), 0)
 
-    def random_points(self, rng: np.random.Generator, n: int) -> list:
+    def random_points(self, rng: np.random.Generator, n: int):
         if self._doubles is None:
-            return [self.random_point(rng) for _ in range(n)]
+            return self._batch([self.random_point(rng) for _ in range(n)])
         return self._points_from(rng.random((n, self._doubles)))
 
 
@@ -96,6 +99,26 @@ def _norm(v) -> float:
     """``float(np.linalg.norm(v))`` for a 1-d float64 vector, bit for bit
     (numpy's norm takes ``sqrt(v.dot(v))`` there), without its dispatch."""
     return math.sqrt(v.dot(v))
+
+
+def _row_norms(x) -> np.ndarray:
+    """``_norm`` of each row of an ``(n, d)`` float64 array, bit for bit.
+
+    A stacked ``matmul`` of each row with itself calls the BLAS dot that
+    ``v.dot(v)`` calls, given the same vector layout: unit stride, and the
+    16-byte alignment of a fresh vector (SSE2 kernels such as Prescott's
+    sum a misaligned vector in another order), so the rows are copied into
+    a buffer whose rows are padded to an even length.  Other numpy forms
+    give other bits, so none may replace it: ``np.einsum`` and
+    ``(x * x).sum(1)`` differ from ``v.dot(v)`` in many rows, and so does a
+    gemv ``x @ p``; and beside it, ``np.arctan2`` differs from
+    ``math.atan2`` and ``np.hypot`` from ``math.hypot`` in the last bit.
+    ``np.vecdot`` gives the same bits, but it needs numpy 2, and numpy 1.24
+    is supported."""
+    n, d = x.shape
+    rows = np.empty((n, d + d % 2))[:, :d]
+    rows[...] = x
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
 
 def _norms(x) -> np.ndarray:
@@ -162,6 +185,9 @@ class MetricGraphSpace(Space):
         self._build_shortest_paths()
         self._ends = np.array([(u, v) for u, v, _ in self.edges], dtype=np.intp)
         self._lengths = lengths = np.array([w for _, _, w in self.edges])
+        with np.errstate(over="ignore"):
+            if lengths.sum() == math.inf:  # weigh by lengths scaled below the float range
+                lengths = lengths / lengths.max()
         # the CDF that Generator.choice builds from p = lengths / sum
         self._cdf = (lengths / lengths.sum()).cumsum()
         self._cdf /= self._cdf[-1]
@@ -288,48 +314,58 @@ class MetricGraphSpace(Space):
                 best = length
         return best
 
-    def _exit_arrays(self, points):
-        """Edge ids and offsets of ``points`` as arrays, with ``_exits``'s
-        ``(vertex, cost)`` pairs for both ends of each point's edge."""
+    def _batch(self, points):
         n = len(points)
-        edge = np.fromiter((int(p[0]) for p in points), np.intp, n)
-        off = np.fromiter((float(p[1]) for p in points), float, n)
-        ends = self._ends[edge]
-        return edge, off, ((ends[:, 0], off), (ends[:, 1], self._lengths[edge] - off))
+        return (np.fromiter((int(p[0]) for p in points), np.intp, n),
+                np.fromiter((float(p[1]) for p in points), float, n))
+
+    def _point(self, batch, i: int):
+        return int(batch[0][i]), float(batch[1][i])
+
+    def _exit_arrays(self, edge, off):
+        """The exits of each point of the batch ``(edge, off)``, or of one
+        point: the vertices at both ends of its edge and the cost of reaching
+        each (``_exits``), as two arrays with a leading axis of 2."""
+        return self._ends[edge].T, np.array([off, self._lengths[edge] - off])
+
+    def _exit_routes(self, x, cx, y, cy):
+        """The four routes from exits ``(x, cx)`` of one set of points to
+        exits ``(y, cy)`` of a batch (``_exit_arrays``), each joined by the
+        chosen vertex path, axes ``(2, ..., 2, n)``: summed from the first
+        point's side ``(cx + vdist[x, y]) + cy``, and from the second's
+        ``(cy + vdist[x, y]) + cx``."""
+        vd = self.vdist[x].take(y, axis=-1)
+        cx = cx[..., None, None]
+        fwd = cx + vd
+        fwd += cy
+        vd += cy  # in place: a block of rows makes two temporaries, not five
+        vd += cx
+        return fwd, vd
 
     @np.errstate(over="ignore")  # a route past the float range is inf, as in _distance
     def _rows(self, ep, op_, exits_p, qs) -> np.ndarray:
         """``_distance`` from points with edge ids ``ep``, offsets ``op_``
-        and ``(vertex, cost)`` exits ``exits_p`` to each of ``qs``
-        (``_exit_arrays``), bit for bit.  Scalars give one row; a block of
-        rows has columns, but 1-d exit vertices.  Each route is summed from
-        the lexicographically smaller point's side, as ``_distance`` sums it."""
+        and exits ``exits_p`` to each point of the batch ``qs`` (edge ids,
+        offsets and exits), bit for bit.  Scalars give one row; a block of
+        rows has columns.  Each route is summed from the lexicographically
+        smaller point's side, as ``_distance`` sums it."""
         eq, oq, exits_q = qs
-        fwd = np.where(eq == ep, np.abs(op_ - oq), np.inf)
-        bwd = fwd.copy()
-        for x, cx in exits_p:
-            vx = self.vdist[x]
-            for y, cy in exits_q:
-                vd = np.take(vx, y, axis=-1)
-                back = vd + cy  # (cy + vd) + cx
-                back += cx
-                vd += cx  # (cx + vd) + cy
-                vd += cy
-                np.minimum(fwd, vd, out=fwd)
-                np.minimum(bwd, back, out=bwd)
+        fwd, bwd = self._exit_routes(*exits_p, *exits_q)
         swap = (eq < ep) | ((eq == ep) & (oq < op_))
-        return np.where(swap, bwd, fwd)
+        via = np.where(swap, bwd.min(axis=(0, -2)), fwd.min(axis=(0, -2)))
+        return np.minimum(np.where(eq == ep, np.abs(op_ - oq), np.inf), via)
 
     def _distances(self, p, qs) -> np.ndarray:
         ep, op_ = int(p[0]), float(p[1])
-        exits_p = [(x, cx) for x, cx, _ in self._exits(ep, op_)]
-        return self._rows(ep, op_, exits_p, self._exit_arrays(qs))
+        return self._rows(ep, op_, self._exit_arrays(ep, op_), (*qs, self._exit_arrays(*qs)))
 
     def pairwise(self, points) -> np.ndarray:
         """Matrix of ``distance`` over ``points``, equal to it bit for bit."""
-        edge, off, exits = qs = self._exit_arrays(points)
+        edge, off = self._batch(points)
+        y, cy = exits = self._exit_arrays(edge, off)
+        qs = (edge, off, exits)
         return _row_blocks(len(points), lambda r: self._rows(
-            edge[r, None], off[r, None], [(x[r], cx[r, None]) for x, cx in exits], qs))
+            edge[r, None], off[r, None], (y[:, r], cy[:, r]), qs))
 
     # -- geodesic routes
 
@@ -384,50 +420,46 @@ class MetricGraphSpace(Space):
         return (eq, oq)
 
     @np.errstate(over="ignore")  # a route past the float range is inf
-    def _steps(self, p, qs, ts) -> list:
-        """``_step`` from ``p`` toward each of ``qs`` with budgets ``ts``,
-        bit for bit.  The five route lengths are summed as ``_routes`` sums
-        them; a target within its budget is returned, and a step that stays
-        inside the first segment of the one shortest route, on the origin's
-        own edge, is ``op_ +- t``.  Every other target (tied routes, ``t == 0``,
-        a step that leaves the edge) goes through ``_step``."""
+    def _steps(self, p, qs, ts):
+        """``_step`` from ``p`` toward each point of the batch ``qs`` with
+        budgets ``ts``, bit for bit.  The five route lengths are summed as
+        ``_routes`` sums them; ``t == 0`` stays at ``p``, a target within its
+        budget is returned, and a step that stays inside the first segment
+        of the one shortest route, on the origin's own edge, is ``op_ +- t``.
+        Every other target (tied routes, a step that leaves the edge) goes
+        through ``_step``."""
         ep, op_ = int(p[0]), float(p[1])
-        eq, oq, exits_q = self._exit_arrays(qs)
-        t = np.array(ts, dtype=float)
-        routes = [np.where(eq == ep, np.abs(oq - op_), np.inf)]
-        for x, cx, _ in self._exits(ep, op_):
-            for y, cy in exits_q:
-                routes.append((cx + self.vdist[x, y]) + cy)
-        routes = np.array(routes)
+        eq, oq = qs
+        t = np.asarray(ts, dtype=float)
+        via, _ = self._exit_routes(*self._exit_arrays(ep, op_), *self._exit_arrays(eq, oq))
+        routes = np.concatenate([np.where(eq == ep, np.abs(oq - op_), np.inf)[None],
+                                 via.reshape(4, len(eq))])
         total = routes.min(axis=0)
         wins = routes == total
         first = wins.argmax(axis=0)
         # the shared edge runs to q; exits 1-2 walk down to offset 0 and
         # exits 3-4 up to the edge's length, each from op_ along edge ep
-        room = np.where(first == 0, np.inf,
-                        np.where(first >= 3, self.edges[ep][2] - op_, op_))
+        up_room = self.edges[ep][2] - op_
+        room = np.array([np.inf, op_, op_, up_room, up_room])[first]
         up = np.where(first == 0, oq > op_, first >= 3)
         moving = t != 0.0
         reached = moving & (t >= total)
-        fast = moving & ~reached & (wins.sum(axis=0) == 1) & (room > 0) & (t <= room)
+        ahead = moving & ~reached
+        fast = ahead & (wins.sum(axis=0) == 1) & (t <= room)  # t > 0, so room > 0
         walked = op_ + np.where(up, t, -t)
-        out = []
-        for q, ti, r, f, w in zip(qs, ts, reached.tolist(), fast.tolist(), walked.tolist()):
-            if r:
-                out.append((int(q[0]), float(q[1])))
-            elif f:
-                out.append((ep, w))
-            else:
-                out.append(self._step(p, q, ti))
-        return out
+        edge = np.where(reached, eq, ep)
+        off = np.where(reached, oq, np.where(fast, walked, op_))
+        for i in np.flatnonzero(ahead & ~fast).tolist():
+            edge[i], off[i] = self._step(p, self._point(qs, i), float(t[i]))
+        return edge, off
 
-    def _points_from(self, u) -> list:
+    def _points_from(self, u):
         """Uniform points by length, each ``rng.choice(len(edges), p=lengths /
         lengths.sum())`` then ``rng.uniform(0, lengths[e])`` bit for bit: the
         edge is the ``side="right"`` insertion point of one double in
         ``choice``'s CDF, and ``uniform(0, L)`` is ``0 + L * rng.random()``."""
         e = np.searchsorted(self._cdf, u[:, 0], side="right")
-        return list(zip(e.tolist(), (self._lengths[e] * u[:, 1]).tolist()))
+        return e, self._lengths[e] * u[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +467,13 @@ class MetricGraphSpace(Space):
 
 
 class _VectorSpace(Space):
-    """A space whose points are float coordinate vectors."""
+    """A space whose points are float coordinate vectors, ``ambient`` of them."""
+
+    def _batch(self, points):
+        return np.array(points, dtype=float).reshape(len(points), self.ambient)
+
+    def _point(self, batch, i: int):
+        return batch[i].copy()
 
     @staticmethod
     def _coords(p, n: int) -> np.ndarray:
@@ -473,8 +511,12 @@ class BallSpace(_VectorSpace):
         self.dimension = int(dimension)
         self.radius = float(radius)
 
+    @property
+    def ambient(self) -> int:
+        return self.dimension
+
     def validate_point(self, p) -> None:
-        norm = _norm(self._coords(p, self.dimension))
+        norm = _norm(self._coords(p, self.ambient))
         if not norm <= self.radius + NORM_TOL:  # a NaN or inf coordinate fails too
             raise MalformedPointError(f"norm {norm} exceeds radius {self.radius}")
 
@@ -491,13 +533,31 @@ class BallSpace(_VectorSpace):
             return q.copy()
         return p + (t / d) * (q - p)
 
-    def random_point(self, rng: np.random.Generator):
-        direction = rng.normal(size=self.dimension)
-        norm = _norm(direction)
-        if norm == 0:
-            return np.zeros(self.dimension)
-        r = self.radius * rng.uniform() ** (1.0 / self.dimension)
-        return (r / norm) * direction
+    def _distances(self, p, qs) -> np.ndarray:
+        return _row_norms(np.asarray(p, float) - qs)
+
+    def _steps(self, p, qs, ts):
+        p = np.asarray(p, float)
+        t = np.asarray(ts, dtype=float)[:, None]
+        diff = qs - p
+        d = _row_norms(diff)[:, None]
+        with np.errstate(all="ignore"):  # only in rows that stay or reach their target
+            moved = p + (t / d) * diff
+        return np.where(t == 0.0, p, np.where((t >= d) | (d == 0.0), qs, moved))
+
+    def random_points(self, rng: np.random.Generator, n: int):
+        """Each point draws a direction, ``normal(dimension)``, and unless
+        its norm is 0 (the center) a radius from one ``uniform()``, which is
+        ``rng.random()`` bit for bit; the draws interleave, so they are made
+        point by point, and only the scaling is one array product."""
+        rows, scale = np.zeros((n, self.dimension)), np.zeros(n)
+        for i in range(n):
+            direction = rng.normal(size=self.dimension)
+            norm = _norm(direction)
+            if norm != 0:
+                rows[i] = direction
+                scale[i] = self.radius * rng.random() ** (1.0 / self.dimension) / norm
+        return scale[:, None] * rows
 
     def describe(self) -> dict:
         return {"type": "ball", "dimension": self.dimension, "radius": repr(self.radius)}
@@ -536,6 +596,11 @@ class SphereSpace(_VectorSpace):
         u = np.asarray(p, float)
         v = np.asarray(q, float)
         return 2.0 * math.atan2(_norm(u - v), _norm(u + v))
+
+    def _distances(self, p, qs) -> np.ndarray:
+        u = np.asarray(p, float)
+        return 2.0 * np.array(list(map(math.atan2, _row_norms(u - qs).tolist(),
+                                       _row_norms(u + qs).tolist())), dtype=float)
 
     def _antipodal_tangent(self, p):
         """Unit tangent at ``p`` toward a target rotated by the nudge angle
@@ -664,46 +729,58 @@ class ProductSpace(Space):
             self.base._distance(pt[0], qt[0]), abs(float(pt[1]) - float(qt[1]))
         )
 
-    def _distances(self, pt, qts) -> np.ndarray:
-        s = float(pt[1])
-        d_base = self.base._distances(pt[0], [qt[0] for qt in qts]).tolist()
-        return np.array([self.combine(d, abs(s - float(qt[1])))
-                         for d, qt in zip(d_base, qts)], dtype=float)
+    def _combined(self, d_base, d_fiber) -> np.ndarray:
+        """``combine`` of each pair of entries of two arrays, one call each:
+        ``np.hypot`` would give other bits than ``math.hypot``."""
+        return np.array(list(map(self.combine, d_base.tolist(), d_fiber.tolist())),
+                        dtype=float)
 
-    def _plan(self, pt, qt, t: float, d_base: float):
-        """A step's product arithmetic, given the base distance: ``(point,
-        None)`` when the step stays at ``pt`` or ends on ``qt``, otherwise
-        ``(fiber coordinate, base budget)`` of a base step toward ``qt[0]``."""
+    def _distances(self, pt, qts) -> np.ndarray:
+        bq, sq = qts
+        return self._combined(self.base._distances(pt[0], bq), np.abs(float(pt[1]) - sq))
+
+    def _step(self, pt, qt, t: float):
+        """Both parts move by the same fraction ``t / total`` of the way;
+        ``t == 0`` stays at ``pt``, and a budget of at least ``total`` ends
+        on ``qt``."""
+        d_base = self.base._distance(pt[0], qt[0])
         if t == 0.0:
-            return (self.base._step(pt[0], pt[0], 0.0), float(pt[1])), None
+            return self.base._step(pt[0], pt[0], 0.0), float(pt[1])
         ds = float(qt[1]) - float(pt[1])
         total = self.combine(d_base, abs(ds))
         if t >= total or total == 0.0:
-            return (self.base._step(qt[0], qt[0], 0.0), float(qt[1])), None
+            return self.base._step(qt[0], qt[0], 0.0), float(qt[1])
         lam = t / total
-        return float(float(pt[1]) + lam * ds), lam * d_base
+        return self.base._step(pt[0], qt[0], lam * d_base), float(float(pt[1]) + lam * ds)
 
-    def _step(self, pt, qt, t: float):
-        head, budget = self._plan(pt, qt, t, self.base._distance(pt[0], qt[0]))
-        return head if budget is None else (self.base._step(pt[0], qt[0], budget), head)
-
-    def _steps(self, pt, qts, ts) -> list:
-        d_base = self.base._distances(pt[0], [qt[0] for qt in qts]).tolist()
-        plans = [self._plan(pt, qt, t, d) for qt, t, d in zip(qts, ts, d_base)]
-        out = [head for head, _ in plans]
-        moving = [i for i, (_, budget) in enumerate(plans) if budget is not None]
-        bases = self.base._steps(pt[0], [qts[i][0] for i in moving],
-                                 [plans[i][1] for i in moving])
-        for i, b in zip(moving, bases):
-            out[i] = (b, plans[i][0])
-        return out
+    def _steps(self, pt, qts, ts):
+        """``_step``'s arithmetic over the batch ``qts``, then one base step
+        toward every target, with budget 0 where the step stays at ``pt``
+        and ``inf`` where it ends on its target."""
+        bq, sq = qts
+        s, t = float(pt[1]), np.asarray(ts, dtype=float)
+        d_base = self.base._distances(pt[0], bq)
+        ds = sq - s
+        total = self._combined(d_base, np.abs(ds))
+        stay, end = t == 0.0, (t >= total) | (total == 0.0)
+        with np.errstate(all="ignore"):  # only in rows that stay or end
+            lam = t / total
+            budget = np.where(stay, 0.0, np.where(end, np.inf, lam * d_base))
+            fiber = np.where(stay, s, np.where(end, sq, s + lam * ds))
+        return self.base._steps(pt[0], bq, budget), fiber
 
     def random_point(self, rng: np.random.Generator):  # the base, then the fiber's double
         return (self.base.random_point(rng), self.fiber_length * rng.random())
 
-    def _points_from(self, u) -> list:  # fibers: uniform(0, L) is 0 + L * u
-        return list(zip(self.base._points_from(u[:, :-1]),
-                        (self.fiber_length * u[:, -1]).tolist()))
+    def _points_from(self, u):  # fibers: uniform(0, L) is 0 + L * u
+        return self.base._points_from(u[:, :-1]), self.fiber_length * u[:, -1]
+
+    def _batch(self, pts):
+        return (self.base._batch([pt[0] for pt in pts]),
+                np.fromiter((float(pt[1]) for pt in pts), float, len(pts)))
+
+    def _point(self, batch, i: int):
+        return self.base._point(batch[0], i), float(batch[1][i])
 
     def describe(self) -> dict:
         return {
@@ -745,7 +822,7 @@ class Net:
 
     def nearest_index(self, point) -> int:
         self.space.validate_point(point)
-        return int(np.argmin(self.space._distances(point, self.points)))
+        return int(np.argmin(self.space._distances(point, self.space._batch(self.points))))
 
     def index_of(self, point) -> int:
         """Index of a net point coinciding with ``point`` (within 1e-9)."""

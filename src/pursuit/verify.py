@@ -216,7 +216,8 @@ def minmax_gap_probe(net: Net, k: int, taus, coarse: Net) -> ProbeResult:
     coarse_policy = solve_finite(_subnet(net, fine_of), k, taus,
                                  store_policy=True)
     lifted = _LiftedPolicy(net, fine_of, coarse_policy)
-    gaps = np.array([net.space._distances(p, net.points) for p in net.points])
+    points = net.space._batch(net.points)
+    gaps = np.array([net.space._distances(p, points) for p in net.points])
 
     upper = _playout_values(net, fine_policy, lifted, k, taus, gaps)
     lower = _playout_values(net, lifted, fine_policy, k, taus, gaps)

@@ -266,7 +266,7 @@ _CYLINDER = ProductSpace(make_cycle(2 * math.pi), fiber_length=1.0, p=2.0)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 20240817])
-@pytest.mark.parametrize("name", ["theta", "star", "cylinder", "ball"])
+@pytest.mark.parametrize("name", ["theta", "star", "cylinder", "ball", "ball3", "sphere"])
 def test_greedy_robber_equals_reference(name, seed, tmp_path):
     space, cops, robber, cop_starts, t = {
         "theta": (_THETA, "follower_cop", (1, 0.7), [(2, 1.0)], 0.05),
@@ -276,6 +276,10 @@ def test_greedy_robber_equals_reference(name, seed, tmp_path):
                      [((1, 1.5), 0.8)], 0.07),
         "ball": (BallSpace(2), "radial_cop", np.array([0.8, 0.0]),
                  [np.array([-0.4, 0.1])], 0.02),
+        "ball3": (BallSpace(3), "radial_cop", np.array([0.0, 0.8, 0.0]),
+                  [np.array([-0.3, -0.2, 0.1])], 0.02),
+        "sphere": (SphereSpace(2), "follower_cop", np.array([0.0, 0.0, 1.0]),
+                   [np.array([0.6, 0.0, -0.8])], 0.03),
     }[name]
     start = Position(robber, cop_starts)
     trajectories = []

@@ -232,6 +232,31 @@ def test_solve_rejects_nets_too_large_for_a_float(tmp_path, capsys, space, net_h
     assert len(err) == 1 and err[0].startswith("capacity error: net points")
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("solve", {"k": 1, "mode": "finite", "agility": {"kind": "uniform", "t": 0.25},
+               "horizon": {"N": 1}}),
+    ("copnumber", {"k_max": 1}),  # k = 1 is the first it solves
+])
+def test_nets_past_the_state_budget_fail_before_their_matrix(tmp_path, capsys, monkeypatch,
+                                                            command, extra):
+    from pursuit import solver, spaces
+    monkeypatch.setattr(solver, "DEFAULT_STATE_BUDGET", 100)  # at k = 1, 10 points
+    cfg = {"space": CYCLE, "net_h": 0.25, **extra}  # 8 points
+    assert run(tmp_path, command, cfg) == 0
+    capsys.readouterr()
+
+    def no_matrix(*args):
+        raise AssertionError("built the matrix")
+    monkeypatch.setattr(spaces, "_row_blocks", no_matrix)
+    assert run(tmp_path, command, cfg | {"net_h": 0.125}) == 2  # 16 points
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["capacity error: solver states: required 256 exceeds budget 100"]
+    # past a point budget above the cap, the point budget is named
+    assert run(tmp_path, command, cfg | {"net_h": 0.125, "point_budget": 12}) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["capacity error: net points: required 16 exceeds budget 12"]
+
+
 _HUGE_PRODUCT = {"type": "product", "fiber_length": "1e150", "p": "3",
                  "base": {"type": "metric_graph", "vertices": ["u", "v"],
                           "edges": [["u", "v", "1e150"]]}}

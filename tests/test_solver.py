@@ -218,6 +218,19 @@ def test_state_budget_capacity_error(monkeypatch):
     assert err.value.available == 100
 
 
+@pytest.mark.parametrize("budget", [1, 2, 7, 8, 100, 4096, 4097, 2**24 - 1, 2**24, 10**12])
+def test_max_net_points_is_the_exact_integer_root(monkeypatch, budget):
+    # perfect powers such as 2**24 = 256**3 = 64**4 are where a float root lands low
+    monkeypatch.setattr(solver, "DEFAULT_STATE_BUDGET", budget)
+    for k in range(1, 50):
+        P = solver.max_net_points(k)
+        assert P ** (k + 1) <= budget < (P + 1) ** (k + 1), (k, P)
+    monkeypatch.setattr(solver, "DEFAULT_STATE_BUDGET", 2**24)
+    assert [solver.max_net_points(k) for k in (1, 2, 3, 10**8)] == [4096, 256, 64, 1]
+    with pytest.raises(ConfigError):
+        solver.max_net_points(0)
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_stored_tables_must_fit_the_byte_budget(monkeypatch, k):
     # per step, k + 1 arg tables and one layer of 8**(k + 1) 8-byte entries

@@ -24,6 +24,7 @@ from pursuit.spaces import (
     _ICOSA_VERTS,
     _ball_net,
     _norm,
+    _row_norms,
     build_net,
     space_from_config,
 )
@@ -273,9 +274,24 @@ def test_graph_random_point_equals_choice_then_uniform(lengths, seed):
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
+def test_graph_draws_when_the_total_length_passes_the_float_range():
+    # each edge fits a float but their sum does not: the draws stay uniform
+    # by length, as on the same graph scaled down by its longest edge
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = MetricGraphSpace(["u", "v"], [("u", "v", w) for w in (1e308, 1e308, 5e307)])
+        drawn = huge.random_points(np.random.default_rng(0), 64)
+    unit = MetricGraphSpace(["u", "v"], [("u", "v", w) for w in (1.0, 1.0, 0.5)])
+    want = unit.random_points(np.random.default_rng(0), 64)
+    assert drawn[0].tolist() == want[0].tolist()
+    assert set(drawn[0].tolist()) == {0, 1, 2}
+    assert (drawn[1] <= huge._lengths[drawn[0]]).all()
+
+
 def _reference_draw(space, rng):
     """One point by the scalar draw rules: ``choice`` then ``uniform`` on a
-    metric graph, the base point then ``uniform`` on a product."""
+    metric graph, the base point then ``uniform`` on a product, ``normal``
+    then ``uniform`` on a ball."""
     if isinstance(space, ProductSpace):
         return (_reference_draw(space.base, rng),
                 float(rng.uniform(0.0, space.fiber_length)))
@@ -283,7 +299,12 @@ def _reference_draw(space, rng):
         lengths = np.array([w for _, _, w in space.edges])
         e = int(rng.choice(len(lengths), p=lengths / lengths.sum()))
         return (e, float(rng.uniform(0.0, lengths[e])))
-    return space.random_point(rng)
+    # a ball: a normal direction, then a uniform radius unless the direction is 0
+    direction = rng.normal(size=space.dimension)
+    norm = float(np.linalg.norm(direction))
+    if norm == 0:
+        return np.zeros(space.dimension)
+    return (space.radius * rng.uniform() ** (1.0 / space.dimension) / norm) * direction
 
 
 def _same_point(a, b):
@@ -294,6 +315,15 @@ def _same_point(a, b):
         return (type(b) is tuple and len(a) == len(b)
                 and all(_same_point(x, y) for x, y in zip(a, b)))
     return type(a) is type(b) and a == b
+
+
+def _same_batch(a, b):
+    """Equal batches: arrays of equal dtype, shape and bits, through tuples."""
+    if isinstance(a, tuple):
+        return (type(b) is tuple and len(a) == len(b)
+                and all(_same_batch(x, y) for x, y in zip(a, b)))
+    return (type(a) is type(b) is np.ndarray and a.dtype == b.dtype
+            and a.shape == b.shape and a.tobytes() == b.tobytes())
 
 
 _THETA = MetricGraphSpace(["a", "b"], [("a", "b", 1.0), ("a", "b", 1.5), ("a", "b", 2.0)])
@@ -309,14 +339,31 @@ _THETA = MetricGraphSpace(["a", "b"], [("a", "b", 1.0), ("a", "b", 1.5), ("a", "
 @pytest.mark.parametrize("n", [0, 1, 5, 64])
 def test_random_points_equal_calls_of_random_point(space, n):
     rngs = [np.random.default_rng(20240817) for _ in range(3)]
-    batch = space.random_points(rngs[0], n)
+    drawn = space.random_points(rngs[0], n)
+    batch = [space._point(drawn, i) for i in range(n)]
     calls = [space.random_point(rngs[1]) for _ in range(n)]
     reference = [_reference_draw(space, rngs[2]) for _ in range(n)]
     assert type(batch) is list and len(batch) == n
+    assert _same_batch(drawn, space._batch(calls))
     assert all(_same_point(a, b) and _same_point(a, c)
                for a, b, c in zip(batch, calls, reference))
     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
     assert rngs[0].bit_generator.state == rngs[2].bit_generator.state
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_row_norms_equal_norm_of_each_row(dim):
+    # the stacked matmul dot against v.dot(v) of each row as a fresh vector,
+    # over scales whose squares round differently, with the rows given
+    # C-contiguous, column-major and one double off the 16-byte alignment
+    x = np.random.default_rng(dim).normal(size=(10_000, dim))
+    x *= 10.0 ** np.arange(-3, 4).repeat(-(-10_000 // 7))[:10_000, None]
+    want = np.array([_norm(v.copy()) for v in x])
+    shifted = np.empty(x.size + 1)[1:].reshape(x.shape)
+    shifted[...] = x
+    for rows in (x, np.asfortranarray(x), shifted):
+        got = _row_norms(rows)
+        assert got.dtype == float and got.tobytes() == want.tobytes()
 
 
 @given(st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=4))
@@ -395,17 +442,21 @@ def _assert_same(got, want):
             _assert_same(g, w)
     elif isinstance(want, np.ndarray):
         assert got.dtype == want.dtype and np.array_equal(got, want), (got, want)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (got, want)
     else:
         assert got == want, (got, want)
 
 
 def _assert_batch_equals_loop(space, p, qs, ts):
-    got = space._distances(p, qs)
+    batch = space._batch(qs)
+    got = space._distances(p, batch)
     want = [space._distance(p, q) for q in qs]
     assert type(got) is np.ndarray and got.dtype == float
     assert got.tolist() == [float(d) for d in want], (p, qs)
-    steps = space._steps(p, qs, ts)
+    stepped = space._steps(p, batch, ts)
+    steps = [space._point(stepped, i) for i in range(len(qs))]
     assert type(steps) is list and len(steps) == len(qs)
+    assert _same_batch(stepped, space._batch(steps))
     for q, t, step in zip(qs, ts, steps):
         _assert_same(step, space._step(p, q, t))
 
@@ -424,6 +475,10 @@ _BATCH_SPACES = {
     "theta-l1": ProductSpace(_THETA, fiber_length=0.5, p=1.0),
     "star-l3": ProductSpace(make_star(3, 1.0), fiber_length=1.0, p=3.0),
     "ball-cyl": ProductSpace(BallSpace(2), fiber_length=1.0, p=2.0),
+    "ball1": BallSpace(1),
+    "ball2": BallSpace(2),
+    "ball3": BallSpace(3),
+    "sphere2": SphereSpace(2),
 }
 _BUDGETS = [0.0, 0.1, 0.25, 0.5, 1.0, 2.5]
 
@@ -444,10 +499,25 @@ def _graph_point(draw, space):
 
 
 @st.composite
+def _vector_point(draw, space):
+    """A ball point at a drawn radius, or a sphere point, in a drawn direction."""
+    n = space.ambient
+    v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    norm = _norm(v)
+    if norm == 0.0:
+        v, norm = np.eye(n)[0], 1.0
+    if isinstance(space, SphereSpace):
+        return v / norm
+    return (draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)) / norm) * v
+
+
+@st.composite
 def _batch_case(draw):
     name = draw(st.sampled_from(sorted(_BATCH_SPACES)))
     space = _BATCH_SPACES[name]
-    if isinstance(space, ProductSpace):
+    if isinstance(space, (BallSpace, SphereSpace)):
+        point = _vector_point(space)
+    elif isinstance(space, ProductSpace):
         base = space.base
         if isinstance(base, BallSpace):
             angle = st.floats(0.0, 2 * math.pi)
@@ -461,7 +531,9 @@ def _batch_case(draw):
     else:
         point = _graph_point(space)
     p = draw(point)
-    qs = draw(st.lists(point | st.just(p), max_size=12))
+    # coincident targets, and on balls and spheres the antipode
+    same = st.just(p) | st.just(-p) if isinstance(p, np.ndarray) else st.just(p)
+    qs = draw(st.lists(point | same, max_size=12))
     ts = draw(st.lists(st.sampled_from(_BUDGETS) | st.floats(0.0, 3.0),
                        min_size=len(qs), max_size=len(qs)))
     return space, p, qs, ts
@@ -528,8 +600,9 @@ def test_product_batch_queries_equal_scalar_loop(name, rng):
 def test_batch_queries_take_no_targets():
     for space in _BATCH_SPACES.values():
         p = space.random_point(np.random.default_rng(0))
-        assert space._distances(p, []).shape == (0,)
-        assert space._steps(p, [], []) == []
+        empty = space._batch([])
+        assert space._distances(p, empty).shape == (0,)
+        assert _same_batch(space._steps(p, empty, []), empty)
 
 
 @pytest.mark.parametrize("p", [(0.7, 0.2), (True, 0.2), (np.True_, 0.2), (1.5, 0.0),
@@ -885,7 +958,8 @@ def test_nearest_index_is_the_first_closest_point(space, h, rng):
         p = space.random_point(rng)
         d = [space.distance(p, q) for q in net.points]
         assert net.nearest_index(p) == d.index(min(d))
-        assert net.nearest_index(p) == int(np.argmin(space._distances(p, net.points)))
+        assert net.nearest_index(p) == int(np.argmin(
+            space._distances(p, space._batch(net.points))))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ distance, and each later layer applies, for the step's duration ``t``,
 a min-filter over every cop axis followed by a max-filter over the robber
 axis, each restricted to the points reachable within ``t``.
 
-Layers are dense ``(P,) * (k + 1)`` arrays of floats or distance ranks (the
-filter keeps their dtype); every tuple is independent, and results do not
-depend on evaluation order (pure max/min with a fixed tie-break).
+Layers are dense ``(P,) * (k + 1)`` arrays of ranks among the net's sorted
+distinct distances, since a min or a max picks one of its inputs; results do
+not depend on evaluation order (pure max/min with a fixed tie-break).
 Reachability uses closed balls with a 1e-12 slack so that a step equal to
 the net spacing admits the intended moves despite floating-point rounding.
 """
@@ -62,6 +62,16 @@ def reach_set(net, t: float) -> ReachSet:
     return rs
 
 
+def _distance_ranks(net) -> tuple:
+    """The sorted distinct distances and the matrix as indices into them, in the
+    narrowest unsigned dtype (cached on the net); ``levels[V]`` decodes a layer."""
+    if net._ranks is None:
+        levels, ranks = np.unique(net.matrix, return_inverse=True)  # flat on numpy 1
+        ranks = ranks.reshape(net.matrix.shape).astype(np.min_scalar_type(levels.size - 1))
+        net._ranks = levels, ranks
+    return net._ranks
+
+
 # ---------------------------------------------------------------------------
 # tables
 
@@ -97,13 +107,6 @@ class ValueTable:
     @property
     def top(self) -> np.ndarray:
         return self.layers[self.N]
-
-    def layer(self, m: int) -> np.ndarray:
-        if m not in self.layers:
-            raise KeyError(
-                f"layer {m} was not stored (have {sorted(self.layers)})"
-            )
-        return self.layers[m]
 
     def robber_move(self, m: int, tup):
         if m not in self.moves:
@@ -199,9 +202,9 @@ def solve_finite(net, k: int, taus, variant: str = "endpoint", *,
     stored = 8 * net.size ** (k + 1) * N * ((k + 1) * store_policy + store_layers)
     if stored > STORED_BYTES_BUDGET:
         raise CapacityError("stored table bytes", stored, STORED_BYTES_BUDGET)
-    base = _base_layer(net.matrix, k)
-    table = ValueTable(taus, {0: base})
-    V = base
+    levels, ranks = _distance_ranks(net)
+    V = base = _base_layer(ranks, k)
+    table = ValueTable(taus, {0: levels[base]})
     for m in range(1, N + 1):
         t = float(taus[N - m])
         rs = reach_set(net, t)
@@ -210,9 +213,8 @@ def solve_finite(net, k: int, taus, variant: str = "endpoint", *,
             V = np.minimum(base, V)
         if store_policy:
             table.moves[m] = args
-        if store_layers:
-            table.layers[m] = V
-    table.layers[N] = V
+        if store_layers or m == N:
+            table.layers[m] = levels[V]
     return table
 
 
@@ -238,11 +240,12 @@ def solve_volatile(net, k: int, taus, eps, side: str) -> ValueTable:
         raise ConfigError("perturbation radii must be finite and nonnegative")
     if eps.size < N + 1:
         raise ConfigError(f"perturbation needs {N + 1} radii, got {eps.size}")
-    V = _base_layer(net.matrix, k)  # every entry >= +0.0, so eps[N] == 0 keeps its bits
-    if side == "cop_guarantee":
-        V = np.maximum(V - 2.0 * eps[N], 0.0)
+    levels, ranks = _distance_ranks(net)
+    if side == "cop_guarantee":  # nondecreasing, so it commutes with every min and max
+        levels = np.maximum(levels - 2.0 * eps[N], 0.0)  # levels >= +0.0 keep bits at eps 0
+    V = _base_layer(ranks, k)
     adv_mode = "min" if side == "cop_guarantee" else "max"
-    layers = {0: V}
+    base = levels[V]
     for m in range(1, N + 1):
         t = float(taus[N - m])
         rs = reach_set(net, t)
@@ -252,8 +255,7 @@ def solve_volatile(net, k: int, taus, eps, side: str) -> ValueTable:
             adv = reach_set(net, e)
             for axis in range(k + 1):
                 V = reach_filter(V, adv.indptr, adv.indices, axis, adv_mode, rows=adv.rows)
-    layers[N] = V
-    return ValueTable(taus, layers)
+    return ValueTable(taus, {0: base, N: levels[V]})
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +311,7 @@ def limit_value(net, k: int, agility: Agility, tol: float = 1e-9,
     With a uniform agility one operator is iterated, extending a single
     layer; once a sweep returns its input unchanged, every later layer is
     that same array, so sweeping stops at this exact fixed point while the
-    doubling checks and their log go on as before.  The loop sweeps ranks of
-    the distinct distances, in the narrowest unsigned dtype, and decodes the
-    checked layers to the same floats.  Finite and volatile solves stay on
-    float64: they run once on a fresh net, where ranking costs more than it saves.
+    doubling checks and their log go on as before.
     """
     _check_state_budget(net, k)
     if agility.length is not None:  # an explicit schedule is probed whole
@@ -326,8 +325,7 @@ def limit_value(net, k: int, agility: Agility, tol: float = 1e-9,
     if agility.is_uniform(probe):
         # one operator iterated: extend the same layer instead of re-solving
         rs = reach_set(net, agility.tau(1))
-        levels, ranks = np.unique(net.matrix, return_inverse=True)  # flat on numpy 1
-        ranks = ranks.reshape(net.matrix.shape).astype(np.min_scalar_type(levels.size - 1))
+        levels, ranks = _distance_ranks(net)
         V, done, fixed = _base_layer(ranks, k), 0, False
 
         def top(N):

@@ -815,6 +815,7 @@ class Net:
     matrix: np.ndarray
     requested_h: float = 0.0
     _reach_cache: dict = field(default_factory=dict, repr=False)
+    _ranks: tuple | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:

@@ -17,7 +17,8 @@ DELETED_ATTRS = [(verify, "random_oracle_instances"),
                  (cli, "_float_text"),
                  (MetricGraphSpace, "_vertex_path"),
                  (MetricGraphSpace, "_hop_segment"),
-                 (Trajectory, "gap")]
+                 (Trajectory, "gap"),
+                 (solver.ValueTable, "layer")]
 
 
 def test_all_names_resolve():

@@ -20,7 +20,15 @@ from pursuit.solver import (
     solve_volatile,
     standard_value,
 )
-from pursuit.spaces import BallSpace, MetricGraphSpace, ProductSpace, SphereSpace, build_net
+from pursuit.spaces import (
+    BallSpace,
+    MetricGraphSpace,
+    ProductSpace,
+    SphereSpace,
+    build_net,
+    space_from_config,
+)
+from pursuit.verify import _coarse_to_fine, _subnet, default_pack
 
 from conftest import make_cycle, make_interval, make_star
 
@@ -162,7 +170,7 @@ def test_endpoint_equals_intermediate_on_aligned_net():
     a = solve_finite(net, 1, taus, store_layers=True)
     b = solve_finite(net, 1, taus, variant="intermediate", store_layers=True)
     for m in range(5):
-        assert np.array_equal(a.layer(m), b.layer(m))
+        assert np.array_equal(a.layers[m], b.layers[m])
 
 
 def test_step_monotone_in_horizon():
@@ -642,21 +650,44 @@ def cylinder_net():
     return build_net(ProductSpace(make_cycle(2.0), 1.0, 2.0), 0.25)
 
 
-@pytest.mark.parametrize("make_net", [
-    theta_net, lambda: cycle_net(8), ball_net, lambda: ball_net(0.08), sphere_net,
-    cylinder_net,
-], ids=["theta", "cycle", "ball", "ball-P568", "sphere", "cylinder"])
+def pack_nets():
+    """Every net the default verify pack builds, coarse nets included."""
+    nets = {}
+    for inst in default_pack():
+        space = space_from_config(inst["space"])
+        nets[inst["name"]] = lambda space=space, h=inst["h"]: build_net(space, h)
+        if "minmax" in inst:
+            nets[inst["name"] + "-coarse"] = \
+                lambda space=space, h=inst["minmax"]["coarse_h"]: build_net(space, h)
+    return nets
+
+
+def cycle_subnet():
+    """The coarse cycle net as the min-max probe solves it: a subnet of the fine one."""
+    fine = cycle_net(8)
+    return _subnet(fine, _coarse_to_fine(fine, cycle_net(4)))
+
+
+RANKED_NETS = {
+    "theta": theta_net, "cycle": lambda: cycle_net(8), "ball": ball_net,
+    "ball-P568": lambda: ball_net(0.08), "sphere": sphere_net, "cylinder": cylinder_net,
+    "circle": lambda: build_net(SphereSpace(1), 0.3),
+    "ball-1d": lambda: build_net(BallSpace(1), 0.2),
+    "ball-3d": lambda: build_net(BallSpace(3), 0.5),
+    "cycle-subnet": cycle_subnet, **pack_nets(),
+}
+
+
+@pytest.mark.parametrize("make_net", RANKED_NETS.values(), ids=RANKED_NETS.keys())
 def test_distance_ranks_decode_to_the_matrix_bits(make_net):
-    # the limit loop sweeps these ranks; np.unique would merge -0.0 into
-    # 0.0 and sort NaN last, so this is the guard that no net holds either
+    # every solve sweeps these ranks; np.unique would merge -0.0 into 0.0
+    # and sort NaN last, so this is the guard that no net holds either
     net = make_net()
-    levels, ranks = np.unique(net.matrix, return_inverse=True)
-    ranks = ranks.reshape(net.matrix.shape)
-    dtype = np.min_scalar_type(levels.size - 1)
-    assert dtype in (np.uint8, np.uint16)
-    assert np.array_equal(ranks.astype(dtype), ranks)
-    decoded = levels[ranks.astype(dtype)]
-    assert np.array_equal(decoded.view(np.int64), net.matrix.view(np.int64))
+    levels, ranks = solver._distance_ranks(net)
+    assert ranks.dtype in (np.uint8, np.uint16)
+    assert ranks.dtype == np.min_scalar_type(levels.size - 1)
+    assert not np.isnan(levels).any() and (np.diff(levels) > 0).all()
+    assert np.array_equal(levels[ranks].view(np.int64), net.matrix.view(np.int64))
 
 
 def float_limit(net, k, t, tol, N_max):
@@ -705,6 +736,125 @@ def test_rank_limit_equals_float_loop(monkeypatch, make_net, k, t, N_max, dtype,
         (ref.achieved_N, ref.gap, ref.converged, ref.log)
     assert res.converged is (stop != "N_max")
     assert (res.gap == 0.0) is (stop == "fixed")
+
+
+def float_finite(net, k, taus, variant, store_policy, store_layers):
+    """``solve_finite``'s layers and arg tables from float64 sweeps: the
+    solve as it ran before layers were swept as ranks."""
+    N = len(taus)
+    V = base = solver._base_layer(net.matrix, k)
+    layers, moves = {0: base}, {}
+    for m in range(1, N + 1):
+        V, args = solver._sweep(V, reach_set(net, taus[N - m]), k, store_policy)
+        if variant == "intermediate":
+            V = np.minimum(base, V)
+        if store_policy:
+            moves[m] = args
+        if store_layers:
+            layers[m] = V
+    layers[N] = V
+    return layers, moves
+
+
+def float_volatile(net, k, taus, eps, side):
+    """``solve_volatile``'s layers from float64 sweeps, with the clamp on the
+    base layer itself."""
+    N = len(taus)
+    V = solver._base_layer(net.matrix, k)
+    if side == "cop_guarantee":
+        V = np.maximum(V - 2.0 * eps[N], 0.0)
+    layers = {0: V}
+    mode = "min" if side == "cop_guarantee" else "max"
+    for m in range(1, N + 1):
+        V, _ = solver._sweep(V, reach_set(net, taus[N - m]), k)
+        if eps[N - m] > 0:
+            adv = reach_set(net, eps[N - m])
+            for axis in range(k + 1):
+                V = reach_filter(V, adv.indptr, adv.indices, axis, mode, rows=adv.rows)
+    layers[N] = V
+    return layers
+
+
+def spy_layer_dtypes(monkeypatch) -> list:
+    """Record the dtype of every layer ``_sweep`` and ``reach_filter`` take."""
+    seen = []
+
+    def spy(fn):
+        def recorded(V, *args, **kwargs):
+            seen.append(V.dtype)
+            return fn(V, *args, **kwargs)
+        return recorded
+
+    monkeypatch.setattr(solver, "_sweep", spy(solver._sweep))
+    monkeypatch.setattr(solver, "reach_filter", spy(solver.reach_filter))
+    return seen
+
+
+def assert_same_bits(got: dict, want: dict):
+    assert got.keys() == want.keys()
+    for m, layer in want.items():
+        assert got[m].dtype == layer.dtype == np.float64
+        assert np.array_equal(got[m].view(np.int64), layer.view(np.int64)), m
+
+
+RANK_SOLVE_NETS = [
+    (theta_net, 1), (sphere_net, 1), (ball_net, 1), (cylinder_net, 1),
+    (theta_net, 2), (lambda: build_net(SphereSpace(2), 1.0), 2), (ball_net, 2),
+    (cylinder_net, 2),
+]
+RANK_SOLVE_IDS = ["theta-k1", "sphere-k1", "ball-k1", "cylinder-k1",
+                  "theta-k2", "sphere-k2", "ball-k2", "cylinder-k2"]
+
+
+@pytest.mark.parametrize("make_net,k", RANK_SOLVE_NETS, ids=RANK_SOLVE_IDS)
+def test_rank_finite_solve_equals_float_sweeps(monkeypatch, make_net, k):
+    net = make_net()
+    taus = [2 * net.h, net.h, 2 * net.h][:4 - k]
+    cases = [(variant, stores) for variant in ("endpoint", "intermediate")
+             for stores in ((False, False), (True, True))]
+    refs = [float_finite(net, k, taus, variant, *stores) for variant, stores in cases]
+    seen = spy_layer_dtypes(monkeypatch)
+    for (variant, (policy, layers)), (ref_layers, ref_moves) in zip(cases, refs):
+        table = solve_finite(net, k, taus, variant, store_policy=policy, store_layers=layers)
+        assert_same_bits(table.layers, ref_layers)
+        assert table.moves.keys() == ref_moves.keys()
+        for m, args in ref_moves.items():
+            assert len(table.moves[m]) == len(args) == k + 1
+            for got, want in zip(table.moves[m], args):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert seen and {dt.kind for dt in seen} == {"u"}
+
+
+@pytest.mark.parametrize("make_net,k", RANK_SOLVE_NETS, ids=RANK_SOLVE_IDS)
+def test_rank_volatile_solve_equals_float_sweeps(monkeypatch, make_net, k):
+    net = make_net()
+    taus = [2 * net.h, net.h, 2 * net.h][:4 - k]
+    N, h = len(taus), net.h
+    cases = [(eps, side) for eps in ([0.0] * (N + 1), [h, 0.0, 2 * h, h][:N + 1])
+             for side in ("cop_guarantee", "robber_guarantee")]
+    refs = [float_volatile(net, k, taus, eps, side) for eps, side in cases]
+    seen = spy_layer_dtypes(monkeypatch)
+    for (eps, side), ref in zip(cases, refs):
+        assert_same_bits(solve_volatile(net, k, taus, eps, side).layers, ref)
+    assert seen and {dt.kind for dt in seen} == {"u"}
+
+
+def test_each_net_is_ranked_once(monkeypatch):
+    nets = {"standard": theta_net(), "cop-number": theta_net()}
+    ranked = []
+    unique = np.unique
+
+    def counted(a, *args, **kwargs):
+        ranked.append(a)
+        return unique(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    res = standard_value(nets["standard"], 1)
+    assert len(res.members) == 3 and len(ranked) == 1
+    assert ranked[0] is nets["standard"].matrix
+    cop = cop_number_estimate(nets["cop-number"], 2, theta=0.0)
+    assert [k for k, _ in cop.per_k] == [1, 2] and len(ranked) == 2
+    assert ranked[1] is nets["cop-number"].matrix
 
 
 def test_standard_and_cop_number_match_resolving_doubling():

@@ -12,7 +12,8 @@ this script imports neither.
 
 Writes ``BENCH_<LABEL>.json`` in the current directory, with every run's
 result line, and prints each side's median, Q1 and Q3 of each end-to-end
-metric and the number of pairs the change won.
+metric, the number of pairs the change won and a verdict against the
+metric's ``bound`` in ``BENCHMARK.json``.
 """
 
 import argparse
@@ -48,6 +49,23 @@ def quartiles(xs: list) -> tuple:
     return q1, med, q3
 
 
+def verdict(parent: list, change: list, bound: float, lower: bool) -> str:
+    """``within bound``, ``worse than bound`` or ``unresolved`` for one metric.
+
+    ``bound`` is the largest relative loss of the change's median against
+    the parent's.  When the parent's own spread, (Q3 - Q1) / median, exceeds
+    it, the runs cannot tell the two apart unless every change run beats
+    every parent run.
+    """
+    sign = 1 if lower else -1
+    q1, med, q3 = quartiles(parent)
+    beats_all = max(sign * c for c in change) < min(sign * p for p in parent)
+    if (q3 - q1) / med > bound and not beats_all:
+        return "unresolved"
+    loss = sign * (quartiles(change)[1] / med - 1)
+    return "worse than bound" if loss > bound else "within bound"
+
+
 def summarize(runs: list, metrics: list) -> None:
     """Print each side's quartiles and the change's wins, per workload and metric."""
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -65,7 +83,8 @@ def summarize(runs: list, metrics: list) -> None:
             rel = (cmed / pmed - 1) * 100
             print(f"  {name:12s} parent {pmed:.4g} [{pq1:.4g}, {pq3:.4g}]  "
                   f"change {cmed:.4g} [{cq1:.4g}, {cq3:.4g}]  "
-                  f"{rel:+.1f} %  change wins {wins}/{pairs}  ({metric['unit']})")
+                  f"{rel:+.1f} %  change wins {wins}/{pairs}  ({metric['unit']})  "
+                  + verdict(side["parent"], side["change"], metric["bound"], lower))
         failed = sum(r["result"]["failed"] for r in mine)
         wrong = sum(not r["result"]["correct"] for r in mine)
         print(f"  failed commands {failed}, incorrect runs {wrong}")

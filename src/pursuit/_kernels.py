@@ -5,9 +5,10 @@ A value layer for ``k`` cops is a dense array of shape ``(P,) * (k + 1)``
 filter that replaces each slice index by the extreme over its reach list
 (CSR arrays ``indptr``/``indices``).  The filter is plain numpy.  It pads
 each reach list to the widest, ``W``, with the point's own index, and folds
-``W`` gathered slabs per block of about ``BLOCK_ENTRIES`` output entries.  A
-point always reaches itself, so a pad repeats a value of its list: it never
-changes a min or a max, nor wins an arg, which moves only on a strict gain.
+``W`` gathered slabs per block of output entries that hold about
+``BLOCK_BYTES`` of layer and arg table.  A point always reaches itself, so a
+pad repeats a value of its list: it never changes a min or a max, nor wins
+an arg, which moves only on a strict gain.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 
 import numpy as np
 
-BLOCK_ENTRIES = 32768  # a ball-net sweep took 3x as long with 4k or 128k
+BLOCK_BYTES = 262144  # 32k float64 entries; a ball-net sweep took 3x as long with 4k or 128k
 
 
 def active_backend() -> str:
@@ -24,9 +25,10 @@ def active_backend() -> str:
 
 
 def pad_reach(indptr, indices) -> np.ndarray:
-    """The reach lists as a ``(P, W)`` table, each padded with its own index."""
+    """The reach lists as a ``(P, W)`` table, each padded with its own index,
+    in the narrowest unsigned dtype that holds ``P - 1``."""
     counts = np.diff(indptr)
-    own = np.arange(counts.size, dtype=np.int64)[:, None]
+    own = np.arange(counts.size, dtype=np.min_scalar_type(counts.size - 1))[:, None]
     rows = np.repeat(own, counts.max(initial=1), axis=1)
     rows[np.arange(rows.shape[1]) < counts[:, None]] = indices  # row-major = CSR order
     return rows
@@ -38,8 +40,9 @@ def reach_filter(values, indptr, indices, axis, mode, want_arg=False, *, rows):
     ``out[..., i, ...] = mode over j in reach(i) of values[..., j, ...]``.
     Ties resolve to the lowest reach index (reach lists are ascending).
     ``rows`` is ``pad_reach(indptr, indices)``.
-    Returns the filtered array, and the arg table too if ``want_arg``.  A min
-    or a max picks one of its inputs, so the result keeps the input's dtype.
+    Returns the filtered array, and the arg table too if ``want_arg``, in
+    the dtype of ``rows``.  A min or a max picks one of its inputs, so the
+    result keeps the input's dtype.
     """
     fold, better = (np.minimum, np.less) if mode == "min" else (np.maximum, np.greater)
     values = np.asarray(values)
@@ -56,10 +59,11 @@ def reach_filter(values, indptr, indices, axis, mode, want_arg=False, *, rows):
 
     src = np.ascontiguousarray(as3(values))
     out = np.empty(shape, dtype=values.dtype)
-    arg = np.empty(shape, dtype=np.int64) if want_arg else None
+    arg = np.empty(shape, dtype=rows.dtype) if want_arg else None
     out3 = as3(out)
     arg3 = as3(arg) if want_arg else None
-    step = max(1, BLOCK_ENTRIES // (a * b))
+    entry_bytes = out.itemsize + (arg.itemsize if want_arg else 0)
+    step = max(1, BLOCK_BYTES // (entry_bytes * a * b))
     for lo in range(0, P, step):
         block = rows[lo:lo + step]
         acc = src[:, block[:, 0], :]

@@ -18,7 +18,9 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -82,11 +84,21 @@ def _int(value, name: str) -> int:
 _DUMP_CHUNK = 16384  # array entries coded and written per step by _dump
 
 
+@dataclass(frozen=True)
+class _Coded:
+    """A nonempty 1-d array of floats given as ``levels[codes]``: ``levels``
+    finite, ``codes`` an integer array indexing it.  ``_write_json`` writes it as
+    that decoded array."""
+
+    levels: np.ndarray
+    codes: np.ndarray
+
+
 def _dump(obj, path: Path) -> None:
     """Write ``obj`` as the bytes of ``json.dump(obj, fh, sort_keys=True,
     indent=1, default=np.ndarray.tolist)`` plus a newline, streaming to the
-    file as it goes; a 1-d float64 or integer array is coded and written
-    ``_DUMP_CHUNK`` entries at a time (see ``_write_json``)."""
+    file as it goes; a 1-d float64 or integer array, or a :class:`_Coded`
+    one, is written ``_DUMP_CHUNK`` entries at a time (see ``_write_json``)."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         _write_json(fh.write, obj, "\n")
@@ -99,13 +111,16 @@ def _write_json(write, obj, newline: str) -> None:
     break plus the indent of ``obj``.
 
     A 1-d float64 or integer array is written chunk by chunk as
-    ``table[codes]``, an object array of texts gathered by numpy.  An integer
-    array whose entries lie in ``[0, size)`` (a policy table) is its own
-    code, and its table is the text of ``0..max``.  Any other array is coded
-    per chunk by ``np.unique``, floats by their bit pattern so that ``0.0``
-    and ``-0.0`` stay apart; each distinct key is formatted once per array,
-    by ``json.dumps`` of its Python value.  Other arrays go through
-    ``tolist()``.
+    ``table[codes]``, an object array of texts gathered by numpy.  A
+    :class:`_Coded` array (a solve's value layer) brings its codes, and its
+    table holds the text of each level its codes use, formatted once.  An
+    integer array whose entries lie in ``[0, size)`` (a policy table) is its
+    own code, and its table is the text of ``0..max``.  Neither is sorted.
+    Any other array is coded per chunk by ``np.unique``, floats by their bit
+    pattern so that ``0.0`` and ``-0.0`` stay apart, and each distinct key
+    is formatted once per array.  Other arrays go through ``tolist()``.
+    Numbers are formatted by ``repr``, json's own text for an int or a
+    finite float, and by ``json.dumps`` otherwise (NaN and the infinities).
     """
     inner = newline + " "
     if isinstance(obj, dict):
@@ -118,28 +133,30 @@ def _write_json(write, obj, newline: str) -> None:
             _write_json(write, value, inner)
             sep = ","
         write(newline + "}")
+    elif isinstance(obj, _Coded):
+        used = np.zeros(obj.levels.size, dtype=bool)
+        for start in range(0, obj.codes.size, _DUMP_CHUNK):
+            used[obj.codes[start:start + _DUMP_CHUNK]] = True
+        texts = np.empty(obj.levels.size, dtype=object)
+        texts[used] = list(map(repr, obj.levels[used].tolist()))
+        _write_chunks(write, obj.codes, lambda codes: (codes, texts), newline)
     elif isinstance(obj, np.ndarray):
         if (obj.ndim != 1 or not obj.size
                 or not (obj.dtype == np.float64 or obj.dtype.kind in "iu")):
             _write_json(write, obj.tolist(), newline)
+        elif obj.dtype.kind in "iu" and obj.min() >= 0 and obj.max() < obj.size:
+            table = np.array(list(map(repr, range(int(obj.max()) + 1))), dtype=object)
+            _write_chunks(write, obj, lambda codes: (codes, table), newline)
         else:
+            memo = {}
+
+            def coded(keys):
+                uniq, codes = np.unique(keys, return_inverse=True)
+                pairs = zip(uniq.tolist(), uniq.view(obj.dtype).tolist())
+                return codes, np.array([memo[k] if k in memo else memo.setdefault(k, _number(v))
+                                        for k, v in pairs], dtype=object)
             keys = obj.view(np.uint64) if obj.dtype == np.float64 else obj
-            table, memo = None, {}
-            if obj.dtype.kind in "iu" and obj.min() >= 0 and obj.max() < obj.size:
-                table = np.array(list(map(repr, range(int(obj.max()) + 1))), dtype=object)
-            sep = "," + inner
-            write("[" + inner)
-            for start in range(0, obj.size, _DUMP_CHUNK):
-                if start:
-                    write(sep)
-                codes, texts = keys[start:start + _DUMP_CHUNK], table
-                if table is None:
-                    uniq, codes = np.unique(codes, return_inverse=True)
-                    pairs = zip(uniq.tolist(), uniq.view(obj.dtype).tolist())
-                    texts = np.array([memo[k] if k in memo else memo.setdefault(k, json.dumps(v))
-                                      for k, v in pairs], dtype=object)
-                write(sep.join(texts[codes].tolist()))
-            write(newline + "]")
+            _write_chunks(write, keys, coded, newline)
     elif isinstance(obj, (list, tuple)):
         if not obj:
             write("[]")
@@ -153,6 +170,24 @@ def _write_json(write, obj, newline: str) -> None:
         write(newline + "]")
     else:
         write(json.dumps(obj))
+
+
+def _write_chunks(write, keys, code, newline: str) -> None:
+    """Write a nonempty 1-d array as a json list, ``_DUMP_CHUNK`` entries at a
+    time: ``code(chunk)`` gives the chunk's codes and the texts they index."""
+    sep = "," + newline + " "
+    write("[" + newline + " ")
+    for start in range(0, keys.size, _DUMP_CHUNK):
+        if start:
+            write(sep)
+        codes, texts = code(keys[start:start + _DUMP_CHUNK])
+        write(sep.join(texts[codes].tolist()))
+    write(newline + "]")
+
+
+def _number(value) -> str:
+    """json's text of an int or a float."""
+    return repr(value) if math.isfinite(value) else json.dumps(value)
 
 
 def _json_key(key) -> str:
@@ -243,14 +278,15 @@ def _starts(cfg: dict, k: int, net):
     return "explicit", tuples
 
 
-def _values_block(values: np.ndarray, mode, tuples):
+def _values_block(levels: np.ndarray, ranks: np.ndarray, mode, tuples):
+    """The value layer ``levels[ranks]``, written from its codes."""
     out = {
-        "shape": list(values.shape),
-        "flat": values.reshape(-1),
+        "shape": list(ranks.shape),
+        "flat": _Coded(levels, ranks.reshape(-1)),
     }
     if mode == "explicit":
         out["per_start"] = [
-            {"start": list(t), "value": float(values[t])} for t in tuples
+            {"start": list(t), "value": float(levels[ranks[t]])} for t in tuples
         ]
     return out
 
@@ -273,30 +309,27 @@ def cmd_solve(args) -> int:
     policy_dump = None
     if mode == "finite":
         taus = agility.prefix(n)
-        table = solve_finite(
+        res = solve_finite(
             net, k, taus, variant=cfg.get("variant", "endpoint"),
             store_policy=store_policy,
         )
-        values = table.top
         if store_policy:
             policy_dump = {
                 str(m): {
                     "robber": args[0].reshape(-1),
                     "cops": [t.reshape(-1) for t in args[1:]],
                 }
-                for m, args in sorted(table.moves.items())
+                for m, args in sorted(res.moves.items())
             }
     elif mode == "limit":
         if T is not None:
             res = duration_value(net, k, T, n, tol, n_max)
         else:
             res = limit_value(net, k, agility, tol, n_max)
-        values = res.values
         convergence = [[int(N), float(d)] for N, d in res.log]
         taus = agility.prefix(res.achieved_N) if T is None else [T / res.achieved_N] * res.achieved_N
     elif mode == "standard":
         res = standard_value(net, k, _family(cfg), tol, n_max)
-        values = res.values
         members = [
             {
                 "agility": desc,
@@ -319,8 +352,8 @@ def cmd_solve(args) -> int:
         "k": k,
         "mode": mode,
         "tau_prefix": [float(t) for t in taus],
-        "values": _values_block(values, start_mode, tuples),
-        "worst_start": float(values.max()),
+        "values": _values_block(res.levels, res.ranks, start_mode, tuples),
+        "worst_start": float(res.levels[res.ranks.max()]),
         "convergence": convergence,
     }
     if members is not None:

@@ -64,10 +64,14 @@ def reach_set(net, t: float) -> ReachSet:
 
 def _distance_ranks(net) -> tuple:
     """The sorted distinct distances and the matrix as indices into them, in the
-    narrowest unsigned dtype (cached on the net); ``levels[V]`` decodes a layer."""
+    narrowest unsigned dtype (cached on the net); ``levels[V]`` decodes a layer.
+    A net's matrix is symmetric, so only its upper triangle is sorted."""
     if net._ranks is None:
-        levels, ranks = np.unique(net.matrix, return_inverse=True)  # flat on numpy 1
-        ranks = ranks.reshape(net.matrix.shape).astype(np.min_scalar_type(levels.size - 1))
+        upper = np.triu(np.ones(net.matrix.shape, dtype=bool))
+        levels, inverse = np.unique(net.matrix[upper], return_inverse=True)
+        ranks = np.empty(net.matrix.shape, dtype=np.min_scalar_type(levels.size - 1))
+        ranks[upper] = inverse
+        ranks.T[upper] = inverse  # the mirror: ranks[j, i] = ranks[i, j]
         net._ranks = levels, ranks
     return net._ranks
 
@@ -86,10 +90,12 @@ class ValueTable:
     robber-to-cops distance ``d`` (``solve_volatile``'s ``cop_guarantee``
     stores ``max(d - 2*eps[N], 0)`` there); layer ``N`` is the full-horizon
     value.  Only layers 0 and ``N`` are retained unless the solve stored all
-    of them.
+    of them.  ``ranks`` is layer ``N`` as indices into ``levels``, the
+    distance levels the solve swept: ``levels[ranks]`` is ``top``.
 
     ``moves[m]``, filled by a solve with ``store_policy``, lists the arg
-    table of every axis: ``moves[m][0][r, c1..ck]`` is the robber's move
+    table of every axis, in the narrowest unsigned dtype that holds the net
+    index ``P - 1``: ``moves[m][0][r, c1..ck]`` is the robber's move
     and ``moves[m][j][r', c1..ck]`` is cop ``j``'s move given the robber
     already moved to ``r'`` (``robber_move`` and ``cop_moves`` read them for
     ints or index arrays).  Ties resolve to the lowest net index for the
@@ -98,6 +104,8 @@ class ValueTable:
 
     taus: np.ndarray
     layers: dict
+    levels: np.ndarray
+    ranks: np.ndarray
     moves: dict = field(default_factory=dict)
 
     @property
@@ -198,13 +206,14 @@ def solve_finite(net, k: int, taus, variant: str = "endpoint", *,
     _check_state_budget(net, k)
     taus = np.asarray(list(taus), dtype=float)
     N = taus.size
-    # k + 1 int64 arg tables and one float64 layer per step, each P^(k+1) entries
-    stored = 8 * net.size ** (k + 1) * N * ((k + 1) * store_policy + store_layers)
+    # per step, k + 1 arg tables of net indices and one float64 layer, each P^(k+1) entries
+    index_bytes = np.min_scalar_type(net.size - 1).itemsize
+    stored = net.size ** (k + 1) * N * (index_bytes * (k + 1) * store_policy + 8 * store_layers)
     if stored > STORED_BYTES_BUDGET:
         raise CapacityError("stored table bytes", stored, STORED_BYTES_BUDGET)
     levels, ranks = _distance_ranks(net)
     V = base = _base_layer(ranks, k)
-    table = ValueTable(taus, {0: levels[base]})
+    layers, moves = {0: levels[base]}, {}
     for m in range(1, N + 1):
         t = float(taus[N - m])
         rs = reach_set(net, t)
@@ -212,10 +221,10 @@ def solve_finite(net, k: int, taus, variant: str = "endpoint", *,
         if variant == "intermediate":
             V = np.minimum(base, V)
         if store_policy:
-            table.moves[m] = args
+            moves[m] = args
         if store_layers or m == N:
-            table.layers[m] = levels[V]
-    return table
+            layers[m] = levels[V]
+    return ValueTable(taus, layers, levels, V, moves)
 
 
 def solve_volatile(net, k: int, taus, eps, side: str) -> ValueTable:
@@ -255,7 +264,7 @@ def solve_volatile(net, k: int, taus, eps, side: str) -> ValueTable:
             adv = reach_set(net, e)
             for axis in range(k + 1):
                 V = reach_filter(V, adv.indptr, adv.indices, axis, adv_mode, rows=adv.rows)
-    return ValueTable(taus, {0: base, N: levels[V]})
+    return ValueTable(taus, {0: base, N: levels[V]}, levels, V)
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +273,26 @@ def solve_volatile(net, k: int, taus, eps, side: str) -> ValueTable:
 
 @dataclass
 class LimitResult:
-    values: np.ndarray
+    """The last top layer of a horizon doubling as ``ranks`` into the net's
+    distance ``levels``, decoded once as ``values``."""
+
+    levels: np.ndarray
+    ranks: np.ndarray
     achieved_N: int
     gap: float
     converged: bool
     log: list = field(default_factory=list)
+    values: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.values = self.levels[self.ranks]
 
 
-def _doubling(top, N: int, N_max: int, tol: float) -> LimitResult:
-    """Horizon doubling: compare ``top(N)``, the ``N``-step top layer, at
-    N, 2N, 4N, ... (capped at ``N_max``) and stop once consecutive layers
-    differ by less than ``tol`` in sup norm."""
+def _doubling(top, net, N: int, N_max: int, tol: float) -> LimitResult:
+    """Horizon doubling: compare ``top(N)``, the ``N``-step top layer as
+    ranks into the net's distance levels, at N, 2N, 4N, ... (capped at
+    ``N_max``) and stop once consecutive layers differ by less than ``tol``
+    in sup norm."""
     if not tol > 0:  # NaN too: it would never stop the doubling
         raise ConfigError("tolerance must be positive")
     if N_max < N:
@@ -283,15 +301,17 @@ def _doubling(top, N: int, N_max: int, tol: float) -> LimitResult:
     prev = None
     while True:
         V = top(N)
+        levels = _distance_ranks(net)[0]  # ranked by top(N) at the latest
         if prev is not None:
-            dec = float(np.abs(prev - V).max())
+            moved = prev != V  # an entry that kept its rank adds 0.0 to the norm
+            dec = float(np.abs(levels[prev[moved]] - levels[V[moved]]).max(initial=0.0))
             log.append((N, dec))
             if dec < tol:
-                return LimitResult(V, N, dec, True, log)
+                return LimitResult(levels, V, N, dec, True, log)
         prev = V
         if N >= N_max:
             gap = log[-1][1] if log else math.inf
-            return LimitResult(V, N, gap, False, log)
+            return LimitResult(levels, V, N, gap, False, log)
         N = min(2 * N, N_max)
 
 
@@ -325,8 +345,7 @@ def limit_value(net, k: int, agility: Agility, tol: float = 1e-9,
     if agility.is_uniform(probe):
         # one operator iterated: extend the same layer instead of re-solving
         rs = reach_set(net, agility.tau(1))
-        levels, ranks = _distance_ranks(net)
-        V, done, fixed = _base_layer(ranks, k), 0, False
+        V, done, fixed = _base_layer(_distance_ranks(net)[1], k), 0, False
 
         def top(N):
             nonlocal V, done, fixed
@@ -334,11 +353,11 @@ def limit_value(net, k: int, agility: Agility, tol: float = 1e-9,
                 U, _ = _sweep(V, rs, k)
                 fixed = np.array_equal(U, V)
                 V, done = U, done + 1
-            return levels[V]
+            return V
     else:
         def top(N):
-            return solve_finite(net, k, agility.prefix(N)).top
-    return _doubling(top, 1, N_max, tol)
+            return solve_finite(net, k, agility.prefix(N)).ranks
+    return _doubling(top, net, 1, N_max, tol)
 
 
 def duration_value(net, k: int, T: float, N_start: int = 1,
@@ -357,14 +376,22 @@ def duration_value(net, k: int, T: float, N_start: int = 1,
         raise ConfigError("N must be at least 1")
 
     def top(N):
-        return solve_finite(net, k, [T / N] * N).top
-    return _doubling(top, N_start, N_max, tol)
+        return solve_finite(net, k, [T / N] * N).ranks
+    return _doubling(top, net, N_start, N_max, tol)
 
 
 @dataclass
 class StandardResult:
-    values: np.ndarray
+    """The pointwise maximum of the members' values, kept as ``ranks`` into
+    the net's distance ``levels`` and decoded once as ``values``."""
+
+    levels: np.ndarray
+    ranks: np.ndarray
     members: list  # (agility description, LimitResult) pairs
+    values: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.values = self.levels[self.ranks]
 
     def worst_start(self) -> float:
         return float(self.values.max())
@@ -400,8 +427,9 @@ def standard_value(net, k: int, family=None, tol: float = 1e-9,
     for ag in family:
         res = limit_value(net, k, ag, tol, N_max)
         members.append((ag.describe(), res))
-        best = res.values if best is None else np.maximum(best, res.values)
-    return StandardResult(best, members)
+        # levels increase strictly, so the max of ranks decodes to the max of values
+        best = res.ranks if best is None else np.maximum(best, res.ranks)
+    return StandardResult(res.levels, best, members)
 
 
 @dataclass

@@ -844,6 +844,70 @@ def test_dump_matches_json_dump_on_other_arrays(tmp_path, array):
     _assert_dump_matches_json(tmp_path, {"a": array, "in": [array, {"b": array}]})
 
 
+def _decoded(obj):
+    """``obj`` with every coded array replaced by its decoded floats."""
+    if isinstance(obj, cli._Coded):
+        return obj.levels[obj.codes]
+    if isinstance(obj, dict):
+        return {key: _decoded(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(map(_decoded, obj))
+    return obj
+
+
+def _assert_coded_dump_matches_json(directory, levels, codes):
+    path = directory / "dump.json"
+    obj = {"a": cli._Coded(levels, codes), "in": [cli._Coded(levels, codes)]}
+    cli._dump(obj, path)
+    assert path.read_bytes() == (json.dumps(
+        _decoded(obj), sort_keys=True, indent=1, default=np.ndarray.tolist) + "\n").encode()
+
+
+_LEVELS = np.cumsum(np.random.default_rng(11).random(5000) + 1e-3) / 7  # strictly increasing
+
+
+@pytest.mark.parametrize("levels,codes", [
+    (_LEVELS, np.full(1000, 7, dtype=np.uint16)),  # one level, as in a limit layer
+    (_LEVELS, np.random.default_rng(2).choice(
+        [0, 3, 17, 999, 4999], size=3000).astype(np.uint16)),  # a sparse subset
+    (np.array([0.0, 5e-324, 1e308]), np.array([2, 0, 1, 1, 0, 2], dtype=np.uint8)),
+    (_LEVELS[:200], np.arange(2 * cli._DUMP_CHUNK + 3, dtype=np.uint8) % 200),
+    (_LEVELS[:200], np.arange(cli._DUMP_CHUNK, dtype=np.uint8) % 200),
+    (_LEVELS[:1], np.zeros(1, dtype=np.uint8)),
+], ids=["one-level", "sparse-levels", "extremes", "across-chunks", "one-full-chunk",
+        "one-entry"])
+def test_coded_dump_matches_json_dump_of_decoded_floats(tmp_path, monkeypatch, levels, codes):
+    calls = _count_unique_calls(monkeypatch)
+    _assert_coded_dump_matches_json(tmp_path, levels, codes)
+    assert calls == []  # the codes index their texts: nothing is sorted
+
+
+def test_coded_dump_formats_each_used_level_once(tmp_path, monkeypatch):
+    formatted = []
+    real_repr = repr
+
+    def counting_repr(value):
+        formatted.append(value)
+        return real_repr(value)
+
+    monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
+    codes = np.arange(2 * cli._DUMP_CHUNK + 3, dtype=np.uint16) % 5 * 900
+    cli._dump({"a": cli._Coded(_LEVELS, codes)}, tmp_path / "dump.json")
+    assert formatted == _LEVELS[[0, 900, 1800, 2700, 3600]].tolist()
+
+
+def test_dump_of_a_long_coded_array_peaks_far_below_its_size():
+    levels = np.arange(1000) / 7
+    codes = (np.arange(2_000_000) % 1000).astype(np.uint16)  # 4 MB of codes
+    tracemalloc.start()
+    try:
+        cli._dump({"a": cli._Coded(levels, codes)}, Path(os.devnull))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
 def test_dump_matches_json_dump_on_policy_result(tmp_path, monkeypatch):
     dumped = []
     real_dump = cli._dump
@@ -859,9 +923,41 @@ def test_dump_matches_json_dump_on_policy_result(tmp_path, monkeypatch):
     assert run(tmp_path, "solve", cfg) == 0
     (result,) = dumped
     assert result["policy"]["3"]["robber"].size
+    assert isinstance(result["values"]["flat"], cli._Coded)
     written = (tmp_path / "out" / "solve_result.json").read_bytes()
-    assert written == (json.dumps(result, sort_keys=True, indent=1,
+    assert written == (json.dumps(_decoded(result), sort_keys=True, indent=1,
                                   default=np.ndarray.tolist) + "\n").encode()
+
+
+@pytest.mark.parametrize("cfg", [
+    {"mode": "finite", "store_policy": True, "horizon": {"N": 3}},
+    {"mode": "limit", "horizon": {"N": 2}, "N_max": 8},
+    {"mode": "standard", "horizon": {"N": 2}, "N_max": 8, "starts": [[0, 5], [3, 3]]},
+], ids=["finite-policy", "limit", "standard"])
+def test_solve_values_are_dumped_without_sorting(tmp_path, monkeypatch, cfg):
+    # the solve ranks its net with np.unique; the writer must not sort again
+    dumping, sorted_in_dump = [], []
+    real_dump, real_unique = cli._dump, np.unique
+
+    def spied_unique(*args, **kwargs):
+        if dumping:
+            sorted_in_dump.append(len(args[0]))
+        return real_unique(*args, **kwargs)
+
+    def spied_dump(obj, path):
+        dumping.append(path)
+        try:
+            real_dump(obj, path)
+        finally:
+            dumping.clear()
+
+    monkeypatch.setattr(np, "unique", spied_unique)
+    monkeypatch.setattr(cli, "_dump", spied_dump)
+    base = {"space": CYCLE, "net_h": 0.1, "k": 1, "agility": {"kind": "uniform", "t": 0.1}}
+    assert run(tmp_path, "solve", {**base, **cfg}) == 0
+    assert sorted_in_dump == []
+    doc = json.loads((tmp_path / "out" / "solve_result.json").read_text())
+    assert len(doc["values"]["flat"]) == 20 * 20
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pursuit import solver
-from pursuit._kernels import BLOCK_ENTRIES, pad_reach, reach_filter
+from pursuit import _kernels
+from pursuit._kernels import BLOCK_BYTES, pad_reach, reach_filter
 from pursuit.errors import CapacityError, ConfigError, PlayoutError
 from pursuit.game import Agility, trajectory_value
 from pursuit.solver import (
@@ -241,9 +242,12 @@ def test_max_net_points_is_the_exact_integer_root(monkeypatch, budget):
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_stored_tables_must_fit_the_byte_budget(monkeypatch, k):
-    # per step, k + 1 arg tables and one layer of 8**(k + 1) 8-byte entries
+    # per step, k + 1 arg tables of 8**(k + 1) 1-byte net indices and one
+    # layer of 8**(k + 1) 8-byte floats
     net, N = cycle_net(8), 3
-    policy, layers = 8 * 8 ** (k + 1) * N * (k + 1), 8 * 8 ** (k + 1) * N
+    index_bytes = np.min_scalar_type(net.size - 1).itemsize
+    assert index_bytes == 1
+    policy, layers = index_bytes * 8 ** (k + 1) * N * (k + 1), 8 * 8 ** (k + 1) * N
     monkeypatch.setattr(solver, "STORED_BYTES_BUDGET", policy + layers)
     table = solve_finite(net, k, [0.25] * N, store_policy=True, store_layers=True)
     assert len(table.moves) == N and len(table.layers) == N + 1
@@ -586,8 +590,8 @@ def theta_net():
 def reference_limit(net, k, t, tol, N_max):
     """Horizon doubling over independent fixed-N solves, no fixed-point skip."""
     def top(N):
-        return solve_finite(net, k, [t] * N).top
-    return solver._doubling(top, 1, N_max, tol)
+        return solve_finite(net, k, [t] * N).ranks
+    return solver._doubling(top, net, 1, N_max, tol)
 
 
 def assert_same_limit(res, ref):
@@ -690,6 +694,31 @@ def test_distance_ranks_decode_to_the_matrix_bits(make_net):
     assert np.array_equal(levels[ranks].view(np.int64), net.matrix.view(np.int64))
 
 
+@pytest.mark.parametrize("make_net", RANKED_NETS.values(), ids=RANKED_NETS.keys())
+def test_net_matrix_is_symmetric_bit_for_bit(make_net):
+    # _distance_ranks sorts the upper triangle only and mirrors its ranks
+    matrix = make_net().matrix
+    assert np.array_equal(matrix.view(np.int64), matrix.T.view(np.int64))
+
+
+def float_doubling(top, N, N_max, tol):
+    """Horizon doubling on float64 top layers, with the change taken as the
+    sup norm of the whole difference: ``(values, achieved_N, gap, converged,
+    log)``."""
+    log, prev = [], None
+    while True:
+        V = top(N)
+        if prev is not None:
+            dec = float(np.abs(prev - V).max())
+            log.append((N, dec))
+            if dec < tol:
+                return V, N, dec, True, log
+        prev = V
+        if N >= N_max:
+            return V, N, log[-1][1] if log else math.inf, False, log
+        N = min(2 * N, N_max)
+
+
 def float_limit(net, k, t, tol, N_max):
     """The uniform limit loop on float64 layers, with the same fixed-point
     skip: the loop as it ran before layers were swept as ranks."""
@@ -703,7 +732,7 @@ def float_limit(net, k, t, tol, N_max):
             fixed = np.array_equal(U, V)
             V, done = U, done + 1
         return V
-    return solver._doubling(top, 1, N_max, tol)
+    return float_doubling(top, 1, N_max, tol)
 
 
 @pytest.mark.parametrize("make_net,k,t,N_max,dtype,stop", [
@@ -731,11 +760,26 @@ def test_rank_limit_equals_float_loop(monkeypatch, make_net, k, t, N_max, dtype,
     res = limit_value(net, k, Agility.uniform(t), 1e-9, N_max)
     assert set(dtypes) == {np.dtype(dtype)}
     assert res.values.dtype == np.float64
-    assert np.array_equal(res.values.view(np.int64), ref.values.view(np.int64))
-    assert (res.achieved_N, res.gap, res.converged, res.log) == \
-        (ref.achieved_N, ref.gap, ref.converged, ref.log)
+    values, *rest = ref
+    assert np.array_equal(res.values.view(np.int64), values.view(np.int64))
+    # the logged changes are the float sup norms, bit for bit
+    assert (res.achieved_N, res.gap, res.converged, res.log) == tuple(rest)
     assert res.converged is (stop != "N_max")
     assert (res.gap == 0.0) is (stop == "fixed")
+
+
+@pytest.mark.parametrize("make_net,k,T,moved", [
+    (cylinder_net, 1, 2.0, True), (theta_net, 1, 1.0, True),
+    (lambda: cycle_net(8), 2, 1.0, False),  # every change is an exact 0.0
+], ids=["cylinder", "theta", "cycle-k2"])
+def test_duration_log_equals_float_sup_norms(make_net, k, T, moved):
+    net = make_net()
+    res = duration_value(net, k, T, 1, 1e-9, 16)
+    values, *rest = float_doubling(
+        lambda N: solve_finite(net, k, [T / N] * N).top, 1, 16, 1e-9)
+    assert np.array_equal(res.values.view(np.int64), values.view(np.int64))
+    assert (res.achieved_N, res.gap, res.converged, res.log) == tuple(rest)
+    assert any(dec > 0.0 for _, dec in res.log) is moved
 
 
 def float_finite(net, k, taus, variant, store_policy, store_layers):
@@ -821,8 +865,26 @@ def test_rank_finite_solve_equals_float_sweeps(monkeypatch, make_net, k):
         for m, args in ref_moves.items():
             assert len(table.moves[m]) == len(args) == k + 1
             for got, want in zip(table.moves[m], args):
-                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert got.dtype == np.min_scalar_type(net.size - 1)
+                assert np.array_equal(got, want)
     assert seen and {dt.kind for dt in seen} == {"u"}
+
+
+@pytest.mark.parametrize("n,dtype", [(255, np.uint8), (256, np.uint8), (257, np.uint16)])
+def test_arg_tables_use_the_narrowest_index_type(n, dtype):
+    fine = cycle_net(512)
+    net = _subnet(fine, np.arange(n))  # the fine net's first n points
+    assert net.size == n and np.min_scalar_type(n - 1) == dtype
+    taus = [2 * net.h, net.h]
+    assert reach_set(net, net.h).rows.dtype == dtype
+    table = solve_finite(net, 1, taus, store_policy=True)
+    _, ref_moves = float_finite(net, 1, taus, "endpoint", True, False)
+    for m, args in ref_moves.items():
+        for got, want in zip(table.moves[m], args):
+            assert got.dtype == dtype and np.array_equal(got, want)
+    start = (0, n // 2)
+    traj = policy_playout(net, table, table, start, taus)
+    assert traj.steps == len(taus)
 
 
 @pytest.mark.parametrize("make_net,k", RANK_SOLVE_NETS, ids=RANK_SOLVE_IDS)
@@ -848,13 +910,16 @@ def test_each_net_is_ranked_once(monkeypatch):
         ranked.append(a)
         return unique(a, *args, **kwargs)
 
+    def upper(net):
+        return net.matrix[np.triu_indices(net.size)]
+
     monkeypatch.setattr(np, "unique", counted)
     res = standard_value(nets["standard"], 1)
     assert len(res.members) == 3 and len(ranked) == 1
-    assert ranked[0] is nets["standard"].matrix
+    assert np.array_equal(ranked[0], upper(nets["standard"]))
     cop = cop_number_estimate(nets["cop-number"], 2, theta=0.0)
     assert [k for k, _ in cop.per_k] == [1, 2] and len(ranked) == 2
-    assert ranked[1] is nets["cop-number"].matrix
+    assert np.array_equal(ranked[1], upper(nets["cop-number"]))
 
 
 def test_standard_and_cop_number_match_resolving_doubling():
@@ -1035,8 +1100,8 @@ def test_reach_filter_spans_blocks_on_every_axis(mode, want_arg):
     net = build_net(make_star(3), 0.08)  # 40 points, reach widths 3..7
     rs = reach_set(net, 0.2)
     k = 2
-    # the other two axes hold P**2 entries, so every axis needs two blocks
-    assert net.size > BLOCK_ENTRIES // net.size ** k
+    # the other two axes hold P**2 float64 entries, so every axis needs two blocks
+    assert net.size > BLOCK_BYTES // (8 + 1) // net.size ** k
     V = np.random.default_rng(3).integers(0, 3, size=(net.size,) * (k + 1))
     for layer in (V.astype(float), V.T.astype(float)):
         for axis in range(k + 1):
@@ -1046,8 +1111,10 @@ def test_reach_filter_spans_blocks_on_every_axis(mode, want_arg):
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
 @pytest.mark.parametrize("mode", ["min", "max"])
 @pytest.mark.parametrize("want_arg", [False, True])
-def test_reach_filter_on_ranks_matches_float_filter(dtype, mode, want_arg):
-    net = build_net(make_star(3), 0.08)  # 40 points: every axis spans blocks
+def test_reach_filter_on_ranks_matches_float_filter(monkeypatch, dtype, mode, want_arg):
+    net = build_net(make_star(3), 0.08)  # 40 points
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 4096)
+    assert net.size > 4096 // net.size ** 2  # every axis spans blocks
     rs = reach_set(net, 0.2)
     rng = np.random.default_rng(5)
     L = min(np.iinfo(dtype).max + 1, 70_000)

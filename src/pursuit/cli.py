@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -86,9 +85,9 @@ _DUMP_CHUNK = 16384  # array entries coded and written per step by _dump
 
 @dataclass(frozen=True)
 class _Coded:
-    """A nonempty 1-d array of floats given as ``levels[codes]``: ``levels``
-    finite, ``codes`` an integer array indexing it.  ``_write_json`` writes it as
-    that decoded array."""
+    """A nonempty 1-d array of finite numbers given as ``levels[codes]``:
+    ``codes`` is an integer array indexing ``levels``.  ``_write_json``
+    writes it as that decoded array."""
 
     levels: np.ndarray
     codes: np.ndarray
@@ -97,8 +96,8 @@ class _Coded:
 def _dump(obj, path: Path) -> None:
     """Write ``obj`` as the bytes of ``json.dump(obj, fh, sort_keys=True,
     indent=1, default=np.ndarray.tolist)`` plus a newline, streaming to the
-    file as it goes; a 1-d float64 or integer array, or a :class:`_Coded`
-    one, is written ``_DUMP_CHUNK`` entries at a time (see ``_write_json``)."""
+    file as it goes; a :class:`_Coded` array is written ``_DUMP_CHUNK``
+    entries at a time (see ``_write_json``)."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         _write_json(fh.write, obj, "\n")
@@ -110,17 +109,11 @@ def _write_json(write, obj, newline: str) -> None:
     ``indent=1`` and ``default=np.ndarray.tolist``; ``newline`` is a line
     break plus the indent of ``obj``.
 
-    A 1-d float64 or integer array is written chunk by chunk as
-    ``table[codes]``, an object array of texts gathered by numpy.  A
-    :class:`_Coded` array (a solve's value layer) brings its codes, and its
-    table holds the text of each level its codes use, formatted once.  An
-    integer array whose entries lie in ``[0, size)`` (a policy table) is its
-    own code, and its table is the text of ``0..max``.  Neither is sorted.
-    Any other array is coded per chunk by ``np.unique``, floats by their bit
-    pattern so that ``0.0`` and ``-0.0`` stay apart, and each distinct key
-    is formatted once per array.  Other arrays go through ``tolist()``.
-    Numbers are formatted by ``repr``, json's own text for an int or a
-    finite float, and by ``json.dumps`` otherwise (NaN and the infinities).
+    A :class:`_Coded` array (a solve's value layer or policy table) is
+    written chunk by chunk as ``texts[codes]``, an object array of texts
+    gathered by numpy: ``texts`` holds the ``repr`` of each level the codes
+    use, json's own text for an int or a finite float, formatted once.
+    Nothing is sorted.  Any other array goes through ``tolist()``.
     """
     inner = newline + " "
     if isinstance(obj, dict):
@@ -134,29 +127,24 @@ def _write_json(write, obj, newline: str) -> None:
             sep = ","
         write(newline + "}")
     elif isinstance(obj, _Coded):
+        chunks = [obj.codes[start:start + _DUMP_CHUNK]
+                  for start in range(0, obj.codes.size, _DUMP_CHUNK)]
         used = np.zeros(obj.levels.size, dtype=bool)
-        for start in range(0, obj.codes.size, _DUMP_CHUNK):
-            used[obj.codes[start:start + _DUMP_CHUNK]] = True
+        for codes in chunks:
+            # numpy assigns through an intp index in half the time of a
+            # uint8 or uint16 one, cast included
+            used[codes.astype(np.intp)] = True
         texts = np.empty(obj.levels.size, dtype=object)
         texts[used] = list(map(repr, obj.levels[used].tolist()))
-        _write_chunks(write, obj.codes, lambda codes: (codes, texts), newline)
+        sep = "," + inner
+        write("[" + inner)
+        for i, codes in enumerate(chunks):
+            if i:
+                write(sep)
+            write(sep.join(texts[codes].tolist()))
+        write(newline + "]")
     elif isinstance(obj, np.ndarray):
-        if (obj.ndim != 1 or not obj.size
-                or not (obj.dtype == np.float64 or obj.dtype.kind in "iu")):
-            _write_json(write, obj.tolist(), newline)
-        elif obj.dtype.kind in "iu" and obj.min() >= 0 and obj.max() < obj.size:
-            table = np.array(list(map(repr, range(int(obj.max()) + 1))), dtype=object)
-            _write_chunks(write, obj, lambda codes: (codes, table), newline)
-        else:
-            memo = {}
-
-            def coded(keys):
-                uniq, codes = np.unique(keys, return_inverse=True)
-                pairs = zip(uniq.tolist(), uniq.view(obj.dtype).tolist())
-                return codes, np.array([memo[k] if k in memo else memo.setdefault(k, _number(v))
-                                        for k, v in pairs], dtype=object)
-            keys = obj.view(np.uint64) if obj.dtype == np.float64 else obj
-            _write_chunks(write, keys, coded, newline)
+        _write_json(write, obj.tolist(), newline)
     elif isinstance(obj, (list, tuple)):
         if not obj:
             write("[]")
@@ -170,24 +158,6 @@ def _write_json(write, obj, newline: str) -> None:
         write(newline + "]")
     else:
         write(json.dumps(obj))
-
-
-def _write_chunks(write, keys, code, newline: str) -> None:
-    """Write a nonempty 1-d array as a json list, ``_DUMP_CHUNK`` entries at a
-    time: ``code(chunk)`` gives the chunk's codes and the texts they index."""
-    sep = "," + newline + " "
-    write("[" + newline + " ")
-    for start in range(0, keys.size, _DUMP_CHUNK):
-        if start:
-            write(sep)
-        codes, texts = code(keys[start:start + _DUMP_CHUNK])
-        write(sep.join(texts[codes].tolist()))
-    write(newline + "]")
-
-
-def _number(value) -> str:
-    """json's text of an int or a float."""
-    return repr(value) if math.isfinite(value) else json.dumps(value)
 
 
 def _json_key(key) -> str:
@@ -296,6 +266,9 @@ def cmd_solve(args) -> int:
     k = _int(_field(cfg, "k"), "k")
     net = _net_from_config(cfg, k)
     mode = cfg.get("mode", "finite")
+    for key in ("variant", "store_policy"):
+        if key in cfg and mode != "finite":
+            raise ConfigError(f"{key} is a field of mode 'finite', not of mode {mode!r}")
     tol = _float(cfg.get("tol", 1e-9), "tol")
     n_max = _int(cfg.get("N_max", 64), "N_max")
     store_policy = cfg.get("store_policy", False)
@@ -314,10 +287,11 @@ def cmd_solve(args) -> int:
             store_policy=store_policy,
         )
         if store_policy:
+            index = np.arange(net.size)  # every policy entry is a net index
             policy_dump = {
                 str(m): {
-                    "robber": args[0].reshape(-1),
-                    "cops": [t.reshape(-1) for t in args[1:]],
+                    "robber": _Coded(index, args[0].reshape(-1)),
+                    "cops": [_Coded(index, t.reshape(-1)) for t in args[1:]],
                 }
                 for m, args in sorted(res.moves.items())
             }

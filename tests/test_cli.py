@@ -548,6 +548,13 @@ _BAD_INPUTS = [
         "space": CYCLE, "start": {"robber": [0, 0.5], "cops": [[0, 0.0]]}}, "product"),
     # the default pack is asked for by name, not by a file
     ("verify", {"pack": "default"}, "instances"),
+    # variant and store_policy are fields of finite solves only
+    ("solve", _SOLVE | {"mode": "limit", "variant": "bogus"}, "variant"),
+    ("solve", _SOLVE | {"mode": "limit", "variant": "intermediate", "store_policy": True},
+     "variant"),
+    ("solve", _SOLVE | {"mode": "limit", "store_policy": True}, "store_policy"),
+    ("solve", _SOLVE | {"mode": "standard", "variant": "endpoint"}, "variant"),
+    ("solve", _SOLVE | {"mode": "standard", "store_policy": False}, "store_policy"),
 ]
 
 
@@ -718,7 +725,7 @@ _arrays = st.one_of(
         lambda xs: np.array(xs, dtype=np.int64)),
     st.lists(st.integers(0, 2**64 - 1)).map(lambda xs: np.array(xs, dtype=np.uint64)),
     st.sampled_from([np.float64, np.int64, np.int32]).map(lambda t: np.empty(0, t)),
-    # entries in [0, size), as in a policy table: the array is its own code
+    # entries in [0, size), the range of a policy table's net indices
     st.integers(1, 40).flatmap(lambda n: st.tuples(
         st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
         st.sampled_from([np.int64, np.int32, np.uint16, ">i8"]))).map(
@@ -790,7 +797,7 @@ def _count_unique_calls(monkeypatch):
 def test_dump_writes_in_range_ints_from_their_own_table(tmp_path, monkeypatch, array):
     calls = _count_unique_calls(monkeypatch)
     _assert_dump_matches_json(tmp_path, {"a": array, "in": [array]})
-    assert calls == []  # the entries index their texts: nothing is sorted
+    assert calls == []  # a plain array goes through tolist(): nothing is sorted
 
 
 @pytest.mark.parametrize("array", [
@@ -802,7 +809,7 @@ def test_dump_writes_in_range_ints_from_their_own_table(tmp_path, monkeypatch, a
 def test_dump_codes_other_ints_per_chunk(tmp_path, monkeypatch, array):
     calls = _count_unique_calls(monkeypatch)
     _assert_dump_matches_json(tmp_path, {"a": array})
-    assert calls == [array.size]
+    assert calls == []
 
 
 def test_dump_codes_floats_per_chunk_by_bit_pattern(tmp_path, monkeypatch):
@@ -814,21 +821,10 @@ def test_dump_codes_floats_per_chunk_by_bit_pattern(tmp_path, monkeypatch):
         [_NAN_PAYLOAD, int(np.float64("nan").view(np.uint64)), 0xFFF8_0000_0000_0000])
     calls = _count_unique_calls(monkeypatch)
     _assert_dump_matches_json(tmp_path, {"floats": floats})
-    assert calls == [chunk, chunk, 9]
+    assert calls == []
     lines = (tmp_path / "dump.json").read_text().splitlines()
     assert [lines[2 + i].strip(" ,") for i in (1, chunk + 2, 2 * chunk + 2)] == [
         "0.0", "-0.0", "0.0"]
-
-
-def test_dump_of_a_long_float_array_peaks_far_below_its_size():
-    floats = np.arange(2_000_000) % 1000 / 7  # 16 MB, 1000 distinct values
-    tracemalloc.start()
-    try:
-        cli._dump({"a": floats}, Path(os.devnull))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4e6
 
 
 @pytest.mark.parametrize("array", [
@@ -874,8 +870,12 @@ _LEVELS = np.cumsum(np.random.default_rng(11).random(5000) + 1e-3) / 7  # strict
     (_LEVELS[:200], np.arange(2 * cli._DUMP_CHUNK + 3, dtype=np.uint8) % 200),
     (_LEVELS[:200], np.arange(cli._DUMP_CHUNK, dtype=np.uint8) % 200),
     (_LEVELS[:1], np.zeros(1, dtype=np.uint8)),
+    # net indices, the levels of a policy table, in both of its code types
+    *[(np.arange(P), (np.arange(2 * cli._DUMP_CHUNK + 3)[::-1]
+                      % min(P, np.iinfo(dtype).max + 1)).astype(dtype))
+      for dtype in (np.uint8, np.uint16) for P in (255, 256, 257)],
 ], ids=["one-level", "sparse-levels", "extremes", "across-chunks", "one-full-chunk",
-        "one-entry"])
+        "one-entry", *[f"index-{P}-{t}" for t in ("uint8", "uint16") for P in (255, 256, 257)]])
 def test_coded_dump_matches_json_dump_of_decoded_floats(tmp_path, monkeypatch, levels, codes):
     calls = _count_unique_calls(monkeypatch)
     _assert_coded_dump_matches_json(tmp_path, levels, codes)
@@ -897,15 +897,16 @@ def test_coded_dump_formats_each_used_level_once(tmp_path, monkeypatch):
 
 
 def test_dump_of_a_long_coded_array_peaks_far_below_its_size():
-    levels = np.arange(1000) / 7
     codes = (np.arange(2_000_000) % 1000).astype(np.uint16)  # 4 MB of codes
-    tracemalloc.start()
-    try:
-        cli._dump({"a": cli._Coded(levels, codes)}, Path(os.devnull))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2e6
+    # distance levels, and net indices as in a policy table
+    for levels in (np.arange(1000) / 7, np.arange(1000)):
+        tracemalloc.start()
+        try:
+            cli._dump({"a": cli._Coded(levels, codes)}, Path(os.devnull))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, levels.dtype
 
 
 def test_dump_matches_json_dump_on_policy_result(tmp_path, monkeypatch):
@@ -922,7 +923,7 @@ def test_dump_matches_json_dump_on_policy_result(tmp_path, monkeypatch):
            "store_policy": True}
     assert run(tmp_path, "solve", cfg) == 0
     (result,) = dumped
-    assert result["policy"]["3"]["robber"].size
+    assert result["policy"]["3"]["robber"].codes.size
     assert isinstance(result["values"]["flat"], cli._Coded)
     written = (tmp_path / "out" / "solve_result.json").read_bytes()
     assert written == (json.dumps(_decoded(result), sort_keys=True, indent=1,
@@ -958,6 +959,36 @@ def test_solve_values_are_dumped_without_sorting(tmp_path, monkeypatch, cfg):
     assert sorted_in_dump == []
     doc = json.loads((tmp_path / "out" / "solve_result.json").read_text())
     assert len(doc["values"]["flat"]) == 20 * 20
+
+
+@pytest.mark.parametrize("command,cfg,n_coded", [
+    # one value layer, and k + 1 policy tables per step
+    ("solve", _SOLVE | {"mode": "finite", "store_policy": True, "horizon": {"N": 2}},
+     1 + 2 * 2),
+    ("solve", _SOLVE | {"k": 2, "mode": "finite", "store_policy": True,
+                        "horizon": {"N": 2}, "starts": [[0, 1, 2]]}, 1 + 2 * 3),
+    ("solve", _SOLVE | {"N_max": 8}, 1),
+    ("solve", {k: v for k, v in _SOLVE.items() if k != "agility"}
+     | {"horizon": {"N": 2, "T": 1}, "N_max": 8}, 1),
+    ("solve", _SOLVE | {"mode": "standard", "N_max": 8}, 1),
+    ("copnumber", _COPNUMBER, 0),
+    ("verify", {"instances": [_PACK_INSTANCE]}, 0),
+], ids=["finite-k1", "finite-k2", "limit", "duration", "standard", "copnumber", "verify"])
+def test_every_result_array_reaches_the_writer_coded(tmp_path, monkeypatch, command, cfg,
+                                                     n_coded):
+    # a plain array would be written through tolist(), one Python object and
+    # one json.dumps per entry
+    seen = []
+    real_write_json = cli._write_json
+
+    def spied_write_json(write, obj, newline):
+        seen.append(obj)
+        real_write_json(write, obj, newline)
+
+    monkeypatch.setattr(cli, "_write_json", spied_write_json)
+    assert run(tmp_path, command, cfg) == 0
+    assert not [obj for obj in seen if isinstance(obj, np.ndarray)]
+    assert sum(isinstance(obj, cli._Coded) for obj in seen) == n_coded
 
 
 # ---------------------------------------------------------------------------

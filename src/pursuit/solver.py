@@ -190,6 +190,46 @@ def _sweep(V, rs: ReachSet, k: int, want_policy: bool = False):
     return V, args
 
 
+def _solve(net, k: int, taus, eps=None, side=None, *, floor: bool = False,
+           store_policy: bool = False, store_layers: bool = False) -> ValueTable:
+    """The backward-induction loop of both finite solves.  Each step sweeps
+    the reach of its duration, takes the running minimum with the base layer
+    if ``floor``, then lets the adversary of ``side`` move every axis within
+    ``eps[N - m]`` when that radius is positive; no ``eps`` means all zero."""
+    _check_state_budget(net, k)
+    taus = np.asarray(list(taus), dtype=float)
+    N = taus.size
+    eps = np.zeros(N + 1) if eps is None else np.asarray(list(eps), dtype=float)
+    if not ((eps >= 0) & (eps < math.inf)).all():
+        raise ConfigError("perturbation radii must be finite and nonnegative")
+    if eps.size < N + 1:
+        raise ConfigError(f"perturbation needs {N + 1} radii, got {eps.size}")
+    # per step, k + 1 arg tables of net indices and one float64 layer, each P^(k+1) entries
+    index_bytes = np.min_scalar_type(net.size - 1).itemsize
+    stored = net.size ** (k + 1) * N * (index_bytes * (k + 1) * store_policy + 8 * store_layers)
+    if stored > STORED_BYTES_BUDGET:
+        raise CapacityError("stored table bytes", stored, STORED_BYTES_BUDGET)
+    levels, ranks = _distance_ranks(net)
+    if side == "cop_guarantee":  # nondecreasing, so it commutes with every min and max
+        levels = np.maximum(levels - 2.0 * eps[N], 0.0)  # levels >= +0.0 keep bits at eps 0
+    V = base = _base_layer(ranks, k)
+    layers, moves = {0: levels[base]}, {}
+    adv_mode = "min" if side == "cop_guarantee" else "max"
+    for m in range(1, N + 1):
+        V, args = _sweep(V, reach_set(net, float(taus[N - m])), k, store_policy)
+        if floor:
+            V = np.minimum(base, V)
+        if eps[N - m] > 0:
+            adv = reach_set(net, float(eps[N - m]))
+            for axis in range(k + 1):
+                V = reach_filter(V, adv.indptr, adv.indices, axis, adv_mode, rows=adv.rows)
+        if store_policy:
+            moves[m] = args
+        if store_layers or m == N:
+            layers[m] = levels[V]
+    return ValueTable(taus, layers, levels, V, moves)
+
+
 def solve_finite(net, k: int, taus, variant: str = "endpoint", *,
                  store_policy: bool = False, store_layers: bool = False):
     """Backward-induction value of the ``N``-step net game.
@@ -203,28 +243,8 @@ def solve_finite(net, k: int, taus, variant: str = "endpoint", *,
     """
     if variant not in ("endpoint", "intermediate"):
         raise ConfigError(f"unknown variant {variant!r}")
-    _check_state_budget(net, k)
-    taus = np.asarray(list(taus), dtype=float)
-    N = taus.size
-    # per step, k + 1 arg tables of net indices and one float64 layer, each P^(k+1) entries
-    index_bytes = np.min_scalar_type(net.size - 1).itemsize
-    stored = net.size ** (k + 1) * N * (index_bytes * (k + 1) * store_policy + 8 * store_layers)
-    if stored > STORED_BYTES_BUDGET:
-        raise CapacityError("stored table bytes", stored, STORED_BYTES_BUDGET)
-    levels, ranks = _distance_ranks(net)
-    V = base = _base_layer(ranks, k)
-    layers, moves = {0: levels[base]}, {}
-    for m in range(1, N + 1):
-        t = float(taus[N - m])
-        rs = reach_set(net, t)
-        V, args = _sweep(V, rs, k, store_policy)
-        if variant == "intermediate":
-            V = np.minimum(base, V)
-        if store_policy:
-            moves[m] = args
-        if store_layers or m == N:
-            layers[m] = levels[V]
-    return ValueTable(taus, layers, levels, V, moves)
+    return _solve(net, k, taus, floor=variant == "intermediate",
+                  store_policy=store_policy, store_layers=store_layers)
 
 
 def solve_volatile(net, k: int, taus, eps, side: str) -> ValueTable:
@@ -241,30 +261,7 @@ def solve_volatile(net, k: int, taus, eps, side: str) -> ValueTable:
     """
     if side not in ("cop_guarantee", "robber_guarantee"):
         raise ConfigError(f"unknown side {side!r}")
-    _check_state_budget(net, k)
-    taus = np.asarray(list(taus), dtype=float)
-    N = taus.size
-    eps = np.asarray(list(eps), dtype=float)
-    if not ((eps >= 0) & (eps < math.inf)).all():
-        raise ConfigError("perturbation radii must be finite and nonnegative")
-    if eps.size < N + 1:
-        raise ConfigError(f"perturbation needs {N + 1} radii, got {eps.size}")
-    levels, ranks = _distance_ranks(net)
-    if side == "cop_guarantee":  # nondecreasing, so it commutes with every min and max
-        levels = np.maximum(levels - 2.0 * eps[N], 0.0)  # levels >= +0.0 keep bits at eps 0
-    V = _base_layer(ranks, k)
-    adv_mode = "min" if side == "cop_guarantee" else "max"
-    base = levels[V]
-    for m in range(1, N + 1):
-        t = float(taus[N - m])
-        rs = reach_set(net, t)
-        V, _ = _sweep(V, rs, k)
-        e = float(eps[N - m])
-        if e > 0:
-            adv = reach_set(net, e)
-            for axis in range(k + 1):
-                V = reach_filter(V, adv.indptr, adv.indices, axis, adv_mode, rows=adv.rows)
-    return ValueTable(taus, {0: base, N: levels[V]}, levels, V)
+    return _solve(net, k, taus, eps, side)
 
 
 # ---------------------------------------------------------------------------

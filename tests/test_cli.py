@@ -474,6 +474,8 @@ _BALL1_PLAY = _PLAY | {"space": {"type": "ball", "dimension": 1},
                        "start": {"robber": [0.5], "cops": [[0.0]]}}
 _PRODUCT_PLAY = _PLAY | {"space": {"type": "product", "base": INTERVAL},
                          "start": {"robber": [[0, 1.0], 0.5], "cops": [[[0, 0.0], 0.0]]}}
+_SPHERE_PLAY = _PLAY | {"space": {"type": "sphere", "dimension": 2},
+                        "start": {"robber": [1.0, 0.0, 0.0], "cops": [[0.0, 0.0, 1.0]]}}
 
 
 def _start(base, robber=None, cop=None):
@@ -555,12 +557,16 @@ _BAD_INPUTS = [
     ("solve", _SOLVE | {"mode": "limit", "store_policy": True}, "store_policy"),
     ("solve", _SOLVE | {"mode": "standard", "variant": "endpoint"}, "variant"),
     ("solve", _SOLVE | {"mode": "standard", "store_policy": False}, "store_policy"),
+    # a coordinate whose square overflows: its norm is inf, with no warning
+    ("play", _start(_BALL_PLAY, robber=[1e200, 0.0]), "radius"),
+    ("play", _start(_SPHERE_PLAY, robber=[1e200, 0.0, 0.0]), "sphere"),
 ]
 
 
 @pytest.mark.parametrize("command,cfg,needle", _BAD_INPUTS, ids=[
     f"{command}-{i}-{needle}" for i, (command, _, needle) in enumerate(_BAD_INPUTS)
 ])
+@pytest.mark.filterwarnings("error")
 def test_rejects_malformed_inputs(tmp_path, capsys, command, cfg, needle):
     assert run(tmp_path, command, cfg) == 2
     err = capsys.readouterr().err.splitlines()

@@ -266,6 +266,30 @@ def test_stored_tables_must_fit_the_byte_budget(monkeypatch, k):
         assert err.value.required == budget + 1 and err.value.available == budget
 
 
+@pytest.mark.parametrize("budget, solve, bad, good, message", [
+    ("DEFAULT_STATE_BUDGET", solve_finite, ([0.25], "bogus"), ([0.25], "endpoint"),
+     "unknown variant 'bogus'"),
+    ("DEFAULT_STATE_BUDGET", solve_volatile, ([0.25], [0.0, 0.0], "bogus"),
+     ([0.25], [0.0, 0.0], "robber_guarantee"), "unknown side 'bogus'"),
+    ("STORED_BYTES_BUDGET", solver._solve, ([0.25] * 2, [0.0] * 2, "cop_guarantee"),
+     ([0.25] * 2, [0.0] * 3, "cop_guarantee"), "perturbation needs 3 radii, got 2"),
+    ("STORED_BYTES_BUDGET", solver._solve, ([0.25], [0.0, -0.1], "robber_guarantee"),
+     ([0.25], [0.0, 0.1], "robber_guarantee"),
+     "perturbation radii must be finite and nonnegative"),
+], ids=["variant", "side", "short-eps", "negative-eps"])
+def test_input_checks_come_before_the_budgets(monkeypatch, budget, solve, bad, good, message):
+    # a zero budget that the good inputs exceed; _solve keeps every layer so
+    # that the byte budget is exceeded too
+    net = cycle_net(8)
+    monkeypatch.setattr(solver, budget, 0)
+    flags = {"store_layers": True} if solve is solver._solve else {}
+    with pytest.raises(CapacityError):
+        solve(net, 1, *good, **flags)
+    with pytest.raises(ConfigError) as err:
+        solve(net, 1, *bad, **flags)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # policies
 

@@ -374,10 +374,14 @@ def test_batched_probe_equals_per_tuple_playouts(space, h, coarse_h, k, taus):
 
 
 def test_ball_probe_values_are_distances_not_matrix_entries():
-    net = build_net(BallSpace(2), 0.9)
+    built = build_net(BallSpace(2), 0.9)
+    d = np.array([[built.space.distance(p, q) for q in built.points] for p in built.points])
+    # a matrix one ulp above every positive distance, so that the two sources
+    # disagree on every OpenBLAS kernel, not only where their roundings differ
+    net = Net(built.space, built.points, built.h, np.where(d > 0, np.nextafter(d, np.inf), d))
     pairs = [(i, j) for i in range(net.size) for j in range(net.size)
              if net.matrix[i, j] != net.space.distance(net.points[i], net.points[j])]
-    assert pairs  # the two formulas round apart on this net
+    assert pairs
     res = minmax_gap_probe(net, 1, [0.0], coarse=net)
     for i, j in pairs:  # zero steps: each play stays at its start
         assert res.upper[i, j] == net.space.distance(net.points[i], net.points[j])

@@ -24,9 +24,10 @@ import math
 
 import numpy as np
 
-from .errors import StrategyFaultError, UnknownStrategyError
+from .errors import CapacityError, StrategyFaultError, UnknownStrategyError
 from .game import Agility, Position, Trajectory
-from .spaces import BallSpace, ProductSpace, Space, SphereSpace, _norm, lp_remainder
+from .spaces import (DEFAULT_POINT_BUDGET, BallSpace, ProductSpace, Space, SphereSpace,
+                     _norm, lp_remainder)
 
 BUDGET_TOL = 1e-9
 TRAVEL_GUARD = 1e-12
@@ -174,6 +175,8 @@ def make_greedy_robber(space: Space, samples: int = 32, seed: int = 0):
     carries no guarantee of avoiding capture."""
     if samples < 0:
         raise UnknownStrategyError("greedy_robber needs samples >= 0")
+    if samples > DEFAULT_POINT_BUDGET:  # before any step draws that many points
+        raise CapacityError("greedy_robber samples", samples, DEFAULT_POINT_BUDGET)
     if seed < 0:
         raise UnknownStrategyError("greedy_robber needs seed >= 0")
     rng = np.random.default_rng(seed)
@@ -202,7 +205,7 @@ _CATALOG = {
                           "eps: extra path length per unit fiber (default 0.1); "
                           "product spaces with p > 1 only"),
     "greedy_robber": ("robber", make_greedy_robber,
-                      "samples: candidate moves per step (default 32); "
+                      "samples: candidate moves per step (default 32, at most 20000); "
                       "seed: sampling seed (default 0)"),
 }
 

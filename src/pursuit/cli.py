@@ -10,7 +10,8 @@ Usage::
 Configs are JSON; space descriptions carry edge lengths as decimal strings.
 Results are written as JSON with sorted keys and shortest round-trip float
 formatting, so a rerun of the same config reproduces byte-identical output.
-Exit codes: 0 success, 1 failed verification, 2 bad config or capacity.
+Exit codes: 0 success, 1 failed verification, 2 bad config, capacity or an
+output that cannot be written.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import argparse
 import inspect
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,7 @@ from .solver import (
     max_net_points,
     solve_finite,
     standard_value,
+    _Ranked,
     _states_error,
 )
 from .spaces import DEFAULT_POINT_BUDGET, _num, _whole, build_net, space_from_config
@@ -54,6 +55,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON ({path}): {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}")
 
 
 def _field(cfg: dict, key: str, path: str = "config"):
@@ -80,24 +83,14 @@ def _int(value, name: str) -> int:
         raise ConfigError(f"bad {name}: {exc}") from exc
 
 
-_DUMP_CHUNK = 16384  # array entries coded and written per step by _dump
-
-
-@dataclass(frozen=True)
-class _Coded:
-    """A nonempty 1-d array of finite numbers given as ``levels[codes]``:
-    ``codes`` is an integer array indexing ``levels``.  ``_write_json``
-    writes it as that decoded array."""
-
-    levels: np.ndarray
-    codes: np.ndarray
+_DUMP_CHUNK = 16384  # layer entries written per step by _dump
 
 
 def _dump(obj, path: Path) -> None:
     """Write ``obj`` as the bytes of ``json.dump(obj, fh, sort_keys=True,
-    indent=1, default=np.ndarray.tolist)`` plus a newline, streaming to the
-    file as it goes; a :class:`_Coded` array is written ``_DUMP_CHUNK``
-    entries at a time (see ``_write_json``)."""
+    indent=1)`` plus a newline, where each :class:`_Ranked` stands for the
+    flat list of its values, streaming to the file as it goes; a layer is
+    written ``_DUMP_CHUNK`` entries at a time (see ``_write_json``)."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         _write_json(fh.write, obj, "\n")
@@ -105,15 +98,14 @@ def _dump(obj, path: Path) -> None:
 
 
 def _write_json(write, obj, newline: str) -> None:
-    """Encode ``obj`` as the json module does with ``sort_keys=True``,
-    ``indent=1`` and ``default=np.ndarray.tolist``; ``newline`` is a line
-    break plus the indent of ``obj``.
+    """Encode ``obj`` as the json module does with ``sort_keys=True`` and
+    ``indent=1``; ``newline`` is a line break plus the indent of ``obj``.
 
-    A :class:`_Coded` array (a solve's value layer or policy table) is
-    written chunk by chunk as ``texts[codes]``, an object array of texts
-    gathered by numpy: ``texts`` holds the ``repr`` of each level the codes
-    use, json's own text for an int or a finite float, formatted once.
-    Nothing is sorted.  Any other array goes through ``tolist()``.
+    A :class:`_Ranked` layer (a solve's value layer or policy table) is
+    written as the flat array ``levels[ranks]``, chunk by chunk as
+    ``texts[ranks]``, an object array of texts gathered by numpy: ``texts``
+    holds the ``repr`` of each level the ranks use, json's own text for an
+    int or a finite float, formatted once.  Nothing is sorted.
     """
     inner = newline + " "
     if isinstance(obj, dict):
@@ -122,13 +114,16 @@ def _write_json(write, obj, newline: str) -> None:
             return
         sep = "{"
         for key, value in sorted(obj.items()):
-            write(sep + inner + _json_key(key) + ": ")
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            write(sep + inner + json.dumps(key) + ": ")
             _write_json(write, value, inner)
             sep = ","
         write(newline + "}")
-    elif isinstance(obj, _Coded):
-        chunks = [obj.codes[start:start + _DUMP_CHUNK]
-                  for start in range(0, obj.codes.size, _DUMP_CHUNK)]
+    elif isinstance(obj, _Ranked):
+        flat = obj.ranks.reshape(-1)
+        chunks = [flat[start:start + _DUMP_CHUNK]
+                  for start in range(0, flat.size, _DUMP_CHUNK)]
         used = np.zeros(obj.levels.size, dtype=bool)
         for codes in chunks:
             # numpy assigns through an intp index in half the time of a
@@ -143,8 +138,6 @@ def _write_json(write, obj, newline: str) -> None:
                 write(sep)
             write(sep.join(texts[codes].tolist()))
         write(newline + "]")
-    elif isinstance(obj, np.ndarray):
-        _write_json(write, obj.tolist(), newline)
     elif isinstance(obj, (list, tuple)):
         if not obj:
             write("[]")
@@ -158,15 +151,6 @@ def _write_json(write, obj, newline: str) -> None:
         write(newline + "]")
     else:
         write(json.dumps(obj))
-
-
-def _json_key(key) -> str:
-    if not isinstance(key, str):
-        if key is not None and not isinstance(key, (int, float)):
-            raise TypeError("keys must be str, int, float, bool or None, "
-                            f"not {key.__class__.__name__}")
-        key = json.dumps(key)
-    return json.dumps(key)
 
 
 def _net_from_config(cfg: dict, k: int):
@@ -228,9 +212,10 @@ def _family(cfg: dict):
 
 
 def _starts(cfg: dict, k: int, net):
+    """The explicit start tuples, or None for ``"all"``."""
     starts = cfg.get("starts", "all")
     if starts == "all":
-        return "all", None
+        return None
     if not isinstance(starts, list):
         raise ConfigError('starts must be "all" or a list of index lists')
     tuples = []
@@ -245,16 +230,13 @@ def _starts(cfg: dict, k: int, net):
         tuples.append(tup)
     if not tuples:
         raise ConfigError("starts list is empty")
-    return "explicit", tuples
+    return tuples
 
 
-def _values_block(levels: np.ndarray, ranks: np.ndarray, mode, tuples):
-    """The value layer ``levels[ranks]``, written from its codes."""
-    out = {
-        "shape": list(ranks.shape),
-        "flat": _Coded(levels, ranks.reshape(-1)),
-    }
-    if mode == "explicit":
+def _values_block(levels: np.ndarray, ranks: np.ndarray, tuples):
+    """The value layer ``levels[ranks]``, written from its ranks."""
+    out = {"shape": list(ranks.shape), "flat": _Ranked(levels, ranks)}
+    if tuples is not None:
         out["per_start"] = [
             {"start": list(t), "value": float(levels[ranks[t]])} for t in tuples
         ]
@@ -275,7 +257,7 @@ def cmd_solve(args) -> int:
     if not isinstance(store_policy, bool):
         raise ConfigError(f"store_policy must be true or false, not {store_policy!r}")
     n, T, agility = _horizon(cfg)
-    start_mode, tuples = _starts(cfg, k, net)
+    tuples = _starts(cfg, k, net)
 
     convergence = []
     members = None
@@ -290,8 +272,8 @@ def cmd_solve(args) -> int:
             index = np.arange(net.size)  # every policy entry is a net index
             policy_dump = {
                 str(m): {
-                    "robber": _Coded(index, args[0].reshape(-1)),
-                    "cops": [_Coded(index, t.reshape(-1)) for t in args[1:]],
+                    "robber": _Ranked(index, args[0]),
+                    "cops": [_Ranked(index, t) for t in args[1:]],
                 }
                 for m, args in sorted(res.moves.items())
             }
@@ -326,8 +308,8 @@ def cmd_solve(args) -> int:
         "k": k,
         "mode": mode,
         "tau_prefix": [float(t) for t in taus],
-        "values": _values_block(res.levels, res.ranks, start_mode, tuples),
-        "worst_start": float(res.levels[res.ranks.max()]),
+        "values": _values_block(res.levels, res.ranks, tuples),
+        "worst_start": res.worst_start(),
         "convergence": convergence,
     }
     if members is not None:
@@ -473,6 +455,9 @@ def main(argv=None) -> int:
         return 2
     except PursuitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # _load_config reports read faults, so an output failed
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

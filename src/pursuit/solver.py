@@ -16,6 +16,7 @@ the net spacing admits the intended moves despite floating-point rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -81,17 +82,34 @@ def _distance_ranks(net) -> tuple:
 
 
 @dataclass
-class ValueTable:
+class _Ranked:
+    """A layer given as ``ranks`` into the sorted ``levels`` it takes its
+    values from; ``values`` is ``levels[ranks]``, decoded on first read."""
+
+    levels: np.ndarray
+    ranks: np.ndarray
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return self.levels[self.ranks]
+
+    def worst_start(self) -> float:
+        # levels are sorted, so the max of ranks decodes to the max of values
+        return float(self.levels[self.ranks.max()])
+
+
+@dataclass
+class ValueTable(_Ranked):
     """Per-layer game values over net position tuples, and the moves that
     attain them.
 
     ``layers[m]`` holds the value with ``m`` remaining steps as a dense
-    array indexed ``[robber, cop_1, ..., cop_k]``.  Layer 0 is the
-    robber-to-cops distance ``d`` (``solve_volatile``'s ``cop_guarantee``
-    stores ``max(d - 2*eps[N], 0)`` there); layer ``N`` is the full-horizon
-    value.  Only layers 0 and ``N`` are retained unless the solve stored all
-    of them.  ``ranks`` is layer ``N`` as indices into ``levels``, the
-    distance levels the solve swept: ``levels[ranks]`` is ``top``.
+    array indexed ``[robber, cop_1, ..., cop_k]`` of ranks into ``levels``,
+    the distance levels the solve swept; ``levels[layers[m]]`` decodes it.
+    Layer 0 is the robber-to-cops distance ``d`` (``solve_volatile``'s
+    ``cop_guarantee`` levels are ``max(d - 2*eps[N], 0)``); layer ``N`` is
+    the full-horizon value, ``ranks``, and ``top`` is its decoded ``values``.
+    Only layers 0 and ``N`` are retained unless the solve stored all of them.
 
     ``moves[m]``, filled by a solve with ``store_policy``, lists the arg
     table of every axis, in the narrowest unsigned dtype that holds the net
@@ -104,8 +122,6 @@ class ValueTable:
 
     taus: np.ndarray
     layers: dict
-    levels: np.ndarray
-    ranks: np.ndarray
     moves: dict = field(default_factory=dict)
 
     @property
@@ -114,7 +130,7 @@ class ValueTable:
 
     @property
     def top(self) -> np.ndarray:
-        return self.layers[self.N]
+        return self.values
 
     def robber_move(self, m: int, tup):
         if m not in self.moves:
@@ -204,7 +220,8 @@ def _solve(net, k: int, taus, eps=None, side=None, *, floor: bool = False,
         raise ConfigError("perturbation radii must be finite and nonnegative")
     if eps.size < N + 1:
         raise ConfigError(f"perturbation needs {N + 1} radii, got {eps.size}")
-    # per step, k + 1 arg tables of net indices and one float64 layer, each P^(k+1) entries
+    # per step, k + 1 arg tables of net indices and one layer, each P^(k+1)
+    # entries; 8 bytes bound a layer entry's rank dtype
     index_bytes = np.min_scalar_type(net.size - 1).itemsize
     stored = net.size ** (k + 1) * N * (index_bytes * (k + 1) * store_policy + 8 * store_layers)
     if stored > STORED_BYTES_BUDGET:
@@ -213,7 +230,7 @@ def _solve(net, k: int, taus, eps=None, side=None, *, floor: bool = False,
     if side == "cop_guarantee":  # nondecreasing, so it commutes with every min and max
         levels = np.maximum(levels - 2.0 * eps[N], 0.0)  # levels >= +0.0 keep bits at eps 0
     V = base = _base_layer(ranks, k)
-    layers, moves = {0: levels[base]}, {}
+    layers, moves = {0: base}, {}
     adv_mode = "min" if side == "cop_guarantee" else "max"
     for m in range(1, N + 1):
         V, args = _sweep(V, reach_set(net, float(taus[N - m])), k, store_policy)
@@ -226,8 +243,8 @@ def _solve(net, k: int, taus, eps=None, side=None, *, floor: bool = False,
         if store_policy:
             moves[m] = args
         if store_layers or m == N:
-            layers[m] = levels[V]
-    return ValueTable(taus, layers, levels, V, moves)
+            layers[m] = V
+    return ValueTable(levels, V, taus, layers, moves)
 
 
 def solve_finite(net, k: int, taus, variant: str = "endpoint", *,
@@ -269,20 +286,17 @@ def solve_volatile(net, k: int, taus, eps, side: str) -> ValueTable:
 
 
 @dataclass
-class LimitResult:
+class LimitResult(_Ranked):
     """The last top layer of a horizon doubling as ``ranks`` into the net's
-    distance ``levels``, decoded once as ``values``."""
+    distance ``levels``; ``gap`` is the last logged change."""
 
-    levels: np.ndarray
-    ranks: np.ndarray
     achieved_N: int
-    gap: float
     converged: bool
     log: list = field(default_factory=list)
-    values: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        self.values = self.levels[self.ranks]
+    @property
+    def gap(self) -> float:
+        return self.log[-1][1] if self.log else math.inf
 
 
 def _doubling(top, net, N: int, N_max: int, tol: float) -> LimitResult:
@@ -304,11 +318,10 @@ def _doubling(top, net, N: int, N_max: int, tol: float) -> LimitResult:
             dec = float(np.abs(levels[prev[moved]] - levels[V[moved]]).max(initial=0.0))
             log.append((N, dec))
             if dec < tol:
-                return LimitResult(levels, V, N, dec, True, log)
+                return LimitResult(levels, V, N, True, log)
         prev = V
         if N >= N_max:
-            gap = log[-1][1] if log else math.inf
-            return LimitResult(levels, V, N, gap, False, log)
+            return LimitResult(levels, V, N, False, log)
         N = min(2 * N, N_max)
 
 
@@ -378,20 +391,11 @@ def duration_value(net, k: int, T: float, N_start: int = 1,
 
 
 @dataclass
-class StandardResult:
+class StandardResult(_Ranked):
     """The pointwise maximum of the members' values, kept as ``ranks`` into
-    the net's distance ``levels`` and decoded once as ``values``."""
+    the net's distance ``levels``."""
 
-    levels: np.ndarray
-    ranks: np.ndarray
     members: list  # (agility description, LimitResult) pairs
-    values: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.values = self.levels[self.ranks]
-
-    def worst_start(self) -> float:
-        return float(self.values.max())
 
 
 def _family_or_default(net, family) -> list:

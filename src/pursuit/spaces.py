@@ -76,7 +76,7 @@ class Space:
         from ``p``. ``t`` must be nonnegative; ``t >= d`` returns ``q``."""
         self.validate_point(p)
         self.validate_point(q)
-        if t < 0:
+        if not t >= 0:  # NaN too: no point lies a NaN distance away
             raise ValueError("negative travel budget")
         return self._step(p, q, t)
 

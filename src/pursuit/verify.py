@@ -232,7 +232,7 @@ def _violation_l1_equality(net, inst, plain, coarse) -> float:
     b = solve_finite(net, inst["k"], inst["taus"], variant="intermediate",
                      store_layers=True)
     return max(
-        float(np.abs(plain.layers[m] - b.layers[m]).max())
+        float(np.abs(plain.levels[plain.layers[m]] - b.levels[b.layers[m]]).max())
         for m in range(len(inst["taus"]) + 1)
     )
 

@@ -11,10 +11,17 @@ from pursuit.arena import (
     lift_slope,
     run_game,
 )
-from pursuit.errors import StrategyFaultError, UnknownStrategyError
+from pursuit.errors import CapacityError, StrategyFaultError, UnknownStrategyError
 from pursuit.game import Agility, Position, robber_cop_distance, trajectory_value
 from pursuit.solver import policy_playout, solve_finite
-from pursuit.spaces import BallSpace, MetricGraphSpace, ProductSpace, SphereSpace, build_net
+from pursuit.spaces import (
+    DEFAULT_POINT_BUDGET,
+    BallSpace,
+    MetricGraphSpace,
+    ProductSpace,
+    SphereSpace,
+    build_net,
+)
 
 from conftest import make_cycle, make_interval
 
@@ -239,6 +246,16 @@ def test_builtin_budget_feasible_randomized(name, space_maker, rng):
         anchors = [pos.robber] if side == "robber" else list(pos.cops)
         for a, b in zip(anchors, moves):
             assert space.distance(a, b) <= t + 1e-9
+
+
+@pytest.mark.parametrize("samples", [DEFAULT_POINT_BUDGET + 1, 1e30])
+def test_greedy_robber_samples_are_bounded_by_the_point_budget(samples):
+    space = BallSpace(2)
+    with pytest.raises(CapacityError, match="samples"):
+        get_strategy(space, "greedy_robber", samples=samples)
+    move = get_strategy(space, "greedy_robber", samples=DEFAULT_POINT_BUDGET)
+    pos = Position(np.array([0.5, 0.0]), [np.array([0.0, 0.0])])
+    assert space.distance(pos.robber, move(pos, 0.1, 1)) <= 0.1 + 1e-9
 
 
 def reference_greedy_robber(space, samples=32, seed=0):

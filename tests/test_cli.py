@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pursuit import cli, verify
+from pursuit import cli, solver, verify
 from pursuit.cli import main
 
 CYCLE = {
@@ -442,6 +442,11 @@ _BAD_NUMBERS = [
     ("solve", {"point_budget": 0}, "point_budget"),
     ("solve", {"point_budget": -3}, "point_budget"),
     ("solve", {"point_budget": 20_001}, "point_budget"),
+    # more greedy_robber samples than the point budget: one capacity line
+    ("play", {"robber": {"name": "greedy_robber", "params": {"samples": 1e30}}},
+     "samples"),
+    ("play", {"robber": {"name": "greedy_robber", "params": {"samples": 20_001}}},
+     "samples"),
 ]
 
 
@@ -573,15 +578,33 @@ def test_rejects_malformed_inputs(tmp_path, capsys, command, cfg, needle):
     assert len(err) == 1 and needle in err[0]
 
 
-@pytest.mark.parametrize("text, needle", [(None, "not found"), ("{", "not valid JSON")],
-                         ids=["missing", "not-json"])
+@pytest.mark.parametrize("text, needle", [
+    (None, "not found"), ("{", "not valid JSON"), ("directory", "cannot read"),
+    (b"\xff\xfe\x00", "cannot read"),
+], ids=["missing", "not-json", "directory", "undecodable"])
 def test_rejects_unreadable_config_files(tmp_path, capsys, text, needle):
     path = tmp_path / "config.json"
-    if text is not None:
+    if text == "directory":
+        path.mkdir()
+    elif isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
         path.write_text(text)
     assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and needle in err[0]
+
+
+@pytest.mark.parametrize("command,cfg,out", [
+    ("solve", _SOLVE, "file"),
+    ("play", _PLAY, "file"),
+    ("verify", {"instances": [_PACK_INSTANCE]}, "file/x"),
+], ids=["solve-into-a-file", "play-into-a-file", "verify-under-a-file"])
+def test_unwritable_outputs_exit_2_in_one_line(tmp_path, capsys, command, cfg, out):
+    (tmp_path / "file").write_text("")
+    assert run(tmp_path, command, cfg, out=out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "cannot write output" in err[0]
 
 
 # small valid configs of every command, with most optional fields set
@@ -685,27 +708,30 @@ def test_whole_dimensions_and_typed_params_still_run(tmp_path):
 # result JSON writer
 
 
+def _decoded(obj):
+    """``obj`` with every rank layer replaced by the flat list of its values."""
+    if isinstance(obj, solver._Ranked):
+        return obj.levels[obj.ranks.reshape(-1)].tolist()
+    if isinstance(obj, dict):
+        return {key: _decoded(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(map(_decoded, obj))
+    return obj
+
+
 def _assert_dump_matches_json(directory, obj):
     path = directory / "dump.json"
     cli._dump(obj, path)
     assert path.read_bytes() == (json.dumps(
-        obj, sort_keys=True, indent=1, default=np.ndarray.tolist) + "\n").encode()
+        _decoded(obj), sort_keys=True, indent=1) + "\n").encode()
 
 
-def _floats_from_bits(bits):
-    return np.array(bits, dtype=np.uint64).view(np.float64)
-
-
-_NAN_PAYLOAD = 0x7FF8_0000_0000_0001  # a NaN other than float("nan")
-# 0.0, -0.0, NaN, a payload NaN, a negative NaN, +-inf, the least subnormal,
-# a mid subnormal, 1e308 and -1e308
-_SPECIAL_BITS = [
-    0, 1 << 63, int(np.float64("nan").view(np.uint64)), _NAN_PAYLOAD,
-    0xFFF8_0000_0000_0000, 0x7FF0_0000_0000_0000, 0xFFF0_0000_0000_0000,
-    1, 0x0008_0000_0000_0000, int(np.float64(1e308).view(np.uint64)),
-    int(np.float64(-1e308).view(np.uint64)),
-]
-_BIG_INTS = [2**53 + 1, 2**62 + 3, 2**63 - 1, -2**63, -(2**53) - 1, -1, 0]
+def _ranked(array):
+    """``array`` as a rank layer over its distinct bit patterns, so that
+    ``-0.0`` and ``0.0`` are two levels."""
+    bits, ranks = np.unique(array.view(f"u{array.itemsize}"), return_inverse=True)
+    return solver._Ranked(bits.view(array.dtype),
+                          ranks.reshape(array.shape).astype(np.min_scalar_type(bits.size - 1)))
 
 
 _scalars = st.one_of(
@@ -719,31 +745,12 @@ _leaf_lists = st.one_of(
     st.lists(st.floats()),
     st.lists(st.one_of(st.integers(), st.floats(), st.booleans())),
 )
-_arrays = st.one_of(
-    # float64 entries with repeats, drawn from the special values above and
-    # a few arbitrary bit patterns (any NaN payload, subnormals)
-    st.lists(st.integers(0, 2**64 - 1), max_size=5).flatmap(
-        lambda extra: st.lists(st.sampled_from(_SPECIAL_BITS + extra), max_size=30)
-    ).map(_floats_from_bits),
-    st.lists(st.floats()).map(lambda xs: np.array(xs, dtype=np.float64)),
-    st.lists(st.one_of(st.sampled_from(_BIG_INTS),
-                       st.integers(-2**63, 2**63 - 1))).map(
-        lambda xs: np.array(xs, dtype=np.int64)),
-    st.lists(st.integers(0, 2**64 - 1)).map(lambda xs: np.array(xs, dtype=np.uint64)),
-    st.sampled_from([np.float64, np.int64, np.int32]).map(lambda t: np.empty(0, t)),
-    # entries in [0, size), the range of a policy table's net indices
-    st.integers(1, 40).flatmap(lambda n: st.tuples(
-        st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
-        st.sampled_from([np.int64, np.int32, np.uint16, ">i8"]))).map(
-        lambda xs_dtype: np.array(*xs_dtype)),
-)
 _json_like = st.recursive(
-    st.one_of(_scalars, _leaf_lists, _arrays),
+    st.one_of(_scalars, _leaf_lists),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=3).map(tuple),
         st.dictionaries(st.text(), children, max_size=4),
-        st.dictionaries(st.integers(), children, max_size=3),
     ),
     max_leaves=30,
 )
@@ -770,14 +777,14 @@ def test_dump_matches_json_dump_across_chunks(tmp_path, odd):
 def test_dump_array_across_chunks(tmp_path):
     n = 2 * cli._DUMP_CHUNK + 3
     floats = np.arange(n) / 7
-    floats[cli._DUMP_CHUNK + 1] = np.nan
     floats[cli._DUMP_CHUNK + 2] = -0.0
     floats[cli._DUMP_CHUNK + 3] = 0.0
     ints = np.arange(-5, n - 5) % 11 - 5
-    _assert_dump_matches_json(tmp_path, {"floats": floats, "ints": ints,
-                                         "nested": [floats, [ints], {}, []]})
+    _assert_dump_matches_json(tmp_path, {
+        "floats": _ranked(floats), "ints": _ranked(ints),
+        "nested": [_ranked(floats), [_ranked(ints)], {}, []]})
     text = (tmp_path / "dump.json").read_text()
-    assert "NaN" in text and "-0.0" in text
+    assert "-0.0" in text and "-5" in text
 
 
 def _count_unique_calls(monkeypatch):
@@ -801,9 +808,11 @@ def _count_unique_calls(monkeypatch):
     np.array([4, 0, 4, 1, 3]),  # max == size - 1
 ], ids=["int64", "int32", "uint8", "big-endian", "strided", "max-is-size-1"])
 def test_dump_writes_in_range_ints_from_their_own_table(tmp_path, monkeypatch, array):
+    # a policy table: net indices written as ranks into the indices themselves
     calls = _count_unique_calls(monkeypatch)
-    _assert_dump_matches_json(tmp_path, {"a": array, "in": [array]})
-    assert calls == []  # a plain array goes through tolist(): nothing is sorted
+    table = solver._Ranked(np.arange(int(array.max()) + 1), array)
+    _assert_dump_matches_json(tmp_path, {"a": table, "in": [table]})
+    assert calls == []
 
 
 @pytest.mark.parametrize("array", [
@@ -813,9 +822,11 @@ def test_dump_writes_in_range_ints_from_their_own_table(tmp_path, monkeypatch, a
     np.array([2**64 - 1, 2**63, 2**63 + 1, 0, 1], dtype=np.uint64),
 ], ids=["max-is-size", "negative", "int64-extremes", "uint64-above-2**63"])
 def test_dump_codes_other_ints_per_chunk(tmp_path, monkeypatch, array):
+    layer = _ranked(array)
     calls = _count_unique_calls(monkeypatch)
-    _assert_dump_matches_json(tmp_path, {"a": array})
+    _assert_dump_matches_json(tmp_path, {"a": layer})
     assert calls == []
+    assert json.loads((tmp_path / "dump.json").read_text())["a"] == array.tolist()
 
 
 def test_dump_codes_floats_per_chunk_by_bit_pattern(tmp_path, monkeypatch):
@@ -823,10 +834,9 @@ def test_dump_codes_floats_per_chunk_by_bit_pattern(tmp_path, monkeypatch):
     floats = np.arange(2 * chunk + 9) / 7  # more distinct values than one chunk
     floats[-1] = floats[3]  # a value of the first chunk recurs in the last
     floats[1], floats[chunk + 2], floats[2 * chunk + 2] = 0.0, -0.0, 0.0
-    floats[[5, chunk + 3, 2 * chunk + 4]] = _floats_from_bits(
-        [_NAN_PAYLOAD, int(np.float64("nan").view(np.uint64)), 0xFFF8_0000_0000_0000])
+    layer = _ranked(floats)
     calls = _count_unique_calls(monkeypatch)
-    _assert_dump_matches_json(tmp_path, {"floats": floats})
+    _assert_dump_matches_json(tmp_path, {"floats": layer})
     assert calls == []
     lines = (tmp_path / "dump.json").read_text().splitlines()
     assert [lines[2 + i].strip(" ,") for i in (1, chunk + 2, 2 * chunk + 2)] == [
@@ -843,26 +853,26 @@ def test_dump_codes_floats_per_chunk_by_bit_pattern(tmp_path, monkeypatch):
     np.arange(10.0)[::3],
 ], ids=["2d", "bool", "float32", "0d-float", "0d-int", "big-endian", "strided"])
 def test_dump_matches_json_dump_on_other_arrays(tmp_path, array):
-    _assert_dump_matches_json(tmp_path, {"a": array, "in": [array, {"b": array}]})
+    # json.dump takes no array, and neither does the writer: a layer comes as ranks
+    obj = {"a": array, "in": [array, {"b": array}]}
+    with pytest.raises(TypeError):
+        json.dumps(obj, sort_keys=True, indent=1)
+    with pytest.raises(TypeError):
+        cli._dump(obj, tmp_path / "dump.json")
 
 
-def _decoded(obj):
-    """``obj`` with every coded array replaced by its decoded floats."""
-    if isinstance(obj, cli._Coded):
-        return obj.levels[obj.codes]
-    if isinstance(obj, dict):
-        return {key: _decoded(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return type(obj)(map(_decoded, obj))
-    return obj
+@pytest.mark.parametrize("obj", [
+    {1: "a"}, {None: "a"}, {0.5: "a"}, {True: "a"}, {"a": [{"b": 1, 2: 3}]},
+], ids=["int-key", "none-key", "float-key", "bool-key", "nested-key"])
+def test_dump_rejects_non_string_keys(tmp_path, obj):
+    # json.dump would write these as strings; no result has them
+    with pytest.raises(TypeError):
+        cli._dump(obj, tmp_path / "dump.json")
 
 
 def _assert_coded_dump_matches_json(directory, levels, codes):
-    path = directory / "dump.json"
-    obj = {"a": cli._Coded(levels, codes), "in": [cli._Coded(levels, codes)]}
-    cli._dump(obj, path)
-    assert path.read_bytes() == (json.dumps(
-        _decoded(obj), sort_keys=True, indent=1, default=np.ndarray.tolist) + "\n").encode()
+    layer = solver._Ranked(levels, codes)
+    _assert_dump_matches_json(directory, {"a": layer, "in": [layer]})
 
 
 _LEVELS = np.cumsum(np.random.default_rng(11).random(5000) + 1e-3) / 7  # strictly increasing
@@ -898,7 +908,7 @@ def test_coded_dump_formats_each_used_level_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
     codes = np.arange(2 * cli._DUMP_CHUNK + 3, dtype=np.uint16) % 5 * 900
-    cli._dump({"a": cli._Coded(_LEVELS, codes)}, tmp_path / "dump.json")
+    cli._dump({"a": solver._Ranked(_LEVELS, codes)}, tmp_path / "dump.json")
     assert formatted == _LEVELS[[0, 900, 1800, 2700, 3600]].tolist()
 
 
@@ -908,7 +918,7 @@ def test_dump_of_a_long_coded_array_peaks_far_below_its_size():
     for levels in (np.arange(1000) / 7, np.arange(1000)):
         tracemalloc.start()
         try:
-            cli._dump({"a": cli._Coded(levels, codes)}, Path(os.devnull))
+            cli._dump({"a": solver._Ranked(levels, codes)}, Path(os.devnull))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -929,11 +939,10 @@ def test_dump_matches_json_dump_on_policy_result(tmp_path, monkeypatch):
            "store_policy": True}
     assert run(tmp_path, "solve", cfg) == 0
     (result,) = dumped
-    assert result["policy"]["3"]["robber"].codes.size
-    assert isinstance(result["values"]["flat"], cli._Coded)
+    assert result["policy"]["3"]["robber"].ranks.size
+    assert isinstance(result["values"]["flat"], solver._Ranked)
     written = (tmp_path / "out" / "solve_result.json").read_bytes()
-    assert written == (json.dumps(_decoded(result), sort_keys=True, indent=1,
-                                  default=np.ndarray.tolist) + "\n").encode()
+    assert written == (json.dumps(_decoded(result), sort_keys=True, indent=1) + "\n").encode()
 
 
 @pytest.mark.parametrize("cfg", [
@@ -982,8 +991,7 @@ def test_solve_values_are_dumped_without_sorting(tmp_path, monkeypatch, cfg):
 ], ids=["finite-k1", "finite-k2", "limit", "duration", "standard", "copnumber", "verify"])
 def test_every_result_array_reaches_the_writer_coded(tmp_path, monkeypatch, command, cfg,
                                                      n_coded):
-    # a plain array would be written through tolist(), one Python object and
-    # one json.dumps per entry
+    # every layer reaches the writer as ranks, never as decoded floats
     seen = []
     real_write_json = cli._write_json
 
@@ -994,7 +1002,24 @@ def test_every_result_array_reaches_the_writer_coded(tmp_path, monkeypatch, comm
     monkeypatch.setattr(cli, "_write_json", spied_write_json)
     assert run(tmp_path, command, cfg) == 0
     assert not [obj for obj in seen if isinstance(obj, np.ndarray)]
-    assert sum(isinstance(obj, cli._Coded) for obj in seen) == n_coded
+    assert sum(isinstance(obj, solver._Ranked) for obj in seen) == n_coded
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("solve", _SOLVE | {"mode": "finite", "store_policy": True, "horizon": {"N": 2},
+                        "starts": [[0, 1]]}),
+    ("solve", _SOLVE | {"N_max": 8}),
+    ("solve", {k: v for k, v in _SOLVE.items() if k != "agility"}
+     | {"horizon": {"N": 2, "T": 1}, "N_max": 8}),
+    ("solve", _SOLVE | {"mode": "standard", "N_max": 8, "starts": [[0, 1]]}),
+    ("copnumber", _COPNUMBER),
+], ids=["finite", "limit", "duration", "standard", "copnumber"])
+def test_commands_write_layers_without_decoding_them(tmp_path, monkeypatch, command, cfg):
+    def no_values(self):
+        raise AssertionError("a layer was decoded to floats")
+
+    monkeypatch.setattr(solver._Ranked, "values", property(no_values))
+    assert run(tmp_path, command, cfg) == 0
 
 
 # ---------------------------------------------------------------------------

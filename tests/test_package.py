@@ -21,7 +21,9 @@ DELETED_ATTRS = [(verify, "random_oracle_instances"),
                  (MetricGraphSpace, "_vertex_path"),
                  (MetricGraphSpace, "_hop_segment"),
                  (Trajectory, "gap"),
-                 (solver.ValueTable, "layer")]
+                 (solver.ValueTable, "layer"),
+                 (cli, "_Coded"),
+                 (cli, "_json_key")]
 
 
 def test_all_names_resolve():

@@ -858,6 +858,12 @@ def spy_layer_dtypes(monkeypatch) -> list:
     return seen
 
 
+def decoded_layers(table) -> dict:
+    """A table's stored rank layers decoded to floats; each must be unsigned."""
+    assert {layer.dtype.kind for layer in table.layers.values()} == {"u"}
+    return {m: table.levels[r] for m, r in table.layers.items()}
+
+
 def assert_same_bits(got: dict, want: dict):
     assert got.keys() == want.keys()
     for m, layer in want.items():
@@ -884,7 +890,7 @@ def test_rank_finite_solve_equals_float_sweeps(monkeypatch, make_net, k):
     seen = spy_layer_dtypes(monkeypatch)
     for (variant, (policy, layers)), (ref_layers, ref_moves) in zip(cases, refs):
         table = solve_finite(net, k, taus, variant, store_policy=policy, store_layers=layers)
-        assert_same_bits(table.layers, ref_layers)
+        assert_same_bits(decoded_layers(table), ref_layers)
         assert table.moves.keys() == ref_moves.keys()
         for m, args in ref_moves.items():
             assert len(table.moves[m]) == len(args) == k + 1
@@ -921,7 +927,7 @@ def test_rank_volatile_solve_equals_float_sweeps(monkeypatch, make_net, k):
     refs = [float_volatile(net, k, taus, eps, side) for eps, side in cases]
     seen = spy_layer_dtypes(monkeypatch)
     for (eps, side), ref in zip(cases, refs):
-        assert_same_bits(solve_volatile(net, k, taus, eps, side).layers, ref)
+        assert_same_bits(decoded_layers(solve_volatile(net, k, taus, eps, side)), ref)
     assert seen and {dt.kind for dt in seen} == {"u"}
 
 

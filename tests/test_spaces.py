@@ -96,6 +96,14 @@ _MALFORMED = {
 }
 
 
+@pytest.mark.parametrize("name", ["interval", "ball2", "circle", "sphere2", "cyl"])
+def test_step_toward_rejects_a_nan_budget(name, rng):
+    space = space_by_name(name)
+    p, q = space.random_point(rng), space.random_point(rng)
+    with pytest.raises(ValueError, match="negative travel budget"):
+        space.step_toward(p, q, math.nan)
+
+
 @pytest.mark.parametrize("name", ALL_SPACES)
 def test_public_queries_check_points_and_budget(name, rng):
     space = space_by_name(name)

@@ -34,6 +34,7 @@ from .arena import (
 from .errors import CapacityError, PursuitError, ConfigError
 from .game import Agility, Position, agility_from_config, trajectory_value
 from .solver import (
+    STORED_BYTES_BUDGET,
     cop_number_estimate,
     duration_value,
     limit_value,
@@ -188,6 +189,8 @@ def _horizon(cfg: dict):
     least = 1 if "T" in hz else 0  # T is split into N uniform steps
     if n < least:
         raise ConfigError(f"horizon.N must be at least {least}")
+    if 8 * n > STORED_BYTES_BUDGET:  # a float per step, before any list of steps
+        raise CapacityError("horizon.N step bytes", 8 * n, STORED_BYTES_BUDGET)
     if "T" in hz:
         if "agility" in cfg:
             raise ConfigError("give either horizon.T or an agility, not both")

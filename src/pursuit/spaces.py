@@ -159,10 +159,11 @@ class MetricGraphSpace(Space):
     """Metric graph: vertices joined by edges of positive length.
 
     Points are ``(edge_index, offset)`` with ``0 <= offset <= length``;
-    a vertex is aliased by offset 0 / length of any incident edge.  All-pairs
-    vertex distances are precomputed once (repeated Dijkstra with a
-    deterministic predecessor tie-break), so point queries are O(1) plus a
-    constant number of endpoint combinations.
+    a vertex is aliased by offset 0 / length of any incident edge.  Dijkstra
+    from each vertex precomputes the distances ``d`` and settle ranks once,
+    so point queries are O(1) plus a constant number of endpoint combinations.
+    A vertex path's hop into ``y`` is the smallest ``(u, edge)`` over edges
+    ``(u, y, w)`` with ``d[u] + w == d[y]`` and ``u`` settled before ``y``.
     """
 
     def __init__(self, vertices, edges):
@@ -197,32 +198,27 @@ class MetricGraphSpace(Space):
 
     def _build_shortest_paths(self):
         nv = len(self.vertex_ids)
-        adj = [[] for _ in range(nv)]
+        self._adj = adj = [[] for _ in range(nv)]
         for ei, (u, v, w) in enumerate(self.edges):
             adj[u].append((v, w, ei))
             adj[v].append((u, w, ei))
-        dist = np.full((nv, nv), np.inf)
-        # pred[s][v] = (previous vertex, edge index) on the chosen shortest
-        # path from s to v; ties prefer the smaller (vertex, edge) pair.
-        pred = [[None] * nv for _ in range(nv)]
+        self._dist = dist = np.empty((nv, nv))
+        self._rank = rank = np.zeros((nv, nv), np.min_scalar_type(nv))  # settle order
         for s in range(nv):
-            dist[s, s] = 0.0
-            heap = [(0.0, s)]
-            done = [False] * nv
+            row, heap, order = [math.inf] * nv, [(0.0, s)], []
+            row[s] = 0.0
             while heap:
                 d, u = heapq.heappop(heap)
-                if done[u]:
+                if d > row[u]:  # a stale entry: u was settled nearer
                     continue
-                done[u] = True
-                for v, w, ei in adj[u]:
+                order.append(u)
+                for v, w, _ in adj[u]:
                     nd = d + w
-                    if nd < dist[s, v]:
-                        dist[s, v] = nd
-                        pred[s][v] = (u, ei)
+                    if nd < row[v]:
+                        row[v] = nd
                         heapq.heappush(heap, (nd, v))
-                    elif nd == dist[s, v] and pred[s][v] is not None:
-                        if (u, ei) < pred[s][v]:
-                            pred[s][v] = (u, ei)
+            dist[s] = row
+            rank[s, order] = np.arange(len(order))
         if not np.isfinite(dist).all():  # no path, or every path's length overflows
             seen, todo = {0}, [0]
             while todo:
@@ -236,7 +232,6 @@ class MetricGraphSpace(Space):
                               f"(largest float {sys.float_info.max!r})")
         # enforce exact symmetry regardless of per-source rounding
         self.vdist = np.minimum(dist, dist.T)
-        self._pred = pred
 
     # -- basic point handling
 
@@ -371,10 +366,11 @@ class MetricGraphSpace(Space):
 
     def _path_segments(self, x: int, y: int) -> list:
         """Segments ``(edge, off_from, off_to)`` of the chosen shortest path
-        from vertex ``x`` to vertex ``y``."""
-        segs = []
+        from vertex ``x`` to ``y``; the edge that set ``d[y]`` is a candidate hop."""
+        d, r, segs = self._dist[x].tolist(), self._rank[x].tolist(), []  # sums overflow to inf
         while y != x:
-            prev, ei = self._pred[x][y]
+            prev, ei = min((u, ei) for u, w, ei in self._adj[y]
+                           if r[u] < r[y] and d[u] + w == d[y])
             u, _, length = self.edges[ei]
             segs.append((ei, 0.0, length) if prev == u else (ei, length, 0.0))
             y = prev

@@ -360,18 +360,73 @@ sys.exit(code)
 def test_solve_rejects_large_cop_counts_quickly(tmp_path, space, net_h, k):
     cfg = {"space": space, "net_h": net_h, "k": k, "mode": "finite",
            "agility": {"kind": "uniform", "t": 0.5}, "horizon": {"N": 1}}
-    path = write_config(tmp_path, "solve.json", cfg)
-    # in a child process, so that an unbounded count times out instead of hanging
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _TIMED_MAIN, "solve", "--config", path,
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=30)
+    proc = _run_child(tmp_path, "solve", cfg)
     assert proc.returncode == 2
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("capacity error: solver")
     assert float(proc.stdout) < 1.0
+
+
+def _run_child(tmp_path, command, cfg):
+    """``main`` on ``cfg`` in a child process with a 1 GiB address space, so
+    that an unbounded run times out or runs out of memory instead of hanging
+    the suite or the machine; its stdout ends with the seconds ``main`` took."""
+    path = write_config(tmp_path, f"{command}.json", cfg)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               OPENBLAS_NUM_THREADS="1")  # few thread buffers under an address-space limit
+    return subprocess.run(
+        [sys.executable, "-c", _LIMITED_AS + _TIMED_MAIN, command, "--config", path,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=30)
+
+
+_LIMITED_AS = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+
+
+def test_solve_rejects_a_horizon_past_the_byte_budget_before_its_steps(tmp_path):
+    # 10**12 steps once grew agility.prefix(N) until memory ran out; under a
+    # 1 GiB address space that is a MemoryError within seconds
+    cfg = {"space": INTERVAL, "net_h": 0.5, "k": 1, "mode": "finite",
+           "agility": {"kind": "uniform", "t": 0.5}, "horizon": {"N": 10**12}}
+    proc = _run_child(tmp_path, "solve", cfg)
+    assert proc.returncode == 2
+    err = proc.stderr.splitlines()
+    assert err == ["capacity error: horizon.N step bytes: required 8000000000000 "
+                   f"exceeds budget {solver.STORED_BYTES_BUDGET}"]
+    assert float(proc.stdout) < 1.0
+
+
+@pytest.mark.parametrize("n", [2**27, 2**27 + 1])
+def test_horizon_steps_are_checked_at_eight_bytes_each(tmp_path, capsys, monkeypatch, n):
+    def no_prefix(self, n_steps):
+        raise AssertionError("steps listed")
+    monkeypatch.setattr(cli.Agility, "prefix", no_prefix)
+    cfg = _SOLVE | {"mode": "finite", "horizon": {"N": n}}
+    if n * 8 > solver.STORED_BYTES_BUDGET:
+        assert run(tmp_path, "solve", cfg) == 2
+        assert "horizon.N step bytes" in capsys.readouterr().err
+    else:  # within the budget: on to the steps
+        with pytest.raises(AssertionError, match="steps listed"):
+            run(tmp_path, "solve", cfg)
+
+
+@pytest.mark.parametrize("vertices, edges, robber, cop", [
+    # 1e17 + 1 == 1e17: the edge a-b reaches c's distance from both a and b,
+    # and a predecessor table once sent c -> a through b and c -> b through a
+    (["a", "b", "c"], [["c", "a", "1e17"], ["c", "b", "1e17"], ["a", "b", "1"]],
+     [2, "0.5"], [0, "1"]),
+    # y, at p's distance from s, is settled after p though its index is smaller
+    (["s", "y", "p"], [["s", "p", "1e17"], ["p", "y", "1"]], [1, "1"], [0, 0]),
+], ids=["cycle", "path"])
+def test_play_on_a_graph_with_an_absorbed_edge_ends(tmp_path, vertices, edges, robber, cop):
+    cfg = {"space": {"type": "metric_graph", "vertices": vertices, "edges": edges},
+           "robber": {"name": "stand_still_robber"}, "cops": {"name": "follower_cop"},
+           "start": {"robber": robber, "cops": [cop]},
+           "agility": {"kind": "uniform", "t": 1e15}, "N": 3}
+    proc = _run_child(tmp_path, "play", cfg)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("steps played: 3\n")
 
 
 _SOLVE = {"space": CYCLE, "net_h": 0.25, "k": 1, "mode": "limit",

@@ -1,13 +1,20 @@
+import heapq
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pursuit
 from pursuit.errors import (
     CapacityError,
     ConfigError,
@@ -439,6 +446,141 @@ def test_step_toward_equals_reference_on_equal_edge_theta():
     space = MetricGraphSpace(["a", "b"], [("a", "b", 1.0)] * 3)
     points = [(e, off) for e in range(3) for off in (0.0, 0.25, 0.5, 0.75, 1.0)]
     _assert_steps_match_reference(space, [(p, q) for p in points for q in points])
+
+
+def _reference_path_segments(space):
+    """``_path_segments`` as first written: each Dijkstra keeps a table of
+    predecessors ``(vertex, edge)``, of which a tie keeps the smaller pair,
+    and a path walks that table back from its end."""
+    nv = len(space.vertex_ids)
+    adj = [[] for _ in range(nv)]
+    for ei, (u, v, w) in enumerate(space.edges):
+        adj[u].append((v, w, ei))
+        adj[v].append((u, w, ei))
+    dist = np.full((nv, nv), np.inf)
+    pred = [[None] * nv for _ in range(nv)]
+    for s in range(nv):
+        dist[s, s] = 0.0
+        heap, done = [(0.0, s)], [False] * nv
+        while heap:
+            d, u = heapq.heappop(heap)
+            if done[u]:
+                continue
+            done[u] = True
+            for v, w, ei in adj[u]:
+                if d + w < dist[s, v]:
+                    dist[s, v] = d + w
+                    pred[s][v] = (u, ei)
+                    heapq.heappush(heap, (d + w, v))
+                elif d + w == dist[s, v] and pred[s][v] is not None:
+                    pred[s][v] = min(pred[s][v], (u, ei))
+
+    def segments(x, y):
+        segs = []
+        while y != x:
+            prev, ei = pred[x][y]
+            u, _, length = space.edges[ei]
+            segs.append((ei, 0.0, length) if prev == u else (ei, length, 0.0))
+            y = prev
+        return segs[::-1]
+    return dist, segments
+
+
+def _random_graph(rng, lengths=(0.1, 0.2, 0.3, 1 / 3, 2 / 3, 0.7, 1.1)):
+    """A connected graph of 2 to 10 vertices: a random spanning tree, then
+    parallel edges and loops, with lengths drawn from ``lengths``, by default
+    a few non-dyadic values so that sums tie now and then and round otherwise."""
+    nv = int(rng.integers(2, 11))
+    order = rng.permutation(nv)
+    pairs = [(order[i], order[rng.integers(i)]) for i in range(1, nv)]
+    pairs += [tuple(rng.integers(nv, size=2)) for _ in range(rng.integers(2 * nv + 1))]
+    edges = [(str(u), str(v), lengths[rng.integers(len(lengths))])
+             for u, v in rng.permutation(np.array(pairs))]
+    return MetricGraphSpace([str(v) for v in range(nv)], edges)
+
+
+def test_path_segments_equal_the_predecessor_table_on_random_graphs():
+    rng = np.random.default_rng(33)
+    ties = 0
+    for _ in range(240):
+        space = _random_graph(rng)
+        assert not hasattr(space, "_pred")
+        dist, reference = _reference_path_segments(space)
+        assert space._dist.tobytes() == dist.tobytes()
+        nv = len(space.vertex_ids)
+        for x in range(nv):
+            for y in range(nv):
+                assert space._path_segments(x, y) == reference(x, y), (space.edges, x, y)
+        ties += sum(sum(dist[x, u] + w == dist[x, y] for u, w, _ in space._adj[y]) > 1
+                    for x in range(nv) for y in range(nv) if y != x)
+    assert ties > 200  # pairs whose last hop the tie-break chooses
+
+
+def test_path_segments_follow_the_settle_order_past_an_absorbed_edge():
+    # from s, p is settled at 1e17 and then y at 1e17 + 1 == 1e17, though
+    # y's index is the smaller one; the only hop into y is from p
+    space = MetricGraphSpace(["s", "y", "p"], [("s", "p", 1e17), ("p", "y", 1.0)])
+    _, reference = _reference_path_segments(space)
+    for x in range(3):
+        for y in range(3):
+            assert space._path_segments(x, y) == reference(x, y), (x, y)
+    assert space._path_segments(0, 1) == [(0, 0.0, 1e17), (1, 0.0, 1.0)]
+
+
+_ALL_PATHS = """import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from pursuit.spaces import MetricGraphSpace
+for vertices, edges in json.load(sys.stdin):
+    space = MetricGraphSpace(vertices, edges)
+    n = len(vertices)
+    print(json.dumps([[space._path_segments(x, y) for y in range(n)] for x in range(n)]))
+"""
+
+
+def test_vertex_paths_end_on_graphs_with_absorbed_edges():
+    # 1e17 + 1 == 1e17 + 5 == 1e17: such edges join vertices at one distance
+    # from the source.  The paths are read in a child process with a 1 GiB
+    # address space, so that a hop cycle fails instead of hanging the suite.
+    rng = np.random.default_rng(34)
+    graphs = [_random_graph(rng, (1e17, 3e17, 1.0, 5.0)) for _ in range(120)]
+    src = str(Path(pursuit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               OPENBLAS_NUM_THREADS="1")
+    stdin = json.dumps([(g.vertex_ids, [(g.vertex_ids[u], g.vertex_ids[v], w)
+                                        for u, v, w in g.edges]) for g in graphs])
+    proc = subprocess.run([sys.executable, "-c", _ALL_PATHS], input=stdin,
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    level_hops = 0
+    for space, rows in zip(graphs, map(json.loads, proc.stdout.splitlines()), strict=True):
+        d = space._dist.tolist()
+        for x, row in enumerate(rows):
+            for y, segs in enumerate(row):
+                walk = [x]
+                for ei, a, b in segs:
+                    u, v, length = space.edges[ei]
+                    prev, nxt = (u, v) if (a, b) == (0.0, length) else (v, u)
+                    assert sorted((a, b)) == [0.0, length] and prev == walk[-1]
+                    assert d[x][prev] + length == d[x][nxt]
+                    level_hops += d[x][prev] == d[x][nxt]
+                    walk.append(nxt)
+                assert walk[-1] == y and len(set(walk)) == len(walk), (space.edges, x, y)
+    assert level_hops > 100
+
+
+def test_graph_build_keeps_no_table_per_vertex_pair():
+    # the raw rows and the symmetric vdist are two matrices; a predecessor
+    # tuple per vertex pair took about ten
+    nv = 400
+    tracemalloc.start()
+    try:
+        space = MetricGraphSpace([str(i) for i in range(nv)],
+                                 [(str(i), str(i + 1), 1.0) for i in range(nv - 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.vdist[0, nv - 1] == nv - 1
+    assert peak < 3 * space.vdist.nbytes
 
 
 def _assert_same(got, want):

@@ -13,16 +13,18 @@ Four concrete presentations are supported:
 
 All spaces answer ``distance``, ``step_toward`` (move along a geodesic with
 a travel budget), point validation, uniform sampling, and JSON descriptions.
-Distance queries are pure and safe to share between threads; a space never
-mutates after construction.
+Distance queries are pure and safe to share between threads; a metric graph
+builds its vertex distance table once, on its first distance query.
 
-Tie-breaking is deterministic everywhere: metric graphs prefer routes whose
-edge-id sequence is lexicographically smallest among equal-length routes,
-and antipodal sphere targets are nudged by a 1e-9 rotation before stepping.
+Tie-breaking is deterministic everywhere: a graph step takes the shortest
+candidate route (``MetricGraphSpace._routes``) with the smallest edge-id
+sequence, though its vertex path need not be the smallest of its length;
+antipodal sphere targets are nudged by a 1e-9 rotation before stepping.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import sys
@@ -155,19 +157,40 @@ def _row_blocks(n: int, rows) -> np.ndarray:
 # Metric graphs
 
 
+def _dijkstra(adj, s: int):
+    """Dijkstra from ``s`` over ``adj``: its distance row and each vertex's settle rank."""
+    row, order, heap = [math.inf] * len(adj), [], [(0.0, s)]
+    row[s] = 0.0
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > row[u]:  # a stale entry: u was settled nearer
+            continue
+        order.append(u)
+        for v, w, _ in adj[u]:
+            nd = d + w
+            if nd < row[v]:
+                row[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return row, dict(zip(order, range(len(order))))
+
+
 class MetricGraphSpace(Space):
     """Metric graph: vertices joined by edges of positive length.
 
     Points are ``(edge_index, offset)`` with ``0 <= offset <= length``;
-    a vertex is aliased by offset 0 / length of any incident edge.  Dijkstra
-    from each vertex precomputes the distances ``d`` and settle ranks once,
-    so point queries are O(1) plus a constant number of endpoint combinations.
-    A vertex path's hop into ``y`` is the smallest ``(u, edge)`` over edges
-    ``(u, y, w)`` with ``d[u] + w == d[y]`` and ``u`` settled before ``y``.
+    a vertex is aliased by offset 0 / length of any incident edge.  The first
+    distance query runs Dijkstra from each vertex for ``vdist``, so point
+    queries are O(1) plus a constant number of endpoint combinations.  A
+    path from ``x`` searches from ``x`` (``_search`` keeps the last eight);
+    read back from its end, its hop into ``y`` is the smallest ``(u, edge)``
+    over edges ``(u, y, w)`` with ``d[u] + w == d[y]`` and ``u`` settled
+    before ``y``: not always the smallest edge-id sequence of its length.
     """
 
     def __init__(self, vertices, edges):
         self.vertex_ids = [str(v) for v in vertices]
+        if len(self.vertex_ids) > DEFAULT_POINT_BUDGET:  # a vertex table past the largest matrix
+            raise CapacityError("graph vertices", len(self.vertex_ids), DEFAULT_POINT_BUDGET)
         if len(set(self.vertex_ids)) != len(self.vertex_ids):
             raise ConfigError("duplicate vertex ids")
         self._vindex = {v: i for i, v in enumerate(self.vertex_ids)}
@@ -183,7 +206,19 @@ class MetricGraphSpace(Space):
             self.edges.append((self._vindex[str(u)], self._vindex[str(v)], length))
         if not self.edges:
             raise ConfigError("metric graph needs at least one edge")
-        self._build_shortest_paths()
+        self._adj = adj = [[] for _ in self.vertex_ids]
+        for ei, (u, v, w) in enumerate(self.edges):
+            adj[u].append((v, w, ei))
+            adj[v].append((u, w, ei))
+        seen, todo = {0}, [0]
+        while todo:  # the vertices that vertex 0 reaches
+            new = {v for v, _, _ in adj[todo.pop()]} - seen
+            seen |= new
+            todo += new
+        if len(seen) < len(adj):
+            raise ConfigError("metric graph is not connected")
+        # a play's paths start at few vertices; the cache holds no reference to the space
+        self._search = functools.lru_cache(maxsize=8)(functools.partial(_dijkstra, adj))
         self._ends = np.array([(u, v) for u, v, _ in self.edges], dtype=np.intp)
         self._lengths = lengths = np.array([w for _, _, w in self.edges])
         with np.errstate(over="ignore"):
@@ -194,44 +229,20 @@ class MetricGraphSpace(Space):
         self._cdf /= self._cdf[-1]
         self._doubles = 2  # an edge's and an offset's
 
-    # -- construction helpers
+    # -- shortest paths between vertices
 
-    def _build_shortest_paths(self):
-        nv = len(self.vertex_ids)
-        self._adj = adj = [[] for _ in range(nv)]
-        for ei, (u, v, w) in enumerate(self.edges):
-            adj[u].append((v, w, ei))
-            adj[v].append((u, w, ei))
-        self._dist = dist = np.empty((nv, nv))
-        self._rank = rank = np.zeros((nv, nv), np.min_scalar_type(nv))  # settle order
-        for s in range(nv):
-            row, heap, order = [math.inf] * nv, [(0.0, s)], []
-            row[s] = 0.0
-            while heap:
-                d, u = heapq.heappop(heap)
-                if d > row[u]:  # a stale entry: u was settled nearer
-                    continue
-                order.append(u)
-                for v, w, _ in adj[u]:
-                    nd = d + w
-                    if nd < row[v]:
-                        row[v] = nd
-                        heapq.heappush(heap, (nd, v))
-            dist[s] = row
-            rank[s, order] = np.arange(len(order))
-        if not np.isfinite(dist).all():  # no path, or every path's length overflows
-            seen, todo = {0}, [0]
-            while todo:
-                for v, _, _ in adj[todo.pop()]:
-                    if v not in seen:
-                        seen.add(v)
-                        todo.append(v)
-            if len(seen) < nv:
-                raise ConfigError("metric graph is not connected")
-            raise ConfigError("metric graph distances pass the float range "
-                              f"(largest float {sys.float_info.max!r})")
-        # enforce exact symmetry regardless of per-source rounding
-        self.vdist = np.minimum(dist, dist.T)
+    @functools.cached_property
+    def vdist(self) -> np.ndarray:
+        """Vertex distances, row by row from ``_dijkstra`` on first use; each pair takes
+        the smaller of its two directions in place, symmetric whatever a row's rounding."""
+        dist = np.empty((len(self._adj), len(self._adj)))
+        for s in range(len(self._adj)):
+            dist[s] = row = _dijkstra(self._adj, s)[0]
+            if math.inf in row:  # connected, so a path's length overflows
+                raise ConfigError("metric graph distances pass the float range "
+                                  f"(largest float {sys.float_info.max!r})")
+            dist[s, :s] = dist[:s, s] = np.minimum(dist[s, :s], dist[:s, s])
+        return dist
 
     # -- basic point handling
 
@@ -253,12 +264,10 @@ class MetricGraphSpace(Space):
     def vertex_point(self, v):
         """Canonical ``(edge, offset)`` address of a vertex (lowest edge id)."""
         vi = self._vindex[str(v)] if not isinstance(v, int) else v
-        for ei, (u, w, length) in enumerate(self.edges):
-            if u == vi:
-                return (ei, 0.0)
-            if w == vi:
-                return (ei, length)
-        raise MalformedPointError(f"vertex {v} is isolated")
+        if not 0 <= vi < len(self._adj):
+            raise MalformedPointError(f"vertex index {vi} out of range")
+        ei = self._adj[vi][0][2]  # the lists take edges in id order
+        return (ei, 0.0 if self.edges[ei][0] == vi else self.edges[ei][2])
 
     def point_to_json(self, p):
         return [int(p[0]), float(p[1])]
@@ -367,7 +376,7 @@ class MetricGraphSpace(Space):
     def _path_segments(self, x: int, y: int) -> list:
         """Segments ``(edge, off_from, off_to)`` of the chosen shortest path
         from vertex ``x`` to ``y``; the edge that set ``d[y]`` is a candidate hop."""
-        d, r, segs = self._dist[x].tolist(), self._rank[x].tolist(), []  # sums overflow to inf
+        (d, r), segs = self._search(x), []  # sums overflow to inf
         while y != x:
             prev, ei = min((u, ei) for u, w, ei in self._adj[y]
                            if r[u] < r[y] and d[u] + w == d[y])
@@ -391,10 +400,10 @@ class MetricGraphSpace(Space):
         return segs
 
     def _step(self, p, q, t: float):
-        """Walk ``t`` along the shortest route; among routes of equal length
-        the one with the smallest edge-id sequence wins (the first candidate
-        on a tie), and only tied routes have their segments built.  Every
-        segment has positive length."""
+        """Walk ``t`` along the shortest route; among candidate routes
+        (``_routes``) of equal length the one with the smallest edge-id
+        sequence wins (the first candidate on a tie), and only tied routes
+        have their segments built.  Every segment has positive length."""
         ep, op_ = int(p[0]), float(p[1])
         eq, oq = int(q[0]), float(q[1])
         if t == 0.0:

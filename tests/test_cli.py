@@ -429,6 +429,19 @@ def test_play_on_a_graph_with_an_absorbed_edge_ends(tmp_path, vertices, edges, r
     assert proc.stdout.startswith("steps played: 3\n")
 
 
+def test_play_on_a_graph_past_the_vertex_limit_exits_before_any_table(tmp_path):
+    # the vertex table of 20 001 vertices is 3.2 GB: under a 1 GiB address
+    # space its build once ended in a MemoryError traceback with exit 1
+    nv = 20_001
+    cfg = _PLAY | {"space": {"type": "metric_graph", "vertices": [str(i) for i in range(nv)],
+                             "edges": [[str(i), str(i + 1), "1"] for i in range(nv - 1)]}}
+    proc = _run_child(tmp_path, "play", cfg)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "capacity error: graph vertices: required 20001 exceeds budget 20000"]
+    assert float(proc.stdout) < 1.0
+
+
 _SOLVE = {"space": CYCLE, "net_h": 0.25, "k": 1, "mode": "limit",
           "agility": {"kind": "uniform", "t": 0.25}, "horizon": {"N": 1}}
 _COPNUMBER = {"space": CYCLE, "net_h": 0.5, "k_max": 1,

@@ -1,3 +1,4 @@
+import gc
 import heapq
 import json
 import math
@@ -7,6 +8,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -506,8 +508,8 @@ def test_path_segments_equal_the_predecessor_table_on_random_graphs():
         space = _random_graph(rng)
         assert not hasattr(space, "_pred")
         dist, reference = _reference_path_segments(space)
-        assert space._dist.tobytes() == dist.tobytes()
         nv = len(space.vertex_ids)
+        assert np.array([space._search(s)[0] for s in range(nv)]).tobytes() == dist.tobytes()
         for x in range(nv):
             for y in range(nv):
                 assert space._path_segments(x, y) == reference(x, y), (space.edges, x, y)
@@ -553,7 +555,7 @@ def test_vertex_paths_end_on_graphs_with_absorbed_edges():
     assert proc.returncode == 0, proc.stderr
     level_hops = 0
     for space, rows in zip(graphs, map(json.loads, proc.stdout.splitlines()), strict=True):
-        d = space._dist.tolist()
+        d = [space._search(x)[0] for x in range(len(space.vertex_ids))]
         for x, row in enumerate(rows):
             for y, segs in enumerate(row):
                 walk = [x]
@@ -568,19 +570,93 @@ def test_vertex_paths_end_on_graphs_with_absorbed_edges():
     assert level_hops > 100
 
 
+def _path_graph(nv):
+    return MetricGraphSpace([str(i) for i in range(nv)],
+                            [(str(i), str(i + 1), 1.0) for i in range(nv - 1)])
+
+
 def test_graph_build_keeps_no_table_per_vertex_pair():
-    # the raw rows and the symmetric vdist are two matrices; a predecessor
-    # tuple per vertex pair took about ten
+    # the table is made symmetric in place, so its build holds one matrix;
+    # the raw rows beside np.minimum(dist, dist.T) held two, with a bool
+    # mask besides, and a predecessor tuple per vertex pair about ten
     nv = 400
     tracemalloc.start()
     try:
-        space = MetricGraphSpace([str(i) for i in range(nv)],
-                                 [(str(i), str(i + 1), 1.0) for i in range(nv - 1)])
+        space = _path_graph(nv)
+        assert space.vdist[0, nv - 1] == nv - 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert space.vdist[0, nv - 1] == nv - 1
-    assert peak < 3 * space.vdist.nbytes
+    assert peak < 1.5 * space.vdist.nbytes
+
+
+def test_graph_net_past_its_budget_fails_before_any_vertex_table():
+    nv = 400
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="net points: required 799 exceeds budget 100"):
+            build_net(_path_graph(nv), 0.5, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < nv * nv * 8  # one V x V float matrix
+
+
+def test_graph_vertex_table_is_built_on_the_first_distance_query():
+    space = make_cycle(2.0)
+    assert "vdist" not in vars(space)
+    assert space.distance((0, 0.0), (1, 0.5)) == 0.5
+    assert "vdist" in vars(space)
+    assert not hasattr(space, "_dist") and not hasattr(space, "_rank")
+
+
+def test_graph_paths_reuse_recent_searches_and_let_the_space_go():
+    space = _path_graph(50)
+    for _ in range(3):
+        assert space._path_segments(0, 49) == [(e, 0.0, 1.0) for e in range(49)]
+    assert space._path_segments(49, 0) == [(e, 1.0, 0.0) for e in range(48, -1, -1)]
+    assert space._search.cache_info()[:2] == (2, 2)  # hits, misses
+    ref = weakref.ref(space)
+    gc.disable()
+    try:
+        del space
+        assert ref() is None  # the cache holds no reference back to the space
+    finally:
+        gc.enable()
+
+
+def _reference_vertex_point(space, vi):
+    """``vertex_point`` as first written: the first edge, by id, at ``vi``."""
+    for ei, (u, w, length) in enumerate(space.edges):
+        if u == vi:
+            return (ei, 0.0)
+        if w == vi:
+            return (ei, length)
+
+
+def test_vertex_point_is_the_lowest_incident_edge_on_random_graphs():
+    rng = np.random.default_rng(35)
+    for _ in range(240):
+        space = _random_graph(rng)
+        for vi, name in enumerate(space.vertex_ids):
+            want = _reference_vertex_point(space, vi)
+            assert space.vertex_point(vi) == space.vertex_point(name) == want
+            assert type(space.vertex_point(vi)[1]) is float
+        for vi in (-1, len(space.vertex_ids)):
+            with pytest.raises(MalformedPointError, match=f"vertex index {vi} out of range"):
+                space.vertex_point(vi)
+
+
+def test_graph_steps_keep_the_hop_read_back_not_the_smallest_vertex_path():
+    # x-a-y (edges 2, 0) and x-b-y (edges 1, 3) tie; read back from y the
+    # hop is (a, 0) before (b, 3), so the walk takes 4, 2, 0, 5 though
+    # 4, 1, 3, 5 is the smaller sequence of the same length
+    space = MetricGraphSpace(
+        ["x", "a", "b", "y", "s", "t"],
+        [("a", "y", 1.0), ("x", "b", 1.0), ("x", "a", 1.0), ("b", "y", 1.0),
+         ("s", "x", 1.0), ("y", "t", 1.0)])
+    assert space._path_segments(0, 3) == [(2, 0.0, 1.0), (0, 0.0, 1.0)]
+    assert space.step_toward((4, 0.5), (5, 0.5), 1.0) == (2, 0.5)
 
 
 def _assert_same(got, want):

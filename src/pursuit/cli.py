@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -106,7 +107,8 @@ def _write_json(write, obj, newline: str) -> None:
     written as the flat array ``levels[ranks]``, chunk by chunk as
     ``texts[ranks]``, an object array of texts gathered by numpy: ``texts``
     holds the ``repr`` of each level the ranks use, json's own text for an
-    int or a finite float, formatted once.  Nothing is sorted.
+    int or a finite float, formatted once.  Nothing is sorted.  A list of
+    scalars (``_scalar``) is written with one ``join``.
     """
     inner = newline + " "
     if isinstance(obj, dict):
@@ -144,6 +146,9 @@ def _write_json(write, obj, newline: str) -> None:
             write("[]")
             return
         sep = "," + inner
+        if not any(isinstance(value, (dict, _Ranked, list, tuple)) for value in obj):
+            write("[" + inner + sep.join(map(_scalar, obj)) + newline + "]")
+            return
         write("[" + inner)
         for i, value in enumerate(obj):
             if i:
@@ -151,7 +156,15 @@ def _write_json(write, obj, newline: str) -> None:
             _write_json(write, value, inner)
         write(newline + "]")
     else:
-        write(json.dumps(obj))
+        write(_scalar(obj))
+
+
+def _scalar(obj) -> str:
+    """json's text for a value that holds no other: the ``repr`` of an exact
+    ``int`` or finite exact ``float``, ``json.dumps`` of anything else."""
+    if type(obj) is int or (type(obj) is float and math.isfinite(obj)):
+        return repr(obj)
+    return json.dumps(obj)
 
 
 def _net_from_config(cfg: dict, k: int):

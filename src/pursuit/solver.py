@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import pad_reach, reach_filter
+from ._kernels import pad_reach, pair_plan, reach_filter
 from .errors import CapacityError, ConfigError, PlayoutError
 from .game import Agility, Position, Trajectory
 
@@ -30,6 +30,7 @@ REACH_SLACK = 1e-12
 DEFAULT_STATE_BUDGET = 16_777_216
 STORED_BYTES_BUDGET = 2**30  # the arg tables and extra layers one finite solve keeps
 MAX_AXES = 32  # the most array axes that every supported numpy allows
+SUP_CHUNK = 16384  # layer entries per step of a doubling check's sup norm: two 128 KiB buffers
 
 
 # ---------------------------------------------------------------------------
@@ -38,11 +39,19 @@ MAX_AXES = 32  # the most array axes that every supported numpy allows
 
 @dataclass
 class ReachSet:
-    """CSR lists of net indices within a closed ball of radius ``t``, padded in ``rows``."""
+    """CSR lists of net indices within a closed ball of radius ``t``, padded in
+    ``rows``, or read through pair extremes there if ``pairs`` (``pair_plan``)."""
 
     indptr: np.ndarray
     indices: np.ndarray
     rows: np.ndarray
+    pairs: bool = False
+
+    @functools.cached_property
+    def paired(self) -> ReachSet:
+        """These lists with the pair plan as ``rows``, or this set when pairs save nothing."""
+        rows, pairs = pair_plan(self.indptr, self.indices)
+        return ReachSet(self.indptr, self.indices, rows, pairs) if pairs else self
 
 
 def reach_set(net, t: float) -> ReachSet:
@@ -199,8 +208,8 @@ def _sweep(V, rs: ReachSet, k: int, want_policy: bool = False):
     of every axis in axis order, all None unless ``want_policy``."""
     args = [None] * (k + 1)
     for axis in range(k, -1, -1):
-        V = reach_filter(V, rs.indptr, rs.indices, axis,
-                         "min" if axis else "max", want_policy, rows=rs.rows)
+        V = reach_filter(V, rs.indptr, rs.indices, axis, "min" if axis else "max",
+                         want_policy, rows=rs.rows, pairs=rs.pairs)
         if want_policy:
             V, args[axis] = V
     return V, args
@@ -299,6 +308,21 @@ class LimitResult(_Ranked):
         return self.log[-1][1] if self.log else math.inf
 
 
+def _sup_change(levels, prev, V) -> float:
+    """``max |levels[prev] - levels[V]|`` over all entries, +0.0 if none moved,
+    taken ``SUP_CHUNK`` entries at a time with no layer-sized temporary."""
+    if prev is V:
+        return 0.0
+    prev, V, worst = prev.reshape(-1), V.reshape(-1), 0.0
+    x, y = np.empty((2, min(SUP_CHUNK, V.size)))
+    for lo in range(0, V.size, SUP_CHUNK):
+        a, b = x[:V.size - lo], y[:V.size - lo]  # the whole buffer but at the end
+        levels.take(prev[lo:lo + SUP_CHUNK], out=a, mode="clip")  # "raise" buffers
+        levels.take(V[lo:lo + SUP_CHUNK], out=b, mode="clip")
+        worst = max(worst, float(np.abs(np.subtract(a, b, out=a), out=a).max()))
+    return worst
+
+
 def _doubling(top, net, N: int, N_max: int, tol: float) -> LimitResult:
     """Horizon doubling: compare ``top(N)``, the ``N``-step top layer as
     ranks into the net's distance levels, at N, 2N, 4N, ... (capped at
@@ -314,8 +338,7 @@ def _doubling(top, net, N: int, N_max: int, tol: float) -> LimitResult:
         V = top(N)
         levels = _distance_ranks(net)[0]  # ranked by top(N) at the latest
         if prev is not None:
-            moved = prev != V  # an entry that kept its rank adds 0.0 to the norm
-            dec = float(np.abs(levels[prev[moved]] - levels[V[moved]]).max(initial=0.0))
+            dec = _sup_change(levels, prev, V)
             log.append((N, dec))
             if dec < tol:
                 return LimitResult(levels, V, N, True, log)
@@ -353,8 +376,8 @@ def limit_value(net, k: int, agility: Agility, tol: float = 1e-9,
         raise ConfigError("limit_value needs a uniform or decreasing agility")
 
     if agility.is_uniform(probe):
-        # one operator iterated: extend the same layer instead of re-solving
-        rs = reach_set(net, agility.tau(1))
+        # one operator extends one layer, over enough sweeps to pay for a pair plan
+        rs = reach_set(net, agility.tau(1)).paired
         V, done, fixed = _base_layer(_distance_ranks(net)[1], k), 0, False
 
         def top(N):

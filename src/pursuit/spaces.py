@@ -128,6 +128,22 @@ def _norms(x) -> np.ndarray:
     return np.sqrt((x * x).sum(axis=-1))
 
 
+def _pair_norms(x, y, op=np.subtract) -> np.ndarray:
+    """``_norms(op(x[:, None], y))``, bit for bit, for rows ``x`` and ``y``.
+
+    Over at most 7 coordinates numpy's sum adds the squares left to right, so
+    they are added here a coordinate at a time, with no ``(n, m, d)``
+    temporary; from 8 on it unrolls by 8, and ``_norms`` runs itself."""
+    if x.shape[1] >= 8:
+        return _norms(op(x[:, None], y))
+    total = None
+    for c in range(x.shape[1]):
+        term = op(x[:, c, None], y[:, c])
+        term *= term
+        total = term if total is None else np.add(total, term, out=total)
+    return np.sqrt(total, out=total)
+
+
 def _check_budget(count, budget: int) -> None:
     if count > budget:
         raise CapacityError("net points", count, budget)
@@ -158,7 +174,7 @@ def _row_blocks(n: int, rows) -> np.ndarray:
 
 
 def _dijkstra(adj, s: int):
-    """Dijkstra from ``s`` over ``adj``: its distance row and each vertex's settle rank."""
+    """Dijkstra from ``s`` over ``adj``: its distance row and the order vertices settle in."""
     row, order, heap = [math.inf] * len(adj), [], [(0.0, s)]
     row[s] = 0.0
     while heap:
@@ -171,6 +187,12 @@ def _dijkstra(adj, s: int):
             if nd < row[v]:
                 row[v] = nd
                 heapq.heappush(heap, (nd, v))
+    return row, order
+
+
+def _search(adj, s: int):
+    """``_dijkstra`` from ``s``, with each vertex's settle rank in place of the order."""
+    row, order = _dijkstra(adj, s)
     return row, dict(zip(order, range(len(order))))
 
 
@@ -218,7 +240,7 @@ class MetricGraphSpace(Space):
         if len(seen) < len(adj):
             raise ConfigError("metric graph is not connected")
         # a play's paths start at few vertices; the cache holds no reference to the space
-        self._search = functools.lru_cache(maxsize=8)(functools.partial(_dijkstra, adj))
+        self._search = functools.lru_cache(maxsize=8)(functools.partial(_search, adj))
         self._ends = np.array([(u, v) for u, v, _ in self.edges], dtype=np.intp)
         self._lengths = lengths = np.array([w for _, _, w in self.edges])
         with np.errstate(over="ignore"):
@@ -570,7 +592,7 @@ class BallSpace(_VectorSpace):
 
     def pairwise(self, points) -> np.ndarray:
         arr = np.asarray(points, float)
-        return _row_blocks(len(arr), lambda r: _norms(arr[r, None] - arr))
+        return _row_blocks(len(arr), lambda r: _pair_norms(arr[r], arr))
 
 
 class SphereSpace(_VectorSpace):
@@ -668,7 +690,7 @@ class SphereSpace(_VectorSpace):
     def pairwise(self, points) -> np.ndarray:
         arr = np.asarray(points, float)
         return _row_blocks(len(arr), lambda r: 2.0 * np.arctan2(
-            _norms(arr[r, None] - arr), _norms(arr[r, None] + arr)))
+            _pair_norms(arr[r], arr), _pair_norms(arr[r], arr, np.add)))
 
 
 # ---------------------------------------------------------------------------
@@ -944,12 +966,9 @@ def _icosphere_net(space: SphereSpace, h: float, budget: int):
     faces = list(_ICOSA_FACES)
     _check_budget(len(verts), budget)
 
-    def max_edge(vs, fs):
-        worst = 0.0
-        for a, b, c in fs:
-            for i, j in ((a, b), (b, c), (c, a)):
-                worst = max(worst, space._distance(vs[i], vs[j]))
-        return worst
+    def max_edge(vs, fs):  # _distances pairs rows when given rows on both sides
+        vs, fs = np.array(vs), np.array(fs)
+        return float(space._distances(vs[fs.ravel()], vs[fs[:, [1, 2, 0]].ravel()]).max())
 
     while max_edge(verts, faces) > h:
         # one subdivision quadruples faces and roughly quadruples vertices
@@ -972,11 +991,9 @@ def _icosphere_net(space: SphereSpace, h: float, budget: int):
 
     # _ICOSA_FACES wind outward and the four-way split keeps that winding,
     # so every face normal is nonzero and points away from the origin
-    cover = 0.0
-    for a, b, c in faces:
-        normal = np.cross(verts[b] - verts[a], verts[c] - verts[a])
-        cover = max(cover, space._distance(normal / _norm(normal), verts[a]))
-    return verts, cover
+    a, b, c = np.array(verts)[np.array(faces).T]
+    normal = np.cross(b - a, c - a)
+    return verts, float(space._distances(normal / _row_norms(normal)[:, None], a).max())
 
 
 def build_net(space: Space, h: float, point_budget: int = DEFAULT_POINT_BUDGET) -> Net:

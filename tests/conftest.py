@@ -1,9 +1,16 @@
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pursuit.spaces import BallSpace, MetricGraphSpace, ProductSpace, SphereSpace, build_net
+
+# HYPOTHESIS_PROFILE=ci runs every property that sets no example count of its
+# own on 500 examples, the same ones on every run
+settings.register_profile("ci", max_examples=500, derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def make_cycle(total_length: float = 2.0) -> MetricGraphSpace:

@@ -830,6 +830,18 @@ def test_dump_matches_json_dump(tmp_path_factory, obj):
     _assert_dump_matches_json(tmp_path_factory.mktemp("dump"), obj)
 
 
+def test_dump_matches_json_dump_on_nested_scalars(tmp_path):
+    scalars = [-0.0, 0.0, 1e-320, 5e-324, 1.7976931348623157e308, -3, 2**70, True,
+               False, None, "a\"b\u00e9", np.float64(-0.0), np.float64(0.1),
+               float("nan"), float("inf"), -math.inf, np.float64("nan")]
+    obj = {"scalars": scalars, "each": [[x] for x in scalars],
+           "mixed": [1, [2.5, {"x": -0.0, "y": [None, True]}], (), [], {}, 3],
+           "tuple": (1e-320, "s", np.float64(2.0)), "one": 1e-320, "none": None,
+           "nan": float("nan"), "np": np.float64(1.5), "text": "x"}
+    for value in (obj, scalars, tuple(scalars), [obj, scalars]):
+        _assert_dump_matches_json(tmp_path, value)
+
+
 @pytest.mark.parametrize("odd", [None, float("nan"), np.float64(0.25), 1, True])
 def test_dump_matches_json_dump_across_chunks(tmp_path, odd):
     n = 2 * cli._DUMP_CHUNK + 3

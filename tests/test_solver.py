@@ -1,14 +1,16 @@
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from pursuit import solver
 from pursuit import _kernels
-from pursuit._kernels import BLOCK_BYTES, pad_reach, reach_filter
+from pursuit._kernels import BLOCK_BYTES, pad_reach, pair_plan, reach_filter
 from pursuit.errors import CapacityError, ConfigError, PlayoutError
 from pursuit.game import Agility, trajectory_value
 from pursuit.solver import (
@@ -1186,3 +1188,218 @@ def test_reach_filter_matches_row_filter(case, mode, want_arg):
     rs, layer, axis, transpose = case
     assert_same_filter(layer.T if transpose else layer, rs, axis, mode, want_arg)
 
+
+
+# ---------------------------------------------------------------------------
+# pair plans: reach lists read as runs of consecutive indices
+
+
+def reference_plan_row(reach, P):
+    """The plan of one ascending reach list, run by run: a lone index stays
+    itself, a run ``s..s+m-1`` reads the pairs ``P + s, P + s + 2, ...``, and
+    an odd run's last pair steps back to ``P + s + m - 2``."""
+    runs = []
+    for j in reach:
+        if runs and j == runs[-1][-1] + 1:
+            runs[-1].append(j)
+        else:
+            runs.append([j])
+    row = []
+    for run in runs:
+        if len(run) == 1:
+            row.append(run[0])
+        else:
+            row += [P + run[0] + min(q, len(run) - 2) for q in range(0, len(run), 2)]
+    return row
+
+
+def assert_plan_reads_reach(rs, rows):
+    P = rs.indptr.size - 1
+    for i in range(P):
+        reach = [int(j) for j in reach_list(rs, i)]
+        want = reference_plan_row(reach, P)
+        row = rows[i].tolist()
+        assert row[:len(want)] == want
+        assert set(row[len(want):]) <= {i}  # padded with its own index only
+        covered = set()
+        for e in row:
+            covered |= {e} if e < P else {e - P, e - P + 1}
+        assert covered == set(reach)
+
+
+def csr(lists):
+    indptr = np.cumsum([0] + [len(r) for r in lists], dtype=np.int64)
+    return indptr, np.array([j for r in lists for j in r], dtype=np.int64)
+
+
+@pytest.mark.parametrize("lists,pairs", [
+    ([[0, 1, 2], [0, 1, 2], [0, 1, 2]], False),  # W = 3 < 4, though one run each
+    ([[0, 1, 2, 3]] * 4, True),  # one run of 4: G = 2
+    ([[0, 2, 4, 6], [1, 3, 5, 7]] * 4, False),  # lone entries only: G = W = 4
+    ([[0, 1, 3, 5], [0, 1, 3, 5], [2, 3, 5, 7], [1, 3, 5, 7]]
+     + [[i, 0, 1, 2] if i > 2 else [0, 1, 2] for i in range(4, 8)], False),  # G + 1 = W
+    ([list(range(8))] * 8, True),  # G = 4 against W = 8
+    ([[0, 1, 2, 4, 5]] + [[1, 2, 3, 4, 5]] * 5, True),  # odd runs overlap: G = 3
+])
+def test_pair_plan_falls_back_when_pairs_save_nothing(lists, pairs):
+    lists = [sorted(set(r) | {i}) for i, r in enumerate(lists)]
+    indptr, indices = csr(lists)
+    rows, got = pair_plan(indptr, indices)
+    assert got is pairs
+    if not pairs:
+        padded = pad_reach(indptr, indices)
+        assert rows.dtype == padded.dtype and np.array_equal(rows, padded)
+    else:
+        P = len(lists)
+        assert rows.dtype == np.min_scalar_type(2 * P - 2)
+        assert rows.shape[1] + 1 < max(map(len, lists))
+        assert_plan_reads_reach(solver.ReachSet(indptr, indices, rows), rows)
+
+
+def test_pair_plan_widths_on_limit_nets():
+    # W -> G on nets of the benchmark's limit solves
+    cases = [
+        (build_net(BallSpace(2), 0.08), 0.2, 24, 15),
+        (build_net(SphereSpace(2), 0.4), None, 20, 15),  # the t = 4h member
+        (cycle_net(72, 2 * math.pi), math.pi / 12, 7, 5),
+    ]
+    for net, t, W, G in cases:
+        rs = reach_set(net, 4 * net.h if t is None else t)
+        assert rs.rows.shape[1] == W
+        assert rs.paired.pairs and rs.paired.rows.shape[1] == G
+        assert rs.paired is rs.paired  # cached
+        assert_plan_reads_reach(rs, rs.paired.rows)
+    sphere = build_net(SphereSpace(2), 0.4)
+    rs = reach_set(sphere, 2 * sphere.h)  # 7 -> 6: the padded table stays
+    assert rs.rows.shape[1] == 7 and rs.paired is rs
+
+
+@st.composite
+def paired_nets(draw):
+    """A small graph, ball, sphere or product net and a reach radius of up to
+    six covering radii, sized so that a layer with ``k`` cops stays small."""
+    k = draw(st.integers(1, 2))
+    cap = 64 if k == 1 else 24
+    kind = draw(st.sampled_from(["graph", "ball", "sphere", "product"]))
+    if kind == "graph":
+        nv = draw(st.integers(2, 5))
+        lengths = st.floats(0.25, 2.0)
+        edges = [(i, draw(st.integers(0, i - 1)), draw(lengths)) for i in range(1, nv)]
+        edges += draw(st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1),
+                                         lengths).filter(lambda e: e[0] != e[1]),
+                               max_size=3))
+        space = MetricGraphSpace(range(nv), edges)
+        h = sum(w for *_, w in space.edges) / draw(st.integers(2, cap // 2))
+    elif kind == "ball":
+        dim = draw(st.integers(1, 3))
+        space, h = BallSpace(dim), draw(st.sampled_from([[0.08, 0.15, 0.3], [0.3, 0.5],
+                                                          [0.6, 0.9]][dim - 1]))
+    elif kind == "sphere":
+        dim = draw(st.integers(1, 2))
+        space, h = SphereSpace(dim), draw(st.sampled_from([[0.1, 0.3, 0.7], [0.6, 1.0]][dim - 1]))
+    else:
+        space = ProductSpace(make_cycle(draw(st.floats(1.0, 4.0))), 1.0,
+                             draw(st.sampled_from([1.0, 2.0, 3.0])))
+        h = draw(st.floats(0.3, 0.8))
+    try:
+        net = build_net(space, h, cap)
+    except CapacityError:
+        net = build_net(space, h * 4, cap)
+    return net, k, net.h * draw(st.floats(0.0, 6.0))
+
+
+@given(paired_nets(), st.sampled_from([np.uint8, np.uint16]), st.sampled_from([3, None]),
+       st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+@settings(deadline=None)
+def test_paired_filter_equals_padded_filter(case, dtype, high, seed, transpose, small_blocks):
+    net, k, t = case
+    rs = reach_set(net, t)
+    rows, pairs = pair_plan(rs.indptr, rs.indices)
+    event(f"pairs={pairs}")
+    if pairs:
+        assert_plan_reads_reach(rs, rows)
+    # few distinct ranks, so most reach lists tie, or the dtype's whole range
+    high = high or np.iinfo(dtype).max + 1
+    layer = np.random.default_rng(seed).integers(0, high, (net.size,) * (k + 1), dtype)
+    layer = layer.T if transpose else layer  # non-contiguous, its last axis trailing
+    with mock.patch.object(_kernels, "BLOCK_BYTES", 64 if small_blocks else BLOCK_BYTES):
+        for axis in range(k + 1):
+            for mode in ("min", "max"):
+                want = reach_filter(layer, rs.indptr, rs.indices, axis, mode, rows=rs.rows)
+                got = reach_filter(layer, rs.indptr, rs.indices, axis, mode, rows=rows,
+                                   pairs=pairs)
+                assert got.dtype == want.dtype == dtype
+                assert got.tobytes() == want.tobytes()
+
+
+def test_uniform_limit_loop_sweeps_the_pair_plan(monkeypatch):
+    # the plan is built once per reach set and swept with its flag; a finite
+    # solve of the same radius keeps the padded table
+    net = build_net(BallSpace(2), 0.3)
+    seen = []
+    real = solver.reach_filter
+
+    def spied(*args, rows, pairs=False):
+        seen.append((rows.shape[1], pairs))
+        return real(*args, rows=rows, pairs=pairs)
+
+    monkeypatch.setattr(solver, "reach_filter", spied)
+    limit_value(net, 1, Agility.uniform(1.0), 1e-9, 8)
+    rs = reach_set(net, 1.0)
+    assert rs.paired.pairs
+    assert set(seen) == {(rs.paired.rows.shape[1], True)}
+    seen.clear()
+    solve_finite(net, 1, [1.0] * 2, store_policy=True)
+    assert set(seen) == {(rs.rows.shape[1], False)}
+
+
+def test_paired_sweep_peaks_one_stack_above_the_padded_sweep():
+    # the stack holds the layer and its P - 1 pair extremes; the padded lead
+    # filter reads its input in place, so the paired sweep's peak may pass
+    # the padded sweep's by that whole stack, and by no more
+    net = build_net(BallSpace(2), 0.08)
+    rs = reach_set(net, 0.2)
+    paired = rs.paired
+    assert paired.pairs
+    V = solver._base_layer(solver._distance_ranks(net)[1], 1)
+    peaks = []
+    for r in (rs, paired):
+        tracemalloc.start()
+        try:
+            U, _ = solver._sweep(V, r, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del U
+    stack = (2 * net.size - 1) * net.size * V.itemsize
+    assert peaks[1] - peaks[0] <= stack + 4096
+
+
+def reference_sup_change(levels, prev, V):
+    """The doubling check's sup norm over the entries that moved."""
+    moved = prev != V
+    return float(np.abs(levels[prev[moved]] - levels[V[moved]]).max(initial=0.0))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+@pytest.mark.parametrize("n", [1, solver.SUP_CHUNK - 1, solver.SUP_CHUNK,
+                               solver.SUP_CHUNK + 1, 3 * solver.SUP_CHUNK + 5])
+def test_sup_change_equals_masked_reference(dtype, n):
+    rng = np.random.default_rng(n)
+    L = np.iinfo(dtype).max + 1
+    levels = np.cumsum(rng.random(L) + 0.01)
+    prev = rng.integers(0, L, n, dtype)
+    V = np.where(rng.random(n) < 0.5, prev, rng.integers(0, L, n, dtype))
+    for a, b in ((prev, V), (V, prev), (prev[::-1], V)):
+        assert solver._sup_change(levels, a, b) == reference_sup_change(levels, a, b)
+    # the largest change sits at the last entry, in the last chunk
+    V = prev.copy()
+    V[-1] = L - 1 if prev[-1] != L - 1 else 0
+    want = reference_sup_change(levels, prev, V)
+    assert want > 0 and solver._sup_change(levels, prev, V) == want
+    # 2-d layers are read whole
+    if n % 2 == 0:
+        assert solver._sup_change(levels, prev.reshape(2, -1), V.reshape(2, -1)) == want
+    for same in (prev.copy(), prev):  # all equal, and the same array
+        got = solver._sup_change(levels, prev, same)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0

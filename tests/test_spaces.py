@@ -32,7 +32,11 @@ from pursuit.spaces import (
     _ICOSA_FACES,
     _ICOSA_VERTS,
     _ball_net,
+    _dijkstra,
+    _icosphere_net,
     _norm,
+    _norms,
+    _pair_norms,
     _row_norms,
     build_net,
     space_from_config,
@@ -1068,6 +1072,70 @@ def test_icosphere_faces_wind_outward():
             ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
             subdivided += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
         faces = subdivided
+
+
+def _reference_icosphere_net(space, h):
+    """The icosphere net with its longest edge and its cover taken face by face."""
+    verts = [v / _norm(v) for v in np.array(_ICOSA_VERTS)]
+    faces = list(_ICOSA_FACES)
+
+    def max_edge():
+        return max(space._distance(verts[i], verts[j])
+                   for a, b, c in faces for i, j in ((a, b), (b, c), (c, a)))
+
+    while max_edge() > h:
+        cache, subdivided = {}, []
+
+        def midpoint(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in cache:
+                m = verts[i] + verts[j]
+                verts.append(m / _norm(m))
+                cache[key] = len(verts) - 1
+            return cache[key]
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            subdivided += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+        faces = subdivided
+    cover = 0.0
+    for a, b, c in faces:
+        normal = np.cross(verts[b] - verts[a], verts[c] - verts[a])
+        cover = max(cover, space._distance(normal / _norm(normal), verts[a]))
+    return verts, cover
+
+
+@pytest.mark.parametrize("h", [0.4, 0.2, 0.1])
+def test_icosphere_net_equals_face_by_face_reference(h):
+    space = SphereSpace(2)
+    points, cover = _icosphere_net(space, h, 20_000)
+    want_points, want_cover = _reference_icosphere_net(space, h)
+    assert np.array(points).tobytes() == np.array(want_points).tobytes()
+    assert type(cover) is float and cover.hex() == want_cover.hex()
+
+
+@pytest.mark.parametrize("dim", range(1, 10))
+@pytest.mark.parametrize("op", [np.subtract, np.add])
+def test_pair_norms_equal_norms_of_the_broadcast(dim, op, rng):
+    # left to right below 8 coordinates, numpy's own sum from 8 on
+    x = rng.standard_normal((23, dim)) * rng.choice([1e-150, 1e-3, 1.0, 1e3, 1e150],
+                                                     size=(23, dim))
+    for a, b in ((x, x), (x[:5], x), (x[7:8], x[::-1])):
+        want = _norms(op(a[:, None], b))
+        assert _pair_norms(a, b, op).tobytes() == want.tobytes()
+
+
+def test_dijkstra_returns_the_settle_order_and_search_its_ranks(rng):
+    for _ in range(20):
+        nv = int(rng.integers(2, 12))
+        edges = [(i, int(rng.integers(0, i)), float(rng.choice([0.5, 1.0, 1.5])))
+                 for i in range(1, nv)]
+        edges += [(int(u), int(v), 1.0) for u, v in rng.integers(0, nv, (4, 2)) if u != v]
+        space = MetricGraphSpace(range(nv), edges)
+        for s in range(nv):
+            row, order = _dijkstra(space._adj, s)
+            assert sorted(order) == list(range(nv)) and order[0] == s
+            assert [row[v] for v in order] == sorted(row)
+            assert space._search(s) == (row, {v: r for r, v in enumerate(order)})
 
 
 def test_net_budget_capacity_error():

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -107,8 +106,7 @@ def _write_json(write, obj, newline: str) -> None:
     written as the flat array ``levels[ranks]``, chunk by chunk as
     ``texts[ranks]``, an object array of texts gathered by numpy: ``texts``
     holds the ``repr`` of each level the ranks use, json's own text for an
-    int or a finite float, formatted once.  Nothing is sorted.  A list of
-    scalars (``_scalar``) is written with one ``join``.
+    int or a finite float, formatted once.  Nothing is sorted.
     """
     inner = newline + " "
     if isinstance(obj, dict):
@@ -146,9 +144,6 @@ def _write_json(write, obj, newline: str) -> None:
             write("[]")
             return
         sep = "," + inner
-        if not any(isinstance(value, (dict, _Ranked, list, tuple)) for value in obj):
-            write("[" + inner + sep.join(map(_scalar, obj)) + newline + "]")
-            return
         write("[" + inner)
         for i, value in enumerate(obj):
             if i:
@@ -156,15 +151,7 @@ def _write_json(write, obj, newline: str) -> None:
             _write_json(write, value, inner)
         write(newline + "]")
     else:
-        write(_scalar(obj))
-
-
-def _scalar(obj) -> str:
-    """json's text for a value that holds no other: the ``repr`` of an exact
-    ``int`` or finite exact ``float``, ``json.dumps`` of anything else."""
-    if type(obj) is int or (type(obj) is float and math.isfinite(obj)):
-        return repr(obj)
-    return json.dumps(obj)
+        write(json.dumps(obj))
 
 
 def _net_from_config(cfg: dict, k: int):
@@ -386,6 +373,11 @@ def cmd_play(args) -> int:
     n_steps = _int(_field(cfg, "N"), "N")
     if n_steps < 1:
         raise ConfigError("N must be at least 1")
+    # the start and each step are recorded, about 186 bytes each with players
+    # standing still (tracemalloc, any space, k = 1), checked before any step
+    recorded = 186 * (n_steps + 1)
+    if recorded > STORED_BYTES_BUDGET:
+        raise CapacityError("N recorded step bytes", recorded, STORED_BYTES_BUDGET)
     _enough_steps(agility, n_steps, "N")
     kappa = _float(cfg.get("kappa", 1e-9), "kappa")
     if kappa < 0:

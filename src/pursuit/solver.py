@@ -7,9 +7,10 @@ distance, and each later layer applies, for the step's duration ``t``,
 a min-filter over every cop axis followed by a max-filter over the robber
 axis, each restricted to the points reachable within ``t``.
 
-Layers are dense ``(P,) * (k + 1)`` arrays of ranks among the net's sorted
-distinct distances, since a min or a max picks one of its inputs; results do
-not depend on evaluation order (pure max/min with a fixed tie-break).
+Layers are dense ``(P,) * (k + 1)`` arrays of ranks into ``levels``, the
+net's sorted distinct distances (``Net.ranked``), since a min or a max picks
+one of its inputs; results do not depend on evaluation order (pure max/min
+with a fixed tie-break).
 Reachability uses closed balls with a 1e-12 slack so that a step equal to
 the net spacing admits the intended moves despite floating-point rounding.
 """
@@ -70,20 +71,6 @@ def reach_set(net, t: float) -> ReachSet:
     rs = ReachSet(indptr, indices, pad_reach(indptr, indices))
     net._reach_cache[key] = rs
     return rs
-
-
-def _distance_ranks(net) -> tuple:
-    """The sorted distinct distances and the matrix as indices into them, in the
-    narrowest unsigned dtype (cached on the net); ``levels[V]`` decodes a layer.
-    A net's matrix is symmetric, so only its upper triangle is sorted."""
-    if net._ranks is None:
-        upper = np.triu(np.ones(net.matrix.shape, dtype=bool))
-        levels, inverse = np.unique(net.matrix[upper], return_inverse=True)
-        ranks = np.empty(net.matrix.shape, dtype=np.min_scalar_type(levels.size - 1))
-        ranks[upper] = inverse
-        ranks.T[upper] = inverse  # the mirror: ranks[j, i] = ranks[i, j]
-        net._ranks = levels, ranks
-    return net._ranks
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +222,7 @@ def _solve(net, k: int, taus, eps=None, side=None, *, floor: bool = False,
     stored = net.size ** (k + 1) * N * (index_bytes * (k + 1) * store_policy + 8 * store_layers)
     if stored > STORED_BYTES_BUDGET:
         raise CapacityError("stored table bytes", stored, STORED_BYTES_BUDGET)
-    levels, ranks = _distance_ranks(net)
+    levels, ranks = net.ranked
     if side == "cop_guarantee":  # nondecreasing, so it commutes with every min and max
         levels = np.maximum(levels - 2.0 * eps[N], 0.0)  # levels >= +0.0 keep bits at eps 0
     V = base = _base_layer(ranks, k)
@@ -336,7 +323,7 @@ def _doubling(top, net, N: int, N_max: int, tol: float) -> LimitResult:
     prev = None
     while True:
         V = top(N)
-        levels = _distance_ranks(net)[0]  # ranked by top(N) at the latest
+        levels = net.ranked[0]  # ranked by top(N) at the latest
         if prev is not None:
             dec = _sup_change(levels, prev, V)
             log.append((N, dec))
@@ -378,7 +365,7 @@ def limit_value(net, k: int, agility: Agility, tol: float = 1e-9,
     if agility.is_uniform(probe):
         # one operator extends one layer, over enough sweeps to pay for a pair plan
         rs = reach_set(net, agility.tau(1)).paired
-        V, done, fixed = _base_layer(_distance_ranks(net)[1], k), 0, False
+        V, done, fixed = _base_layer(net.ranked[1], k), 0, False
 
         def top(N):
             nonlocal V, done, fixed

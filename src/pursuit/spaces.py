@@ -843,11 +843,23 @@ class Net:
     matrix: np.ndarray
     requested_h: float = 0.0
     _reach_cache: dict = field(default_factory=dict, repr=False)
-    _ranks: tuple | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
         return len(self.points)
+
+    @functools.cached_property
+    def ranked(self) -> tuple:
+        """``(levels, ranks)``: the sorted distinct distances and the matrix as
+        indices into them, in the narrowest unsigned dtype, built on first read;
+        ``levels[V]`` decodes a layer of ranks.  The matrix is symmetric, so only
+        its upper triangle is sorted."""
+        upper = np.triu(np.ones(self.matrix.shape, dtype=bool))
+        levels, inverse = np.unique(self.matrix[upper], return_inverse=True)
+        ranks = np.empty(self.matrix.shape, dtype=np.min_scalar_type(levels.size - 1))
+        ranks[upper] = inverse
+        ranks.T[upper] = inverse  # the mirror: ranks[j, i] = ranks[i, j]
+        return levels, ranks
 
     def nearest_index(self, point) -> int:
         self.space.validate_point(point)

@@ -397,6 +397,36 @@ def test_solve_rejects_a_horizon_past_the_byte_budget_before_its_steps(tmp_path)
     assert float(proc.stdout) < 1.0
 
 
+def test_play_rejects_steps_past_the_byte_budget_before_the_first(tmp_path):
+    # 10**12 stand-still steps once ran until killed, recording every step
+    cfg = {"space": INTERVAL, "robber": {"name": "stand_still_robber"},
+           "cops": {"name": "stand_still_cops"},
+           "start": {"robber": [0, "1"], "cops": [[0, "0"]]},
+           "agility": {"kind": "uniform", "t": 0.25}, "N": 10**12}
+    proc = _run_child(tmp_path, "play", cfg)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "capacity error: N recorded step bytes: required 186000000000186 "
+        f"exceeds budget {solver.STORED_BYTES_BUDGET}"]
+    assert float(proc.stdout) < 1.0
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n", [solver.STORED_BYTES_BUDGET // 186 - 1,
+                               solver.STORED_BYTES_BUDGET // 186])
+def test_play_steps_are_checked_at_186_bytes_each(tmp_path, capsys, monkeypatch, n):
+    def no_game(*args):
+        raise AssertionError("played")
+    monkeypatch.setattr(cli, "run_game", no_game)
+    cfg = _PLAY | {"N": n}
+    if (n + 1) * 186 > solver.STORED_BYTES_BUDGET:
+        assert run(tmp_path, "play", cfg) == 2
+        assert "N recorded step bytes" in capsys.readouterr().err
+    else:  # within the budget: on to the game
+        with pytest.raises(AssertionError, match="played"):
+            run(tmp_path, "play", cfg)
+
+
 @pytest.mark.parametrize("n", [2**27, 2**27 + 1])
 def test_horizon_steps_are_checked_at_eight_bytes_each(tmp_path, capsys, monkeypatch, n):
     def no_prefix(self, n_steps):

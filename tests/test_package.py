@@ -23,7 +23,10 @@ DELETED_ATTRS = [(verify, "random_oracle_instances"),
                  (Trajectory, "gap"),
                  (solver.ValueTable, "layer"),
                  (cli, "_Coded"),
-                 (cli, "_json_key")]
+                 (cli, "_json_key"),
+                 (solver, "_distance_ranks"),
+                 (Net, "_ranks"),
+                 (cli, "_scalar")]
 
 
 def test_all_names_resolve():

@@ -713,7 +713,7 @@ def test_distance_ranks_decode_to_the_matrix_bits(make_net):
     # every solve sweeps these ranks; np.unique would merge -0.0 into 0.0
     # and sort NaN last, so this is the guard that no net holds either
     net = make_net()
-    levels, ranks = solver._distance_ranks(net)
+    levels, ranks = net.ranked
     assert ranks.dtype in (np.uint8, np.uint16)
     assert ranks.dtype == np.min_scalar_type(levels.size - 1)
     assert not np.isnan(levels).any() and (np.diff(levels) > 0).all()
@@ -722,9 +722,70 @@ def test_distance_ranks_decode_to_the_matrix_bits(make_net):
 
 @pytest.mark.parametrize("make_net", RANKED_NETS.values(), ids=RANKED_NETS.keys())
 def test_net_matrix_is_symmetric_bit_for_bit(make_net):
-    # _distance_ranks sorts the upper triangle only and mirrors its ranks
+    # Net.ranked sorts the upper triangle only and mirrors its ranks
     matrix = make_net().matrix
     assert np.array_equal(matrix.view(np.int64), matrix.T.view(np.int64))
+
+
+# maps of R^3 that take the icosphere onto itself point for point: negation
+# and the sign flip of each coordinate
+SPHERE_SYMMETRIES = {
+    "negation": lambda p: -p, "flip-x": lambda p: p * [-1, 1, 1],
+    "flip-y": lambda p: p * [1, -1, 1], "flip-z": lambda p: p * [1, 1, -1],
+}
+ICOSPHERE_H = {12: 1.2, 42: 0.8, 162: 0.6, 642: 0.3}  # net size -> net_h
+
+
+def point_permutation(net, f):
+    """``g`` with ``points[g[i]] == f(points[i])``, or None when some image is
+    no net point; -0.0 and 0.0 name one coordinate."""
+    index = {tuple(p.tolist()): i for i, p in enumerate(net.points)}
+    images = [index.get(tuple(f(p).tolist())) for p in net.points]
+    return None if None in images else np.array(images)
+
+
+def is_automorphism(D, g) -> bool:
+    return np.array_equal(D[np.ix_(g, g)].view(np.int64), D.view(np.int64))
+
+
+@pytest.mark.parametrize("P", ICOSPHERE_H)
+def test_icosphere_sign_maps_are_matrix_automorphisms(P):
+    net = build_net(SphereSpace(2), ICOSPHERE_H[P])
+    assert net.size == P
+    for f in SPHERE_SYMMETRIES.values():
+        g = point_permutation(net, f)
+        assert g is not None and sorted(g) == list(range(P))
+        assert is_automorphism(net.matrix, g)
+    # a coordinate swap maps some point off the net
+    assert point_permutation(net, lambda p: p[[1, 0, 2]]) is None
+    # a transposition of two points is a permutation but no automorphism
+    g = np.arange(P)
+    g[[0, 1]] = [1, 0]
+    assert not is_automorphism(net.matrix, g)
+
+
+@pytest.mark.parametrize("P, k", [(162, 1), (42, 1), (42, 2)])
+def test_value_layers_are_invariant_under_icosphere_symmetries(P, k):
+    # a sweep reads only the matrix, so an automorphism g of it maps every
+    # value layer onto itself: V[g r, g c1, ...] == V[r, c1, ...]; arg tables
+    # break ties toward the lowest index and need not be invariant
+    net = build_net(SphereSpace(2), ICOSPHERE_H[P])
+    h = net.h
+    taus, eps = [h, 2 * h, h], [h, 0.0, 2 * h, h]
+    layers = []
+    for variant in ("endpoint", "intermediate"):
+        layers += solve_finite(net, k, taus, variant, store_layers=True).layers.values()
+    for side in ("cop_guarantee", "robber_guarantee"):
+        layers += solve_volatile(net, k, taus, eps, side).layers.values()
+    layers.append(limit_value(net, k, Agility.uniform(h)).ranks)
+    std = standard_value(net, k)
+    layers += [std.ranks] + [res.ranks for _, res in std.members]
+    assert all(V.shape == (P,) * (k + 1) for V in layers)
+    for f in SPHERE_SYMMETRIES.values():
+        g = point_permutation(net, f)
+        assert is_automorphism(net.matrix, g)  # before the layers rely on it
+        for V in layers:
+            assert np.array_equal(V[np.ix_(*[g] * (k + 1))], V)
 
 
 def float_doubling(top, N, N_max, tol):
@@ -934,7 +995,8 @@ def test_rank_volatile_solve_equals_float_sweeps(monkeypatch, make_net, k):
 
 
 def test_each_net_is_ranked_once(monkeypatch):
-    nets = {"standard": theta_net(), "cop-number": theta_net()}
+    nets = {"standard": theta_net(), "cop-number": theta_net(),
+            "duration": theta_net(), "decreasing": theta_net()}
     ranked = []
     unique = np.unique
 
@@ -952,6 +1014,13 @@ def test_each_net_is_ranked_once(monkeypatch):
     cop = cop_number_estimate(nets["cop-number"], 2, theta=0.0)
     assert [k for k, _ in cop.per_k] == [1, 2] and len(ranked) == 2
     assert np.array_equal(ranked[1], upper(nets["cop-number"]))
+    # each solves several horizons, each with its own finite solve
+    dur = duration_value(nets["duration"], 1, 1.0, 1, 1e-9, 8)
+    assert len(dur.log) >= 2 and len(ranked) == 3
+    assert np.array_equal(ranked[2], upper(nets["duration"]))
+    dec = limit_value(nets["decreasing"], 1, Agility.harmonic(0.5), 1e-9, 8)
+    assert len(dec.log) >= 2 and len(ranked) == 4
+    assert np.array_equal(ranked[3], upper(nets["decreasing"]))
 
 
 def test_standard_and_cop_number_match_resolving_doubling():
@@ -1361,7 +1430,7 @@ def test_paired_sweep_peaks_one_stack_above_the_padded_sweep():
     rs = reach_set(net, 0.2)
     paired = rs.paired
     assert paired.pairs
-    V = solver._base_layer(solver._distance_ranks(net)[1], 1)
+    V = solver._base_layer(net.ranked[1], 1)
     peaks = []
     for r in (rs, paired):
         tracemalloc.start()

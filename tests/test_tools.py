@@ -24,3 +24,25 @@ WIDE = [0.7, 1.0, 1.3, 0.8, 1.2]  # spread 40 %
 ])
 def test_pairs_verdict(parent, change, lower, want):
     assert pairs.verdict(parent, change, 0.05, lower) == want
+
+
+def test_pairs_removes_bytecode_under_src_and_perfbench_only(tmp_path, capsys):
+    kept, removed = [], []
+    for side in ("parent", "change"):
+        checkout = tmp_path / side
+        for where in ("src/pursuit", "src", "perfbench"):
+            cache = checkout / where / "__pycache__"
+            cache.mkdir(parents=True)
+            (cache / "m.cpython-311.pyc").write_bytes(b"pyc")
+            removed.append(cache)
+        for where in ("src/pursuit/m.py", "tests/__pycache__/t.pyc",
+                      "tools/__pycache__/pairs.pyc", "__pycache__/x.pyc"):
+            (checkout / where).parent.mkdir(parents=True, exist_ok=True)
+            (checkout / where).write_bytes(b"kept")
+            kept.append(checkout / where)
+    for side in ("parent", "change"):
+        pairs.remove_bytecode(tmp_path / side)
+    printed = capsys.readouterr().out.splitlines()
+    assert sorted(printed) == sorted(f"removed {cache}" for cache in removed)
+    assert not any(cache.exists() for cache in removed)
+    assert all(path.read_bytes() == b"kept" for path in kept)

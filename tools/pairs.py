@@ -8,7 +8,10 @@ i = 0..N-1.  At an even pair the parent runs first, at an odd pair the
 change, so that drift of the host does not favour one side.  ``--workload``
 may be given more than once; each workload gets its own N pairs, in the
 order given.  Each run uses its own checkout's ``perfbench/`` and ``src/``;
-this script imports neither.
+this script imports neither.  Before the first run it removes every
+``__pycache__`` directory under both, so that neither side starts from
+bytecode the other lacks (under ``PYTHONDONTWRITEBYTECODE=1`` one side
+would compile every module in every run and the other none).
 
 Writes ``BENCH_<LABEL>.json`` in the current directory, with every run's
 result line, and prints each side's median, Q1 and Q3 of each end-to-end
@@ -21,6 +24,7 @@ import importlib.metadata
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -39,6 +43,15 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         sys.exit(f"pairs: {' '.join(argv[1:])} in {checkout} exited "
                  f"{proc.returncode}:\n{proc.stderr[-2000:]}")
     return json.loads(lines[-1])
+
+
+def remove_bytecode(checkout: Path) -> None:
+    """Remove every ``__pycache__`` directory under ``checkout``'s ``src/`` and
+    ``perfbench/``, printing the path of each."""
+    for top in ("src", "perfbench"):
+        for cache in sorted((checkout / top).rglob("__pycache__")):
+            shutil.rmtree(cache)
+            print(f"removed {cache}", flush=True)
 
 
 def quartiles(xs: list) -> tuple:
@@ -108,6 +121,8 @@ def main() -> None:
         if not (where / "perfbench" / "run.py").is_file():
             parser.error(f"{where} has no perfbench/run.py")
     metrics = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    for where in checkouts.values():
+        remove_bytecode(where)
 
     runs = []
     for workload in args.workload:

@@ -47,10 +47,10 @@ def pad_reach(indptr, indices) -> np.ndarray:
     return _padded(np.diff(indptr), indices, indptr.size - 2)
 
 
-def pair_plan(indptr, indices) -> tuple:
-    """``(plan, True)``, the reach lists read through pair extremes, or
-    ``(pad_reach(indptr, indices), False)`` when pairs save nothing: when the
-    plan's width ``G`` has ``G + 1 >= W``, as it has for every ``W < 4``.
+def pair_plan(indptr, indices) -> np.ndarray | None:
+    """The reach lists read through pair extremes, or None when pairs save
+    nothing: when the plan's width ``G`` has ``G + 1 >= W``, as it has for
+    every ``W < 4``.
 
     A run ``s, ..., s + m - 1`` of a list reads ``s`` if ``m == 1``, else the
     pairs ``P + s, P + s + 2, ...``; an odd run's last pair is ``P + s + m - 2``,
@@ -64,8 +64,8 @@ def pair_plan(indptr, indices) -> tuple:
     entry = np.where(end & (pos == 0), indices, P + indices - end)  # see above
     plan = np.bincount(row[keep], minlength=P)
     if plan.max() + 1 >= counts.max():
-        return pad_reach(indptr, indices), False
-    return _padded(plan, entry[keep], 2 * P - 2), True
+        return None
+    return _padded(plan, entry[keep], 2 * P - 2)
 
 
 def reach_filter(values, indptr, indices, axis, mode, want_arg=False, *, rows,

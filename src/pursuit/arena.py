@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import CapacityError, StrategyFaultError, UnknownStrategyError
+from .errors import CapacityError, ConfigError, StrategyFaultError
 from .game import Agility, Position, Trajectory
 from .spaces import (DEFAULT_POINT_BUDGET, BallSpace, ProductSpace, Space, SphereSpace,
                      _norm, lp_remainder)
@@ -83,7 +83,7 @@ def make_antipodal_robber(space: Space):
     """Sphere evader: head for the point antipodal to the nearest cop,
     snapping onto it exactly whenever it is reachable this step."""
     if not isinstance(space, SphereSpace):
-        raise UnknownStrategyError("antipodal_robber needs a sphere space")
+        raise ConfigError("antipodal_robber needs a sphere space")
 
     def move(pos: Position, t: float, n: int):
         dists = [space._distance(pos.robber, c) for c in pos.cops]
@@ -99,7 +99,7 @@ def make_radial_cop(space: Space):
     reach, take the one closest to the robber; otherwise move straight
     toward the center."""
     if not isinstance(space, BallSpace):
-        raise UnknownStrategyError("radial_cop needs a ball space")
+        raise ConfigError("radial_cop needs a ball space")
 
     def chase_one(c, robber, t):
         c = np.asarray(c, float)
@@ -125,9 +125,9 @@ def make_radial_cop(space: Space):
 def lift_slope(p: float, eps: float) -> float:
     """Smallest practical slope T with T - (T^p - 1)^(1/p) < eps (p > 1)."""
     if p <= 1:
-        raise UnknownStrategyError("cylinder lift needs exponent p > 1")
+        raise ConfigError("cylinder lift needs exponent p > 1")
     if eps <= 0:
-        raise UnknownStrategyError("cylinder lift needs eps > 0")
+        raise ConfigError("cylinder lift needs eps > 0")
     if p == 2.0:
         T = (1.0 + eps * eps) / (2.0 * eps)
     else:
@@ -138,7 +138,7 @@ def lift_slope(p: float, eps: float) -> float:
         while slack(hi) >= eps:
             hi *= 2.0
         if slack(hi) == -math.inf:  # T^p passed the float range first
-            raise UnknownStrategyError(f"cylinder lift: eps {eps} is too small for p = {p}")
+            raise ConfigError(f"cylinder lift: eps {eps} is too small for p = {p}")
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if slack(mid) >= eps:
@@ -154,7 +154,7 @@ def make_cylinder_lift_cop(space: Space, eps: float = 0.1):
     climbing the fiber at a constant slope, chosen so the climb costs less
     than ``eps`` extra path length per unit of fiber gained."""
     if not isinstance(space, ProductSpace):
-        raise UnknownStrategyError("cylinder_lift_cop needs a product space")
+        raise ConfigError("cylinder_lift_cop needs a product space")
     slope = lift_slope(space.p, eps)
 
     def chase_one(c, robber, t):
@@ -174,11 +174,11 @@ def make_greedy_robber(space: Space, samples: int = 32, seed: int = 0):
     cop.  This is a plain local search, not a boundary-approach evader; it
     carries no guarantee of avoiding capture."""
     if samples < 0:
-        raise UnknownStrategyError("greedy_robber needs samples >= 0")
+        raise ConfigError("greedy_robber needs samples >= 0")
     if samples > DEFAULT_POINT_BUDGET:  # before any step draws that many points
         raise CapacityError("greedy_robber samples", samples, DEFAULT_POINT_BUDGET)
     if seed < 0:
-        raise UnknownStrategyError("greedy_robber needs seed >= 0")
+        raise ConfigError("greedy_robber needs seed >= 0")
     rng = np.random.default_rng(seed)
 
     def move(pos: Position, t: float, n: int):
@@ -221,9 +221,7 @@ def builtin_strategies() -> dict:
 def get_strategy(space: Space, name: str, **params):
     """The move function of a built-in strategy, fresh for one game."""
     if name not in _CATALOG:
-        raise UnknownStrategyError(
-            f"unknown strategy {name!r}; valid names: {sorted(_CATALOG)}"
-        )
+        raise ConfigError(f"unknown strategy {name!r}; valid names: {sorted(_CATALOG)}")
     _, make, _ = _CATALOG[name]
     return make(space, **params)
 

@@ -249,7 +249,6 @@ def _values_block(levels: np.ndarray, ranks: np.ndarray, tuples):
 def cmd_solve(args) -> int:
     cfg = _load_config(args.config)
     k = _int(_field(cfg, "k"), "k")
-    net = _net_from_config(cfg, k)
     mode = cfg.get("mode", "finite")
     for key in ("variant", "store_policy"):
         if key in cfg and mode != "finite":
@@ -260,6 +259,11 @@ def cmd_solve(args) -> int:
     if not isinstance(store_policy, bool):
         raise ConfigError(f"store_policy must be true or false, not {store_policy!r}")
     n, T, agility = _horizon(cfg)
+    if mode not in ("finite", "limit", "standard"):
+        raise ConfigError(f"unknown solve mode {mode!r}")
+    family = _family(cfg) if mode == "standard" else None
+    # every check above comes before the net is built; the starts index it
+    net = _net_from_config(cfg, k)
     tuples = _starts(cfg, k, net)
 
     convergence = []
@@ -287,8 +291,8 @@ def cmd_solve(args) -> int:
             res = limit_value(net, k, agility, tol, n_max)
         convergence = [[int(N), float(d)] for N, d in res.log]
         taus = agility.prefix(res.achieved_N) if T is None else [T / res.achieved_N] * res.achieved_N
-    elif mode == "standard":
-        res = standard_value(net, k, _family(cfg), tol, n_max)
+    else:
+        res = standard_value(net, k, family, tol, n_max)
         members = [
             {
                 "agility": desc,
@@ -301,8 +305,6 @@ def cmd_solve(args) -> int:
         ]
         convergence = [row for m in members for row in m["log"]]
         taus = agility.prefix(n)
-    else:
-        raise ConfigError(f"unknown solve mode {mode!r}")
 
     result = {
         "command": "solve",
@@ -341,7 +343,7 @@ def _strategy_from_config(space, cfg: dict, side: str, seed: int):
         raise ConfigError(f"{path} needs a name string and a params object")
     entry = builtin_strategies().get(name)
     if entry is None:
-        return get_strategy(space, name)  # raises UnknownStrategyError
+        return get_strategy(space, name)  # raises ConfigError
     if entry["side"] != side:
         raise ConfigError(f"{path}: {name} is a {entry['side']} strategy")
     accepted = inspect.signature(entry["make"]).parameters
@@ -397,16 +399,14 @@ def cmd_play(args) -> int:
 
 def cmd_copnumber(args) -> int:
     cfg = _load_config(args.config)
-    net = _net_from_config(cfg, 1)  # the first cop count it solves
     k_max = _int(_field(cfg, "k_max"), "k_max")
     theta = cfg.get("theta")
-    res = cop_number_estimate(
-        net, k_max,
-        theta=None if theta is None else _float(theta, "theta"),
-        family=_family(cfg),
-        tol=_float(cfg.get("tol", 1e-9), "tol"),
-        N_max=_int(cfg.get("N_max", 64), "N_max"),
-    )
+    theta = None if theta is None else _float(theta, "theta")
+    family = _family(cfg)
+    tol = _float(cfg.get("tol", 1e-9), "tol")
+    n_max = _int(cfg.get("N_max", 64), "N_max")
+    net = _net_from_config(cfg, 1)  # the first cop count it solves
+    res = cop_number_estimate(net, k_max, theta=theta, family=family, tol=tol, N_max=n_max)
     result = {
         "command": "copnumber",
         "config": cfg,

@@ -9,16 +9,9 @@ class MalformedPointError(PursuitError, ValueError):
     """A point does not belong to the space it was used with."""
 
 
-class ArityError(PursuitError, ValueError):
-    """A position has no cops."""
-
-
-class AgilityError(PursuitError, ValueError):
-    """An agility operation received an unusable schedule."""
-
-
 class ConfigError(PursuitError, ValueError):
-    """A run configuration or space description is invalid."""
+    """Bad input: a run configuration, space description, agility schedule,
+    position or strategy request that cannot be used."""
 
 
 class CapacityError(PursuitError):
@@ -31,10 +24,6 @@ class CapacityError(PursuitError):
         super().__init__(
             f"{what}: required {required} exceeds budget {available}"
         )
-
-
-class UnknownStrategyError(PursuitError, LookupError):
-    """A strategy name is not in the built-in catalog."""
 
 
 class StrategyFaultError(PursuitError):

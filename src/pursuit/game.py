@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import AgilityError, ArityError
+from .errors import ConfigError
 from .spaces import _num
 
 # ---------------------------------------------------------------------------
@@ -32,7 +32,7 @@ class Position:
         object.__setattr__(self, "robber", robber)
         object.__setattr__(self, "cops", tuple(cops))
         if len(self.cops) < 1:
-            raise ArityError("a position needs at least one cop")
+            raise ConfigError("a position needs at least one cop")
 
     @property
     def k(self) -> int:
@@ -65,7 +65,7 @@ _FIELDS = {
 
 def _kind_fields(kind) -> dict:
     if not (isinstance(kind, str) and kind in _FIELDS):
-        raise AgilityError(f"unknown agility kind {kind!r}")
+        raise ConfigError(f"unknown agility kind {kind!r}")
     return _FIELDS[kind]
 
 
@@ -85,19 +85,18 @@ class Agility:
         if kind == "explicit":
             f["steps"] = steps = [] if f["steps"] is None else list(f["steps"])
             if not steps:
-                raise AgilityError("explicit agility needs at least one step")
+                raise ConfigError("explicit agility needs at least one step")
             if any(not 0 <= v < math.inf for v in steps):
-                raise AgilityError("step durations must be finite and nonnegative")
+                raise ConfigError("step durations must be finite and nonnegative")
         elif kind == "uniform":
             if f["t"] is None or not 0 < f["t"] < math.inf:
-                raise AgilityError("uniform agility needs a finite t > 0")
+                raise ConfigError("uniform agility needs a finite t > 0")
         elif kind == "geometric":
             a, rho = f["a"], f["rho"]
             if a is None or not 0 < a < math.inf or rho is None or not 0 < rho < 1:
-                raise AgilityError(
-                    "geometric agility needs a finite a > 0 and 0 < rho < 1")
+                raise ConfigError("geometric agility needs a finite a > 0 and 0 < rho < 1")
         elif f["a"] is None or not 0 < f["a"] < math.inf:
-            raise AgilityError("harmonic agility needs a finite a > 0")
+            raise ConfigError("harmonic agility needs a finite a > 0")
 
     # -- constructors
 
@@ -172,18 +171,17 @@ class Agility:
 
 def agility_from_config(cfg: dict) -> Agility:
     """Parse the run-config agility description; a missing, non-numeric or
-    non-finite field raises :class:`AgilityError`."""
+    non-finite field raises :class:`ConfigError`."""
     if not isinstance(cfg, dict):
-        raise AgilityError(f"agility must be an object, not {cfg!r}")
+        raise ConfigError(f"agility must be an object, not {cfg!r}")
     kind = cfg.get("kind")
+    parsers = _kind_fields(kind)
     try:
-        fields = {name: parse(cfg[name]) for name, parse in _kind_fields(kind).items()}
+        fields = {name: parse(cfg[name]) for name, parse in parsers.items()}
     except KeyError as exc:
-        raise AgilityError(f"{kind} agility needs field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, AgilityError):
-            raise
-        raise AgilityError(f"bad {kind} agility: {exc}") from exc
+        raise ConfigError(f"{kind} agility needs field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad {kind} agility: {exc}") from exc
     return Agility(kind, **fields)
 
 
@@ -196,7 +194,7 @@ def subdivide(tau: Agility, i: int, alpha: float) -> Agility:
     of duration 0.
     """
     if tau.kind != "explicit":
-        raise AgilityError(f"subdivide needs an explicit schedule, not {tau!r}")
+        raise ConfigError(f"subdivide needs an explicit schedule, not {tau!r}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if not 1 <= i <= tau.length:

@@ -51,8 +51,8 @@ class ReachSet:
     @functools.cached_property
     def paired(self) -> ReachSet:
         """These lists with the pair plan as ``rows``, or this set when pairs save nothing."""
-        rows, pairs = pair_plan(self.indptr, self.indices)
-        return ReachSet(self.indptr, self.indices, rows, pairs) if pairs else self
+        plan = pair_plan(self.indptr, self.indices)
+        return self if plan is None else ReachSet(self.indptr, self.indices, plan, True)
 
 
 def reach_set(net, t: float) -> ReachSet:
@@ -67,7 +67,7 @@ def reach_set(net, t: float) -> ReachSet:
     counts = mask.sum(axis=1)
     indptr = np.zeros(net.size + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    indices = np.nonzero(mask)[1].astype(np.int64)
+    indices = np.nonzero(mask)[1].astype(np.int64, copy=False)
     rs = ReachSet(indptr, indices, pad_reach(indptr, indices))
     net._reach_cache[key] = rs
     return rs
@@ -310,15 +310,19 @@ def _sup_change(levels, prev, V) -> float:
     return worst
 
 
-def _doubling(top, net, N: int, N_max: int, tol: float) -> LimitResult:
-    """Horizon doubling: compare ``top(N)``, the ``N``-step top layer as
-    ranks into the net's distance levels, at N, 2N, 4N, ... (capped at
-    ``N_max``) and stop once consecutive layers differ by less than ``tol``
-    in sup norm."""
+def _check_doubling(N: int, N_max: int, tol: float) -> None:
+    """The bounds of a horizon doubling from ``N``, checked before any solve."""
     if not tol > 0:  # NaN too: it would never stop the doubling
         raise ConfigError("tolerance must be positive")
     if N_max < N:
         raise ConfigError(f"N_max must be at least {N}, got {N_max}")
+
+
+def _doubling(top, net, N: int, N_max: int, tol: float) -> LimitResult:
+    """Horizon doubling: compare ``top(N)``, the ``N``-step top layer as
+    ranks into the net's distance levels, at N, 2N, 4N, ... (capped at
+    ``N_max``) and stop once consecutive layers differ by less than ``tol``
+    in sup norm.  The caller has passed ``_check_doubling``."""
     log = []
     prev = None
     while True:
@@ -361,6 +365,7 @@ def limit_value(net, k: int, agility: Agility, tol: float = 1e-9,
         probe = min(N_max, 16)
     if not (agility.is_uniform(probe) or agility.is_decreasing(probe)):
         raise ConfigError("limit_value needs a uniform or decreasing agility")
+    _check_doubling(1, N_max, tol)
 
     if agility.is_uniform(probe):
         # one operator extends one layer, over enough sweeps to pay for a pair plan
@@ -394,6 +399,7 @@ def duration_value(net, k: int, T: float, N_start: int = 1,
         raise ConfigError("duration T must be positive")
     if N_start < 1:
         raise ConfigError("N must be at least 1")
+    _check_doubling(N_start, N_max, tol)
 
     def top(N):
         return solve_finite(net, k, [T / N] * N).ranks

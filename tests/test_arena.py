@@ -11,7 +11,7 @@ from pursuit.arena import (
     lift_slope,
     run_game,
 )
-from pursuit.errors import CapacityError, StrategyFaultError, UnknownStrategyError
+from pursuit.errors import CapacityError, ConfigError, StrategyFaultError
 from pursuit.game import Agility, Position, robber_cop_distance, trajectory_value
 from pursuit.solver import policy_playout, solve_finite
 from pursuit.spaces import (
@@ -54,6 +54,15 @@ def test_run_game_rejects_bad_capture_radius(kappa):
                  get_strategy(space, "stand_still_cops"),
                  interval_positions(space, 0.5, 0.5), Agility.uniform(0.25), 2,
                  kappa=kappa)
+
+
+@pytest.mark.parametrize("N", [0, -1])
+def test_run_game_needs_a_step(N):
+    space = make_interval(1.0)
+    with pytest.raises(ValueError, match="need at least one step"):
+        run_game(space, get_strategy(space, "stand_still_robber"),
+                 get_strategy(space, "stand_still_cops"),
+                 interval_positions(space, 0.5, 0.0), Agility.uniform(0.25), N)
 
 
 @pytest.mark.parametrize("name", ["cycle", "ball", "cylinder"])
@@ -204,7 +213,7 @@ def test_catalog_lists_and_docs():
                  "greedy_robber", "radial_cop"):
         assert name in cat
         assert cat[name]["params"]
-    with pytest.raises(UnknownStrategyError) as err:
+    with pytest.raises(ConfigError) as err:
         get_strategy(make_interval(1.0), "warp_robber")
     assert "follower_cop" in str(err.value)
 
@@ -311,9 +320,9 @@ def test_greedy_robber_equals_reference(name, seed, tmp_path):
 
 
 def test_wrong_space_strategy_errors():
-    with pytest.raises(UnknownStrategyError):
+    with pytest.raises(ConfigError):
         get_strategy(make_interval(1.0), "antipodal_robber")
-    with pytest.raises(UnknownStrategyError):
+    with pytest.raises(ConfigError):
         get_strategy(SphereSpace(1), "radial_cop")
 
 

@@ -169,6 +169,7 @@ def test_solve_config_errors(tmp_path, capsys):
     {"kind": "uniform", "t": "inf"},
     {"kind": "uniform", "t": "abc"},
     {"kind": "uniform", "t": None},
+    {"kind": "uniform", "t": 10**400},  # an int json reads past the float range
     {"kind": "explicit"},
     {"kind": "explicit", "steps": 5},
     {"kind": "explicit", "steps": [0.25, "nan"]},
@@ -188,6 +189,55 @@ def test_solve_rejects_bad_agility(tmp_path, capsys, agility):
     assert run(tmp_path, "solve", cfg) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "agility" in err[0]
+
+
+# 3947 points at net_h 0.0038: about 0.3 s and 150 MB to build
+LONG_THETA = {"type": "metric_graph", "vertices": ["a", "b"],
+              "edges": [["a", "b", "4"], ["a", "b", "5"], ["a", "b", "6"]]}
+LONG_THETA_SOLVE = {"space": LONG_THETA, "net_h": 0.0038, "k": 1, "mode": "limit",
+                    "agility": {"kind": "uniform", "t": 0.05}, "horizon": {"N": 1}}
+LONG_THETA_COPNUMBER = {"space": LONG_THETA, "net_h": 0.0038, "k_max": 1}
+
+
+@pytest.mark.parametrize("command,fields,message", [
+    ("solve", {"mode": "sideways"}, "error: unknown solve mode 'sideways'"),
+    ("solve", {"agility": {"kind": "mystery"}}, "error: unknown agility kind 'mystery'"),
+    ("solve", {"tol": "small"}, "error: bad tol: could not convert string to float: 'small'"),
+    ("copnumber", {"k_max": "two"},
+     "error: bad k_max: could not convert string to float: 'two'"),
+    ("copnumber", {"theta": "x"}, "error: bad theta: could not convert string to float: 'x'"),
+    ("copnumber", {"family": [{"kind": "mystery"}]}, "error: unknown agility kind 'mystery'"),
+])
+def test_config_faults_are_reported_before_the_net_is_built(tmp_path, capsys, monkeypatch,
+                                                            command, fields, message):
+    def unbuilt(*args):
+        raise AssertionError("build_net was called")
+
+    monkeypatch.setattr(cli, "build_net", unbuilt)
+    valid = LONG_THETA_SOLVE if command == "solve" else LONG_THETA_COPNUMBER
+    with pytest.raises(AssertionError, match="build_net"):  # the fault is the only one
+        run(tmp_path, command, valid)
+    assert run(tmp_path, command, {**valid, **fields}) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+ONE_POINT = {"type": "metric_graph", "vertices": ["a"], "edges": [["a", "a", "1"]]}
+
+
+def test_solve_takes_at_most_31_cops(tmp_path, capsys):
+    # a one-point net has one state for any k; k + 1 axes pass numpy's 32 at k = 32
+    cfg = {"space": ONE_POINT, "net_h": 2, "k": 31, "mode": "finite",
+           "agility": {"kind": "uniform", "t": 1}, "horizon": {"N": 1}}
+    assert run(tmp_path, "solve", cfg) == 0
+    result = json.loads((tmp_path / "out" / "solve_result.json").read_text())
+    assert result["values"]["shape"] == [1] * 32 and result["worst_start"] == 0.0
+    capsys.readouterr()
+    assert run(tmp_path, "solve", {**cfg, "k": 32}, out="k32") == 2
+    assert capsys.readouterr().err == \
+        "capacity error: solver layer axes: required 33 exceeds budget 32\n"
+    assert not (tmp_path / "k32").exists()
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pursuit.errors import AgilityError, ArityError
+from pursuit.errors import ConfigError
 from pursuit.game import (
     Agility,
     Position,
@@ -25,7 +25,7 @@ def test_robber_cop_distance_min_over_cops(interval):
 
 
 def test_position_needs_a_cop():
-    with pytest.raises(ArityError):
+    with pytest.raises(ConfigError):
         Position((0, 0.0), [])
 
 
@@ -55,14 +55,24 @@ def test_agility_decreasing():
 
 
 def test_agility_validation():
-    with pytest.raises(AgilityError):
+    with pytest.raises(ConfigError):
         Agility.explicit([])
-    with pytest.raises(AgilityError):
+    with pytest.raises(ConfigError):
         Agility.uniform(0.0)
-    with pytest.raises(AgilityError):
+    with pytest.raises(ConfigError):
         Agility.geometric(1.0, 1.5)
-    with pytest.raises(AgilityError):
+    with pytest.raises(ConfigError):
         agility_from_config({"kind": "mystery"})
+
+
+@pytest.mark.parametrize("cfg", [
+    {"kind": "uniform", "t": 10**400},
+    {"kind": "explicit", "steps": [1.0, 10**400]},
+])
+def test_agility_rejects_numbers_past_the_float_range(cfg):
+    # json reads a long integer literal as an int, which float() cannot take
+    with pytest.raises(ConfigError, match="too large to convert to float"):
+        agility_from_config(cfg)
 
 
 def test_agility_config_round_trip():
@@ -94,7 +104,7 @@ def test_subdivide_boundary_alpha():
     assert not out.in_sigma0
     out0 = subdivide(Agility.explicit([1.0, 1.0, 1.0]), 2, 0.0)
     assert out0.prefix(4) == [1.0, 0.0, 1.0, 1.0]
-    with pytest.raises(AgilityError):
+    with pytest.raises(ConfigError):
         subdivide(Agility.uniform(1.0), 2, 0.0)
 
 

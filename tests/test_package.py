@@ -2,7 +2,7 @@ import ast
 from pathlib import Path
 
 import pursuit
-from pursuit import cli, solver, verify
+from pursuit import cli, errors, solver, verify
 from pursuit.game import Trajectory
 from pursuit.spaces import MetricGraphSpace, Net
 
@@ -26,7 +26,10 @@ DELETED_ATTRS = [(verify, "random_oracle_instances"),
                  (cli, "_json_key"),
                  (solver, "_distance_ranks"),
                  (Net, "_ranks"),
-                 (cli, "_scalar")]
+                 (cli, "_scalar"),
+                 (errors, "AgilityError"),
+                 (errors, "ArityError"),
+                 (errors, "UnknownStrategyError")]
 
 
 def test_all_names_resolve():

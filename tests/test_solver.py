@@ -402,6 +402,19 @@ def test_playout_budget_violation_error():
         policy_playout(net, teleporter, policy, (2, 0), taus)
 
 
+def test_playout_rejects_a_cop_source_of_the_wrong_arity():
+    net = interval_net3()
+    taus = [0.5]
+    policy = solve_finite(net, 1, taus, store_policy=True)
+
+    class TwoCops(IndexSource):  # answers for two cops in a one-cop game
+        def cop_moves(self, m, r_new, cops):
+            return super().cop_moves(m, r_new, cops) * 2
+
+    with pytest.raises(PlayoutError, match="cop move arity mismatch"):
+        policy_playout(net, policy, TwoCops(net, taus), (2, 0), taus)
+
+
 def test_captured_playout_is_worth_zero():
     net = cycle_net(8)
     taus = [0.25] * 3
@@ -604,6 +617,31 @@ def test_limit_value_rejects_bad_tolerance(tol):
 def test_duration_value_rejects_bad_tolerance(tol):
     with pytest.raises(ConfigError, match="tolerance"):
         duration_value(cycle_net(8), 1, 0.5, 1, tol, 8)
+
+
+@pytest.mark.parametrize("T,N_start,message", [
+    (0.0, 1, "duration T must be positive"),
+    (-0.5, 1, "duration T must be positive"),
+    (0.5, 0, "N must be at least 1"),
+])
+def test_duration_value_rejects_bad_duration_and_start(T, N_start, message):
+    with pytest.raises(ConfigError, match=message):
+        duration_value(cycle_net(8), 1, T, N_start, 1e-9, 8)
+
+
+@pytest.mark.parametrize("tol,N_max,message", [
+    (0.0, 8, "tolerance must be positive"),
+    (1e-9, 0, "N_max must be at least 1, got 0"),
+])
+def test_limit_value_checks_its_bounds_before_any_work(monkeypatch, tol, N_max, message):
+    def fail(*args):
+        raise AssertionError("reach_set was called")
+
+    monkeypatch.setattr(solver, "reach_set", fail)
+    net = cycle_net(8)
+    with pytest.raises(ConfigError, match=message):
+        limit_value(net, 1, Agility.uniform(0.25), tol, N_max)
+    assert "ranked" not in net.__dict__
 
 
 def theta_net():
@@ -1313,16 +1351,16 @@ def csr(lists):
 def test_pair_plan_falls_back_when_pairs_save_nothing(lists, pairs):
     lists = [sorted(set(r) | {i}) for i, r in enumerate(lists)]
     indptr, indices = csr(lists)
-    rows, got = pair_plan(indptr, indices)
-    assert got is pairs
-    if not pairs:
-        padded = pad_reach(indptr, indices)
-        assert rows.dtype == padded.dtype and np.array_equal(rows, padded)
-    else:
+    plan = pair_plan(indptr, indices)
+    rs = solver.ReachSet(indptr, indices, pad_reach(indptr, indices))
+    assert (plan is not None) is pairs
+    assert (rs.paired is rs) is not pairs  # the padded set stands for its own plan
+    if pairs:
         P = len(lists)
-        assert rows.dtype == np.min_scalar_type(2 * P - 2)
-        assert rows.shape[1] + 1 < max(map(len, lists))
-        assert_plan_reads_reach(solver.ReachSet(indptr, indices, rows), rows)
+        assert plan.dtype == np.min_scalar_type(2 * P - 2)
+        assert plan.shape[1] + 1 < max(map(len, lists))
+        assert_plan_reads_reach(rs, plan)
+        assert np.array_equal(rs.paired.rows, plan) and rs.paired.pairs
 
 
 def test_pair_plan_widths_on_limit_nets():
@@ -1383,10 +1421,12 @@ def paired_nets(draw):
 def test_paired_filter_equals_padded_filter(case, dtype, high, seed, transpose, small_blocks):
     net, k, t = case
     rs = reach_set(net, t)
-    rows, pairs = pair_plan(rs.indptr, rs.indices)
+    plan = pair_plan(rs.indptr, rs.indices)
+    pairs = plan is not None
     event(f"pairs={pairs}")
     if pairs:
-        assert_plan_reads_reach(rs, rows)
+        assert_plan_reads_reach(rs, plan)
+    rows = plan if pairs else rs.rows
     # few distinct ranks, so most reach lists tie, or the dtype's whole range
     high = high or np.iinfo(dtype).max + 1
     layer = np.random.default_rng(seed).integers(0, high, (net.size,) * (k + 1), dtype)

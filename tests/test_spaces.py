@@ -1044,6 +1044,14 @@ def test_net_budget_outside_its_range_is_a_config_error(budget):
         build_net(make_interval(1.0), 0.5, point_budget=budget)
 
 
+def test_build_net_rejects_a_space_it_has_no_builder_for():
+    class Unbuilt(pursuit.Space):
+        pass
+
+    with pytest.raises(ConfigError, match="no net construction for Unbuilt"):
+        build_net(Unbuilt(), 0.5)
+
+
 def test_icosphere_faces_wind_outward():
     # the icosphere cover takes each face's normal as it comes: at every
     # level up to 642 points no face is degenerate or winds inward

@@ -242,12 +242,13 @@ def run_game(space: Space, robber, cops, start: Position,
     given the position with the robber already moved, returns a sequence of
     ``k`` cop destinations.  Each destination must lie within ``t`` of its
     mover; a move beyond the 1e-9 compliance tolerance, or a wrong number of
-    cop moves, raises :class:`StrategyFaultError`.
+    cop moves, raises :class:`StrategyFaultError`.  ``N < 1`` or a
+    ``kappa`` not ``>= 0`` raises :class:`ConfigError` before any step.
     """
     if N < 1:
-        raise ValueError("need at least one step")
+        raise ConfigError("N must be at least 1")
     if not kappa >= 0:  # NaN too: no gap would ever count as a capture
-        raise ValueError(f"capture radius kappa must be >= 0, got {kappa}")
+        raise ConfigError("kappa must be at least 0")
 
     def check(side, n, t, old, new):
         for a, b in zip(old, new):

@@ -33,17 +33,10 @@ from .arena import (
 )
 from .errors import CapacityError, PursuitError, ConfigError
 from .game import Agility, Position, agility_from_config, trajectory_value
-from .solver import (
-    STORED_BYTES_BUDGET,
-    cop_number_estimate,
-    duration_value,
-    limit_value,
-    max_net_points,
-    solve_finite,
-    standard_value,
-    _Ranked,
-    _states_error,
-)
+from .solver import (STORED_BYTES_BUDGET, cop_number_estimate, duration_value, limit_value,
+                     max_net_points, solve_finite, standard_value, _check_cop_number,
+                     _check_doubling, _check_family, _check_limit, _check_variant, _Ranked,
+                     _states_error)
 from .spaces import DEFAULT_POINT_BUDGET, _num, _whole, build_net, space_from_config
 from .verify import run_suite, suite_passed
 
@@ -259,10 +252,19 @@ def cmd_solve(args) -> int:
     if not isinstance(store_policy, bool):
         raise ConfigError(f"store_policy must be true or false, not {store_policy!r}")
     n, T, agility = _horizon(cfg)
-    if mode not in ("finite", "limit", "standard"):
-        raise ConfigError(f"unknown solve mode {mode!r}")
+    variant = cfg.get("variant", "endpoint")
     family = _family(cfg) if mode == "standard" else None
-    # every check above comes before the net is built; the starts index it
+    if mode == "finite":
+        _check_variant(variant)
+    elif mode == "limit" and T is not None:
+        _check_doubling(n, n_max, tol)
+    elif mode == "limit":
+        _check_limit(agility, tol, n_max)
+    elif mode == "standard":
+        _check_family(family, tol, n_max)
+    else:
+        raise ConfigError(f"unknown solve mode {mode!r}")
+    # every check above, the solver's too, comes before the net is built; the starts index it
     net = _net_from_config(cfg, k)
     tuples = _starts(cfg, k, net)
 
@@ -271,10 +273,7 @@ def cmd_solve(args) -> int:
     policy_dump = None
     if mode == "finite":
         taus = agility.prefix(n)
-        res = solve_finite(
-            net, k, taus, variant=cfg.get("variant", "endpoint"),
-            store_policy=store_policy,
-        )
+        res = solve_finite(net, k, taus, variant=variant, store_policy=store_policy)
         if store_policy:
             index = np.arange(net.size)  # every policy entry is a net index
             policy_dump = {
@@ -373,8 +372,6 @@ def cmd_play(args) -> int:
         raise ConfigError(f"bad config.start: {exc}") from exc
     agility = agility_from_config(_field(cfg, "agility"))
     n_steps = _int(_field(cfg, "N"), "N")
-    if n_steps < 1:
-        raise ConfigError("N must be at least 1")
     # the start and each step are recorded, about 186 bytes each with players
     # standing still (tracemalloc, any space, k = 1), checked before any step
     recorded = 186 * (n_steps + 1)
@@ -382,8 +379,6 @@ def cmd_play(args) -> int:
         raise CapacityError("N recorded step bytes", recorded, STORED_BYTES_BUDGET)
     _enough_steps(agility, n_steps, "N")
     kappa = _float(cfg.get("kappa", 1e-9), "kappa")
-    if kappa < 0:
-        raise ConfigError("kappa must be at least 0")
     traj = run_game(space, robber, cops, start, agility, n_steps, kappa)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -405,6 +400,7 @@ def cmd_copnumber(args) -> int:
     family = _family(cfg)
     tol = _float(cfg.get("tol", 1e-9), "tol")
     n_max = _int(cfg.get("N_max", 64), "N_max")
+    _check_cop_number(k_max, theta, family, tol, n_max)
     net = _net_from_config(cfg, 1)  # the first cop count it solves
     res = cop_number_estimate(net, k_max, theta=theta, family=family, tol=tol, N_max=n_max)
     result = {

@@ -243,19 +243,23 @@ def _solve(net, k: int, taus, eps=None, side=None, *, floor: bool = False,
     return ValueTable(levels, V, taus, layers, moves)
 
 
+def _check_variant(variant: str) -> None:
+    if variant not in ("endpoint", "intermediate"):
+        raise ConfigError(f"unknown variant {variant!r}")
+
+
 def solve_finite(net, k: int, taus, variant: str = "endpoint", *,
                  store_policy: bool = False, store_layers: bool = False):
     """Backward-induction value of the ``N``-step net game.
 
     ``variant="endpoint"`` scores the final distance only; ``"intermediate"``
-    additionally takes the running minimum with the current distance at
-    every level.  Returns the :class:`ValueTable`; with ``store_policy``
-    it also answers ``robber_move`` and ``cop_moves``.  Raises
-    :class:`CapacityError` when the tables it would keep besides layers 0
-    and ``N`` pass ``STORED_BYTES_BUDGET``.
+    additionally takes the running minimum with the current distance at every
+    level; ``_check_variant`` runs first.  Returns the :class:`ValueTable`;
+    with ``store_policy`` it also answers ``robber_move`` and ``cop_moves``.
+    Raises :class:`CapacityError` when the tables it would keep besides layers
+    0 and ``N`` pass ``STORED_BYTES_BUDGET``.
     """
-    if variant not in ("endpoint", "intermediate"):
-        raise ConfigError(f"unknown variant {variant!r}")
+    _check_variant(variant)
     return _solve(net, k, taus, floor=variant == "intermediate",
                   store_policy=store_policy, store_layers=store_layers)
 
@@ -339,6 +343,20 @@ def _doubling(top, net, N: int, N_max: int, tol: float) -> LimitResult:
         N = min(2 * N, N_max)
 
 
+def _check_limit(agility: Agility, tol: float, N_max: int) -> tuple:
+    """The ``N_max`` of a limit solve of ``agility``, capped at an explicit
+    schedule's length, and whether it is uniform, else it must be decreasing."""
+    if agility.length is not None:  # an explicit schedule is probed whole
+        N_max = probe = min(N_max, agility.length)
+    else:  # a closed-form kind keeps its shape at every step
+        probe = min(N_max, 16)
+    uniform = agility.is_uniform(probe)
+    if not (uniform or agility.is_decreasing(probe)):
+        raise ConfigError("limit_value needs a uniform or decreasing agility")
+    _check_doubling(1, N_max, tol)
+    return N_max, uniform
+
+
 def limit_value(net, k: int, agility: Agility, tol: float = 1e-9,
                 N_max: int = 64) -> LimitResult:
     """Long-horizon value for a fixed agility, by horizon doubling.
@@ -349,25 +367,18 @@ def limit_value(net, k: int, agility: Agility, tol: float = 1e-9,
     table upper-bounds the infinite-horizon net-game value only on nets
     where the value does not rise with the horizon (step-monotone, checked
     on metric graphs only); a sweep can raise it on ball and sphere nets.
-    The agility must be uniform or strictly decreasing; an explicit
-    schedule is checked over all its steps and caps ``N_max`` at its length.
+    ``_check_limit`` runs first: the agility must be uniform or strictly
+    decreasing; an explicit one, checked whole, caps ``N_max`` at its length.
 
     With a uniform agility one operator is iterated, extending a single
     layer; once a sweep returns its input unchanged, every later layer is
     that same array, so sweeping stops at this exact fixed point while the
     doubling checks and their log go on as before.
     """
+    N_max, uniform = _check_limit(agility, tol, N_max)
     _check_state_budget(net, k)
-    if agility.length is not None:  # an explicit schedule is probed whole
-        N_max = min(N_max, agility.length)
-        probe = N_max
-    else:  # a closed-form kind keeps its shape at every step
-        probe = min(N_max, 16)
-    if not (agility.is_uniform(probe) or agility.is_decreasing(probe)):
-        raise ConfigError("limit_value needs a uniform or decreasing agility")
-    _check_doubling(1, N_max, tol)
 
-    if agility.is_uniform(probe):
+    if uniform:
         # one operator extends one layer, over enough sweeps to pay for a pair plan
         rs = reach_set(net, agility.tau(1)).paired
         V, done, fixed = _base_layer(net.ranked[1], k), 0, False
@@ -416,12 +427,21 @@ class StandardResult(_Ranked):
 
 def _family_or_default(net, family) -> list:
     """``family``, or when it is None the uniform schedules at one, two and
-    four covering radii; an empty family is an error."""
-    if family is None:
-        return [Agility.uniform(net.h * s) for s in (1.0, 2.0, 4.0)]
-    if not family:
+    four covering radii."""
+    return [Agility.uniform(net.h * s) for s in (1.0, 2.0, 4.0)] if family is None else family
+
+
+def _check_family(family, tol: float, N_max: int) -> None:
+    """A nonempty family of standard agilities that ``_check_limit`` takes;
+    None stands for the default family of uniform schedules."""
+    if family is not None and not family:
         raise ConfigError("no instances: agility family is empty")
-    return family
+    for ag in family or ():
+        if not ag.in_sigma0:
+            raise ConfigError(f"agility {ag!r} is outside the standard set"
+                              " (divergent sum required)")
+        _check_limit(ag, tol, N_max)
+    _check_doubling(1, N_max, tol)  # all _check_limit checks of the default family
 
 
 def standard_value(net, k: int, family=None, tol: float = 1e-9,
@@ -429,16 +449,12 @@ def standard_value(net, k: int, family=None, tol: float = 1e-9,
     """Lower bound for the standard-game value: the pointwise maximum of
     ``limit_value`` over an agility family.
 
-    The family must sit in the standard set (positive, divergent sum) and be
-    uniform or decreasing; the true supremum over all admissible schedules
+    ``_check_family`` runs first: each member sits in the standard set
+    (positive, divergent sum); the true supremum over all admissible schedules
     is not computable, so only this one-sided bound is reported.
     """
+    _check_family(family, tol, N_max)
     family = _family_or_default(net, family)
-    for ag in family:
-        if not ag.in_sigma0:
-            raise ConfigError(
-                f"agility {ag!r} is outside the standard set (divergent sum required)"
-            )
     best = None
     members = []
     for ag in family:
@@ -460,21 +476,27 @@ class CopNumberResult:
         return str(self.estimate) if self.estimate is not None else f"> {self.k_max}"
 
 
+def _check_cop_number(k_max: int, theta, family, tol: float, N_max: int) -> None:
+    if k_max < 1:
+        raise ConfigError("k_max must be at least 1")
+    if theta is not None and not theta >= 0:  # NaN too: no value would meet it
+        raise ConfigError("threshold must be nonnegative")
+    _check_family(family, tol, N_max)
+
+
 def cop_number_estimate(net, k_max: int, theta: float | None = None,
                         family=None, tol: float = 1e-9,
                         N_max: int = 64) -> CopNumberResult:
     """Smallest ``k <= k_max`` whose worst-start standard value is at most
     ``theta``; with ``theta = 0`` this estimates the capture (strong) cop
-    number on the net.  Defaults ``theta`` to twice the covering radius plus
-    the largest first-step length (discretization slack).
+    number on the net.  ``_check_cop_number`` runs first.  Defaults ``theta``
+    to twice the covering radius plus the largest first-step length
+    (discretization slack).
     """
-    if k_max < 1:
-        raise ConfigError("k_max must be at least 1")
+    _check_cop_number(k_max, theta, family, tol, N_max)
     fam = _family_or_default(net, family)
-    if theta is None:
+    if theta is None:  # never negative
         theta = 2.0 * net.h + max(ag.tau(1) for ag in fam)
-    if not theta >= 0:  # NaN too: no worst-start value would meet it
-        raise ConfigError("threshold must be nonnegative")
     per_k = []
     estimate = None
     for k in range(1, k_max + 1):

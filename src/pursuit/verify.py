@@ -1,9 +1,10 @@
 """Certification suite: every solver inequality checked on small instances.
 
 Each check solves tiny net games exhaustively and measures the worst
-violation of one inequality.  The checks of an instance share one plain
-(endpoint) solve of its game, with every layer kept, and no check holds an
-array larger than one value layer (or, on a smaller layer, 8192 entries):
+violation of one inequality.  The checks of an instance share the plain
+(endpoint) solve of each prefix of its game, the whole game's with every
+layer kept, and no check holds an array larger than one value layer (or, on
+a smaller layer, 8192 entries):
 
 * ``L1-equality``        endpoint and running-minimum recursions coincide
 * ``step-monotone``      values never increase when the horizon grows
@@ -228,7 +229,8 @@ def minmax_gap_probe(net: Net, k: int, taus, coarse: Net) -> ProbeResult:
 # lemma batteries
 
 
-def _violation_l1_equality(net, inst, plain, coarse) -> float:
+def _violation_l1_equality(net, inst, solves, coarse) -> float:
+    plain = solves[-1]
     b = solve_finite(net, inst["k"], inst["taus"], variant="intermediate",
                      store_layers=True)
     return max(
@@ -237,19 +239,15 @@ def _violation_l1_equality(net, inst, plain, coarse) -> float:
     )
 
 
-def _violation_step_monotone(net, inst, plain, coarse) -> float:
-    taus = inst["taus"]
-    worst = 0.0
-    for M in range(1, len(taus)):
-        short = solve_finite(net, inst["k"], taus[:M])
-        worst = max(worst, float((plain.top - short.top).max()))
-    return max(0.0, worst)
+def _violation_step_monotone(net, inst, solves, coarse) -> float:
+    top = solves[-1].top
+    return max([0.0] + [float((top - short.top).max()) for short in solves[:-1]])
 
 
-def _violation_pos_continuity(net, inst, plain, coarse) -> float:
+def _violation_pos_continuity(net, inst, solves, coarse) -> float:
     """Worst |V(a) - V(b)| - 2 * d(a, b) over tuple pairs, where d is the
     largest coordinate distance; ``max(layer, POS_BLOCK_ENTRIES)`` pairs at a time."""
-    V, D = plain.top, net.matrix
+    V, D = solves[-1].top, net.matrix
     along = [tuple(-1 if j == i else 1 for j in range(V.ndim)) for i in range(V.ndim)]
     per = max(1, POS_BLOCK_ENTRIES // V.size)
     worst = 0.0
@@ -262,24 +260,24 @@ def _violation_pos_continuity(net, inst, plain, coarse) -> float:
     return worst
 
 
-def _violation_agility_continuity(net, inst, plain, coarse) -> float:
+def _violation_agility_continuity(net, inst, solves, coarse) -> float:
     taus = inst["taus"]
     other = inst["taus_perturbed"]
     ell1 = sum(abs(a - b) for a, b in zip(taus, other))
     b = solve_finite(net, inst["k"], other)
-    return max(0.0, float(np.abs(plain.top - b.top).max()) - 2.0 * ell1)
+    return max(0.0, float(np.abs(solves[-1].top - b.top).max()) - 2.0 * ell1)
 
 
-def _violation_subdivision(net, inst, plain, coarse) -> float:
+def _violation_subdivision(net, inst, solves, coarse) -> float:
     taus = inst["taus"]
     i, alpha = inst["subdivide"]
     finer = subdivide(Agility.explicit(taus), i, alpha)
     fine = solve_finite(net, inst["k"], finer.prefix(len(taus) + 1))
-    return max(0.0, float((plain.top - fine.top).max()))
+    return max(0.0, float((solves[-1].top - fine.top).max()))
 
 
-def _violation_volatile(net, inst, plain, coarse) -> float:
-    taus = inst["taus"]
+def _violation_volatile(net, inst, solves, coarse) -> float:
+    taus, plain = inst["taus"], solves[-1]
     k = inst["k"]
     N = len(taus)
     # zero radii must reproduce the plain solve exactly
@@ -297,16 +295,15 @@ def _violation_volatile(net, inst, plain, coarse) -> float:
     return max(0.0, worst)
 
 
-def _violation_minmax_gap(net, inst, plain, coarse) -> float:
+def _violation_minmax_gap(net, inst, solves, coarse) -> float:
     cfg = inst["minmax"]
     res = minmax_gap_probe(net, inst["k"], cfg["taus"], coarse)
     return max(0.0, res.gap - 4.0 * cfg["eps"])
 
 
-def _violation_oracle(net, inst, plain, coarse) -> float:
-    n_oracle = inst["oracle_N"]
-    taus = inst["taus"][:n_oracle]
-    table = plain if len(taus) == len(inst["taus"]) else solve_finite(net, inst["k"], taus)
+def _violation_oracle(net, inst, solves, coarse) -> float:
+    taus = inst["taus"][:inst["oracle_N"]]
+    table = solves[len(taus) - 1]
     lists = _oracle_lists(net, taus)
     worst = 0.0
     for tup in itertools.product(range(net.size), repeat=inst["k"] + 1):
@@ -475,14 +472,18 @@ def _oracle_nodes(net, k: int, taus) -> int:
 
 def _run_instance(inst, net, coarse) -> list:
     label = _instance_label(inst, net)
-    plain = solve_finite(net, inst["k"], inst["taus"], store_layers=True)
+    taus = inst["taus"]
+    # the runners share solves[M - 1], the endpoint solve of the first M
+    # steps; only the whole game's keeps every layer
+    solves = [solve_finite(net, inst["k"], taus[:M], store_layers=M == len(taus))
+              for M in range(1, len(taus) + 1)]
     reports = []
     for lemma, (runner, tol) in _LEMMA_RUNNERS.items():
         if lemma == "minmax-gap" and coarse is None:
             continue
         if lemma == "oracle-equivalence" and "oracle_N" not in inst:
             continue
-        reports.append(LemmaReport(lemma, label, runner(net, inst, plain, coarse), tol))
+        reports.append(LemmaReport(lemma, label, runner(net, inst, solves, coarse), tol))
     return reports
 
 

@@ -49,7 +49,7 @@ def test_stand_still_vs_follower_capture():
 def test_run_game_rejects_bad_capture_radius(kappa):
     # a robber standing on its cop must not play on uncaptured
     space = make_interval(1.0)
-    with pytest.raises(ValueError, match="kappa"):
+    with pytest.raises(ConfigError, match="^kappa must be at least 0$"):
         run_game(space, get_strategy(space, "stand_still_robber"),
                  get_strategy(space, "stand_still_cops"),
                  interval_positions(space, 0.5, 0.5), Agility.uniform(0.25), 2,
@@ -59,7 +59,7 @@ def test_run_game_rejects_bad_capture_radius(kappa):
 @pytest.mark.parametrize("N", [0, -1])
 def test_run_game_needs_a_step(N):
     space = make_interval(1.0)
-    with pytest.raises(ValueError, match="need at least one step"):
+    with pytest.raises(ConfigError, match="^N must be at least 1$"):
         run_game(space, get_strategy(space, "stand_still_robber"),
                  get_strategy(space, "stand_still_cops"),
                  interval_positions(space, 0.5, 0.0), Agility.uniform(0.25), N)

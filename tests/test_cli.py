@@ -197,6 +197,11 @@ LONG_THETA = {"type": "metric_graph", "vertices": ["a", "b"],
 LONG_THETA_SOLVE = {"space": LONG_THETA, "net_h": 0.0038, "k": 1, "mode": "limit",
                     "agility": {"kind": "uniform", "t": 0.05}, "horizon": {"N": 1}}
 LONG_THETA_COPNUMBER = {"space": LONG_THETA, "net_h": 0.0038, "k_max": 1}
+LONG_THETA_DURATION = {key: value for key, value in LONG_THETA_SOLVE.items()
+                       if key != "agility"} | {"horizon": {"N": 1, "T": 0.05}}
+_LONG_THETA = {"solve": ("solve", LONG_THETA_SOLVE),
+               "duration": ("solve", LONG_THETA_DURATION),
+               "copnumber": ("copnumber", LONG_THETA_COPNUMBER)}
 
 
 @pytest.mark.parametrize("command,fields,message", [
@@ -207,6 +212,22 @@ LONG_THETA_COPNUMBER = {"space": LONG_THETA, "net_h": 0.0038, "k_max": 1}
      "error: bad k_max: could not convert string to float: 'two'"),
     ("copnumber", {"theta": "x"}, "error: bad theta: could not convert string to float: 'x'"),
     ("copnumber", {"family": [{"kind": "mystery"}]}, "error: unknown agility kind 'mystery'"),
+    # the solver's own checks, which the CLI runs before it builds the net
+    ("solve", {"mode": "finite", "variant": "sideways"}, "error: unknown variant 'sideways'"),
+    ("solve", {"tol": 0}, "error: tolerance must be positive"),
+    ("solve", {"mode": "standard", "N_max": 0}, "error: N_max must be at least 1, got 0"),
+    ("solve", {"agility": {"kind": "explicit", "steps": [0.1, 0.3]}},
+     "error: limit_value needs a uniform or decreasing agility"),
+    ("solve", {"mode": "standard", "family": []},
+     "error: no instances: agility family is empty"),
+    ("solve", {"mode": "standard", "family": [{"kind": "geometric", "a": 1, "rho": 0.5}]},
+     "error: agility Agility.geometric(a=1.0, rho=0.5) is outside the standard set "
+     "(divergent sum required)"),
+    ("copnumber", {"k_max": 0}, "error: k_max must be at least 1"),
+    ("copnumber", {"theta": -1}, "error: threshold must be nonnegative"),
+    ("copnumber", {"family": []}, "error: no instances: agility family is empty"),
+    ("copnumber", {"N_max": 0}, "error: N_max must be at least 1, got 0"),
+    ("duration", {"tol": 0}, "error: tolerance must be positive"),
 ])
 def test_config_faults_are_reported_before_the_net_is_built(tmp_path, capsys, monkeypatch,
                                                             command, fields, message):
@@ -214,7 +235,7 @@ def test_config_faults_are_reported_before_the_net_is_built(tmp_path, capsys, mo
         raise AssertionError("build_net was called")
 
     monkeypatch.setattr(cli, "build_net", unbuilt)
-    valid = LONG_THETA_SOLVE if command == "solve" else LONG_THETA_COPNUMBER
+    command, valid = _LONG_THETA[command]
     with pytest.raises(AssertionError, match="build_net"):  # the fault is the only one
         run(tmp_path, command, valid)
     assert run(tmp_path, command, {**valid, **fields}) == 2
@@ -610,6 +631,19 @@ def test_rejects_bad_numeric_fields(tmp_path, capsys, command, changes, field):
     assert run(tmp_path, command, cfg) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and field in err[0]
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"N": 0}, "error: N must be at least 1"),
+    ({"N": -1}, "error: N must be at least 1"),
+    ({"kappa": -1}, "error: kappa must be at least 0"),
+])
+def test_play_reports_run_games_own_checks(tmp_path, capsys, changes, message):
+    # run_game checks N and kappa before its first step; play keeps no copy
+    assert run(tmp_path, "play", _PLAY | changes) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_integral_numeric_fields_accept_whole_floats(tmp_path):

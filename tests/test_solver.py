@@ -629,19 +629,62 @@ def test_duration_value_rejects_bad_duration_and_start(T, N_start, message):
         duration_value(cycle_net(8), 1, T, N_start, 1e-9, 8)
 
 
-@pytest.mark.parametrize("tol,N_max,message", [
-    (0.0, 8, "tolerance must be positive"),
-    (1e-9, 0, "N_max must be at least 1, got 0"),
-])
-def test_limit_value_checks_its_bounds_before_any_work(monkeypatch, tol, N_max, message):
+def assert_fails_before_any_work(monkeypatch, call, message):
+    """``call(net)`` raises ``message`` before it ranks the net or builds a reach set."""
     def fail(*args):
         raise AssertionError("reach_set was called")
 
     monkeypatch.setattr(solver, "reach_set", fail)
     net = cycle_net(8)
-    with pytest.raises(ConfigError, match=message):
-        limit_value(net, 1, Agility.uniform(0.25), tol, N_max)
+    with pytest.raises(ConfigError) as err:
+        call(net)
+    assert str(err.value) == message
     assert "ranked" not in net.__dict__
+
+
+@pytest.mark.parametrize("tol,N_max,message", [
+    (0.0, 8, "tolerance must be positive"),
+    (1e-9, 0, "N_max must be at least 1, got 0"),
+])
+def test_limit_value_checks_its_bounds_before_any_work(monkeypatch, tol, N_max, message):
+    assert_fails_before_any_work(
+        monkeypatch, lambda net: limit_value(net, 1, Agility.uniform(0.25), tol, N_max), message)
+
+
+_ENTRY_POINT_FAULTS = {
+    "finite-variant": (lambda net: solve_finite(net, 1, [0.25], "sideways"),
+                       "unknown variant 'sideways'"),
+    "limit-shape": (lambda net: limit_value(net, 1, Agility.explicit([0.1, 0.3])),
+                    "limit_value needs a uniform or decreasing agility"),
+    "limit-harmonic-N_max": (lambda net: limit_value(net, 1, Agility.harmonic(0.5), N_max=0),
+                             "N_max must be at least 1, got 0"),
+    "standard-empty": (lambda net: standard_value(net, 1, []),
+                       "no instances: agility family is empty"),
+    "standard-geometric": (lambda net: standard_value(net, 1, [Agility.geometric(1.0, 0.5)]),
+                           "agility Agility.geometric(a=1.0, rho=0.5) is outside the "
+                           "standard set (divergent sum required)"),
+    "standard-default-tol": (lambda net: standard_value(net, 1, tol=0.0),
+                             "tolerance must be positive"),
+    "standard-member-N_max": (
+        lambda net: standard_value(net, 1, [Agility.uniform(0.25)], N_max=0),
+        "N_max must be at least 1, got 0"),
+    "copnumber-k_max": (lambda net: cop_number_estimate(net, 0),
+                        "k_max must be at least 1"),
+    "copnumber-theta": (lambda net: cop_number_estimate(net, 1, theta=-1.0),
+                        "threshold must be nonnegative"),
+    "copnumber-theta-nan": (lambda net: cop_number_estimate(net, 1, theta=math.nan),
+                            "threshold must be nonnegative"),
+    "copnumber-empty": (lambda net: cop_number_estimate(net, 1, family=[]),
+                        "no instances: agility family is empty"),
+    "copnumber-N_max": (lambda net: cop_number_estimate(net, 2, N_max=0),
+                        "N_max must be at least 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(_ENTRY_POINT_FAULTS))
+def test_entry_points_check_their_arguments_before_any_work(monkeypatch, case):
+    call, message = _ENTRY_POINT_FAULTS[case]
+    assert_fails_before_any_work(monkeypatch, call, message)
 
 
 def theta_net():

@@ -126,17 +126,22 @@ def test_oracle_node_count_matches_tree_walk(name):
 
 
 def test_each_instance_solves_its_plain_game_once(monkeypatch):
+    # and each prefix of it, which step-monotone and the oracle both read;
+    # minmax-gap's policy solves are not plain ones
     calls = []
 
     def counting_solve(net, k, taus, *args, **kwargs):
-        calls.append((list(taus), kwargs.get("variant", "endpoint")))
+        calls.append((list(taus), kwargs.get("variant", "endpoint"),
+                      kwargs.get("store_policy", False)))
         return solve_finite(net, k, taus, *args, **kwargs)
 
     monkeypatch.setattr(verify, "solve_finite", counting_solve)
     for inst in default_pack():
         calls.clear()
         run_suite([inst])
-        assert calls.count((inst["taus"], "endpoint")) == 1, inst["name"]
+        taus = inst["taus"]
+        for M in range(1, len(taus) + 1):
+            assert calls.count((taus[:M], "endpoint", False)) == 1, (inst["name"], M)
 
 
 def test_suite_memory_is_one_value_layer():
@@ -178,7 +183,7 @@ def pairwise_pos_continuity(D, V):
 
 def pos_continuity(D, V):
     return verify._violation_pos_continuity(
-        SimpleNamespace(matrix=D), {"k": V.ndim - 1}, SimpleNamespace(top=V), None)
+        SimpleNamespace(matrix=D), {"k": V.ndim - 1}, [SimpleNamespace(top=V)], None)
 
 
 _tied = st.sampled_from([0.0, 0.25, 0.5, 1.0])
